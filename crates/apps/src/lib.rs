@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod convergence;
-pub mod distributed;
 pub mod expm;
 pub mod gd;
 pub mod general;

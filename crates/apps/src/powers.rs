@@ -156,7 +156,7 @@ impl IncrPowers {
 
 impl<B: ExecBackend> IncrPowers<B> {
     /// As [`IncrPowers::new`] on an explicit execution backend (e.g. a
-    /// [`DistBackend`](linview_runtime::DistBackend) cluster).
+    /// [`ThreadedBackend`](linview_runtime::ThreadedBackend) cluster).
     pub fn new_on(backend: B, a: Matrix, model: IterModel, k: usize) -> Result<Self> {
         Self::new_on_with_options(
             backend,

@@ -18,8 +18,8 @@ use linview_dist::{dist_matmul, Cluster, DistMatrix};
 use linview_expr::DeltaOptions;
 use linview_matrix::{flops, GemmKernel, Matrix};
 use linview_runtime::{
-    DistBackend, Env, Evaluator, ExecBackend, FlushPolicy, IncrementalView, MaintenanceEngine,
-    ThreadedBackend, UpdateStream,
+    Env, Evaluator, ExecBackend, FlushPolicy, IncrementalView, MaintenanceEngine, ThreadedBackend,
+    UpdateStream,
 };
 use std::time::{Duration, Instant};
 
@@ -207,8 +207,9 @@ pub fn fig3e(cfg: &Config) -> Table {
     t
 }
 
-/// Fig. 3f — distributed powers vs worker count on the simulated cluster:
-/// refresh time and communication volume for REEVAL vs INCR.
+/// Fig. 3f — distributed powers vs worker count: refresh time and
+/// communication volume for REEVAL (metered block-SUMMA shuffles) vs INCR
+/// (real factor frames to worker threads).
 pub fn fig3f(cfg: &Config) -> Table {
     let n = 240; // divisible by every grid side used
     let mut t = Table::new(
@@ -237,16 +238,22 @@ pub fn fig3f(cfg: &Config) -> Table {
         let re_comm = cluster.comm().reset();
 
         // INCR: the same compiled triggers as the local path, executed on
-        // the DistBackend — central delta-block evaluation, broadcast
-        // factors, block-local partition updates.
-        let backend = DistBackend::new(workers).expect("square worker count");
+        // the ThreadedBackend — central delta-block evaluation, broadcast
+        // factor frames, block-local partition updates on the workers.
+        let backend = ThreadedBackend::new(workers).expect("square worker count");
         let mut incr = IncrementalView::build_on(backend, &program, &[("A", a.clone())], &cat)
             .expect("incr builds");
         incr.reset_comm();
         let mut s2 = UpdateStream::new(n, n, 0.01, 47);
-        let inc = avg_time(cfg.updates, || {
-            incr.apply("A", &s2.next_rank_one()).expect("incr update")
-        });
+        // `apply` returns once its frames are queued, so the timed batch
+        // ends with a gather: the workers reply only after folding every
+        // delta sent before it.
+        let t0 = Instant::now();
+        for _ in 0..cfg.updates {
+            incr.apply("A", &s2.next_rank_one()).expect("incr update");
+        }
+        incr.backend().view("C").expect("gather barrier");
+        let inc = t0.elapsed() / cfg.updates.max(1) as u32;
         let inc_comm = incr.reset_comm();
         t.row(vec![
             workers.to_string(),
@@ -256,7 +263,10 @@ pub fn fig3f(cfg: &Config) -> Table {
             fmt_bytes(inc_comm.total_bytes() / cfg.updates as u64),
         ]);
     }
-    t.note("paper: INCR is far less sensitive to cluster size (10-26s flat vs shuffles)");
+    t.note(
+        "paper: INCR is far less sensitive to cluster size (10-26s flat vs shuffles); INCR time is \
+         the whole batch up to one final gather of C (worker folds included), per update",
+    );
     t
 }
 
@@ -505,12 +515,12 @@ pub fn table4(cfg: &Config) -> Table {
     t
 }
 
-/// MaintenanceEngine — batched multi-input ingestion across all three
-/// backends side by side: a Zipf-skewed stream of rank-1 events over TWO
-/// inputs, coalesced under a count policy and fired through the unified
-/// `ExecBackend` path, with ONE joint trigger per final flush round. The
-/// threaded backend's comm bytes are exact serialized-frame lengths; the
-/// dist backend's are the metered model.
+/// MaintenanceEngine — batched multi-input ingestion on the local and
+/// threaded backends side by side: a Zipf-skewed stream of rank-1 events
+/// over TWO inputs, coalesced under a count policy and fired through the
+/// unified `ExecBackend` path, with ONE joint trigger per final flush
+/// round. The threaded backend's comm bytes are exact serialized-frame
+/// lengths.
 pub fn engine_batching(cfg: &Config) -> Table {
     let n = cfg.n;
     let events = (cfg.updates * 16).max(16);
@@ -594,29 +604,20 @@ pub fn engine_batching(cfg: &Config) -> Table {
         run(&mut t, view, batch, events, zipf, n);
     }
     for &batch in &[1usize, 4, 16] {
-        let backend = DistBackend::new(4).expect("square worker count");
-        let view =
-            IncrementalView::build_on(backend, &program, &inputs, &cat).expect("dist builds");
-        run(&mut t, view, batch, events, zipf, n);
-    }
-    for &batch in &[1usize, 4, 16] {
         let backend = ThreadedBackend::new(4).expect("square worker count");
         let view =
             IncrementalView::build_on(backend, &program, &inputs, &cat).expect("threaded builds");
         run(&mut t, view, batch, events, zipf, n);
     }
-    t.note(
-        "skewed batches compact below their event count; dist meters the comm model, threaded \
-         moves real frames",
-    );
+    t.note("skewed batches compact below their event count; comm bytes are the frames moved");
     t
 }
 
 /// Scheduler — DAG-staged trigger execution vs the sequential opt-out on
-/// all three backends: stage structure, overlapped broadcasts, and the
-/// wall-clock of one full update stream (`A⁸` powers, the widest shipped
-/// trigger). Staged and sequential views are asserted bit-identical, so
-/// the table measures pure scheduling effects.
+/// the local and threaded backends: stage structure, overlapped
+/// broadcasts, and the wall-clock of one full update stream (`A⁸` powers,
+/// the widest shipped trigger). Staged and sequential views are asserted
+/// bit-identical, so the table measures pure scheduling effects.
 pub fn scheduler(cfg: &Config) -> Table {
     use linview_runtime::ExecOptions;
 
@@ -693,19 +694,10 @@ pub fn scheduler(cfg: &Config) -> Table {
     for sequential in [false, true] {
         let view = IncrementalView::build(&program, &inputs, &cat).expect("local builds");
         let d_local = run(&mut t, view, sequential, cfg, n);
-        let backend = DistBackend::new(4).expect("square worker count");
-        let view =
-            IncrementalView::build_on(backend, &program, &inputs, &cat).expect("dist builds");
-        let d_dist = run(&mut t, view, sequential, cfg, n);
         let backend = ThreadedBackend::new(4).expect("square worker count");
         let view =
             IncrementalView::build_on(backend, &program, &inputs, &cat).expect("threaded builds");
         let d_threaded = run(&mut t, view, sequential, cfg, n);
-        assert_eq!(
-            d_local.max_abs_diff(&d_dist),
-            0.0,
-            "staged/sequential dist diverged from local"
-        );
         assert_eq!(
             d_local.max_abs_diff(&d_threaded),
             0.0,
@@ -937,16 +929,6 @@ pub fn sparsity(cfg: &Config) -> Table {
         for &stride in &[64usize, 16, 1] {
             let view = || IncrementalView::build(&program, &inputs(n), &cat(n)).expect("builds");
             run(&mut t, "local", view, n, k, stride, cfg.updates);
-            let dist = || {
-                IncrementalView::build_on(
-                    DistBackend::new(4).expect("square worker count"),
-                    &program,
-                    &inputs(n),
-                    &cat(n),
-                )
-                .expect("builds")
-            };
-            run(&mut t, "dist", dist, n, k, stride, cfg.updates);
             let threaded = || {
                 IncrementalView::build_on(
                     ThreadedBackend::new(4).expect("square worker count"),

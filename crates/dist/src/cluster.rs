@@ -1,4 +1,4 @@
-//! The simulated worker grid.
+//! The worker grid.
 
 use std::fmt;
 
@@ -38,7 +38,7 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// A simulated cluster: a rectangular grid of workers plus a communication
+/// A cluster geometry: a rectangular grid of workers plus a communication
 /// meter. Partitioned matrices ([`crate::DistMatrix`]) use the same grid
 /// geometry; the cluster itself holds no matrix data.
 #[derive(Debug)]

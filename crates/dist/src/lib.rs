@@ -1,35 +1,28 @@
 //! # linview-dist
 //!
-//! A simulated cluster standing in for the paper's Spark backend (§6):
-//! grid partitioning of dense matrices, distributed kernels over the
-//! partitions, and byte/message-level communication metering.
-//!
-//! The simulation is *semantically* faithful rather than physically
-//! parallel: every "worker" is a block of a [`DistMatrix`], and every block
-//! transfer a kernel would require on a real cluster is recorded in the
-//! owning [`Cluster`]'s [`CommStats`]. This is what lets the reproduction
-//! check the paper's §6 claim — re-evaluation *shuffles* `O(n²)` blocks per
-//! refresh, while incremental maintenance only *broadcasts* `O(kn)`
-//! factors — as an assertion over metered traffic rather than a prose
-//! argument.
+//! The distribution layer standing in for the paper's Spark backend (§6):
+//! grid partitioning of dense matrices, a frame transport that moves
+//! factored deltas to the workers owning the partitions, and byte/message
+//! metering of everything that moves — so the §6 claim (re-evaluation
+//! *shuffles* `O(n²)` blocks per refresh, incremental maintenance only
+//! *broadcasts* `O(kn)` factors) is an assertion over metered traffic.
 //!
 //! * [`Cluster`] — a `√w × √w` (or explicitly rectangular) worker grid with
-//!   a communication meter.
-//! * [`DistMatrix`] — a dense matrix split into equally-sized grid blocks.
-//! * [`dist_matmul`] — block-SUMMA product; meters the block shuffles
-//!   re-evaluation pays.
-//! * [`dist_add_low_rank`] — the `O(kn²)` distributed low-rank view update;
-//!   meters only factor broadcasts.
-//! * [`WorkerPool`] ([`transport`]) — the *non*-simulated layer: one
-//!   long-lived worker thread per grid cell, each owning its view blocks,
-//!   with every coordinator interaction serialized into byte frames over
-//!   real channels. The `ThreadedBackend` in `linview-runtime` builds on
-//!   this, so its metered byte counts are exact frame lengths rather than
-//!   analytical estimates.
+//!   a communication meter ([`CommStats`]).
+//! * [`DistMatrix`] — a dense matrix split into equally-sized grid blocks;
+//!   what [`FramePool::install`] scatters to the workers.
+//! * [`FramePool`] ([`transport`]) — the INCR side: one worker per grid
+//!   cell owns its view blocks, and every coordinator interaction is a
+//!   serialized byte frame, over in-process channels ([`WorkerPool`]) or
+//!   TCP/Unix sockets ([`SocketTransport`]). The `FrameBackend` in
+//!   `linview-runtime` builds on this, so its metered byte counts are
+//!   exact frame lengths.
+//! * [`dist_matmul`] — the REEVAL side: a block-SUMMA product that meters
+//!   the block shuffles re-evaluation pays (Fig. 3f's baseline).
 //!
 //! ```
-//! use linview_dist::{dist_add_low_rank, dist_matmul, Cluster, DistMatrix};
-//! use linview_matrix::{ApproxEq, Matrix};
+//! use linview_dist::{delta_frame, dist_matmul, Cluster, DistMatrix, WorkerPool};
+//! use linview_matrix::{fold_low_rank, ApproxEq, Matrix};
 //!
 //! let cluster = Cluster::new(4); // 2×2 grid
 //! let a = Matrix::random_spectral(8, 1, 0.9);
@@ -41,15 +34,20 @@
 //! // ...and pays shuffle traffic, which the meter records.
 //! assert!(cluster.comm().snapshot().shuffle_bytes > 0);
 //!
-//! // A low-rank update only broadcasts its skinny factors.
-//! cluster.comm().reset();
-//! let mut view = d2.clone();
+//! // A low-rank update only broadcasts its skinny factors: one frame per
+//! // worker, each of which folds the rows it owns.
+//! let pool = WorkerPool::spawn(2, 2);
+//! pool.install("V", &d2).unwrap();
 //! let u = Matrix::random_uniform(8, 2, 7);
 //! let v = Matrix::random_uniform(8, 2, 8);
-//! dist_add_low_rank(&mut view, &u, &v, &cluster).unwrap();
-//! let comm = cluster.comm().snapshot();
-//! assert_eq!(comm.shuffle_bytes, 0);
-//! assert!(comm.broadcast_bytes > 0);
+//! let sent = pool.broadcast_delta("V", &u, &v).unwrap();
+//! assert_eq!(sent, delta_frame("V", &u, &v).len() as u64);
+//!
+//! // The gathered blocks equal the unpartitioned fold bit for bit.
+//! let mut dense = d2.to_dense();
+//! fold_low_rank(&mut dense, &u, &v, false).unwrap();
+//! let blocks = pool.gather("V").unwrap();
+//! assert_eq!(blocks[3], dense.submatrix(4, 4, 4, 4).unwrap());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,7 +63,7 @@ pub mod transport;
 pub use cluster::{Cluster, ClusterError};
 pub use comm::{CommSnapshot, CommStats};
 pub use matrix::DistMatrix;
-pub use ops::{dist_add_low_rank, dist_add_low_rank_sparse, dist_matmul, factor_wire_bytes};
+pub use ops::dist_matmul;
 pub use socket::{
     bind, serve_worker, spawn_local_grid, PeerAddr, ServeOptions, SocketConfig, SocketTransport,
     WorkerListener, WorkerServer,

@@ -103,11 +103,6 @@ impl DistMatrix {
         &self.blocks[br * self.grid_cols + bc]
     }
 
-    /// Mutable access to the block at grid position `(br, bc)`.
-    pub fn block_mut(&mut self, br: usize, bc: usize) -> &mut Matrix {
-        &mut self.blocks[br * self.grid_cols + bc]
-    }
-
     /// Serialized size of one block in bytes (the unit of shuffle traffic).
     pub fn block_bytes(&self) -> u64 {
         let (bh, bw) = self.block_shape();

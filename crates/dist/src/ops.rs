@@ -1,7 +1,8 @@
-//! Distributed kernels over partitioned matrices, with metered traffic.
+//! The REEVAL baseline kernel over partitioned matrices, with metered
+//! shuffle traffic.
 
 use crate::{Cluster, DistMatrix, Result};
-use linview_matrix::{factor_nnz, fold_low_rank, Matrix, MatrixError};
+use linview_matrix::{Matrix, MatrixError};
 
 /// Block-SUMMA distributed product `C = A · B`.
 ///
@@ -46,87 +47,7 @@ pub fn dist_matmul(a: &DistMatrix, b: &DistMatrix, cluster: &Cluster) -> Result<
     DistMatrix::from_parts(a.rows(), b.cols(), a.grid_rows(), b.grid_cols(), blocks)
 }
 
-/// The distributed low-rank view update `M += U · Vᵀ` of §6.
-///
-/// The skinny factors (`U: n×k`, `V: m×k`) are broadcast whole to every
-/// worker — `O(kn)` bytes per worker, metered as broadcast traffic — and
-/// each worker then updates its own block from the matching row slices
-/// with no shuffle at all: `block_ij += U[rows_i] · V[cols_j]ᵀ`, `O(kn²)`
-/// FLOPs across the cluster.
-pub fn dist_add_low_rank(
-    m: &mut DistMatrix,
-    u: &Matrix,
-    v: &Matrix,
-    cluster: &Cluster,
-) -> Result<()> {
-    dist_add_low_rank_sparse(m, u, v, cluster, false, false)
-}
-
-/// Analytic payload bytes one broadcast factor costs on the wire.
-///
-/// Dense factors move all `rows·cols` doubles (`8·len` bytes); with
-/// `compress` set, a factor whose shorter form is the triplet list —
-/// exactly when `2·nnz < len`, the predicate the transport's flagged codec
-/// uses — moves `16·nnz` bytes (a 16-byte `(row, col, value)` cell per
-/// stored nonzero) instead. This keeps the simulated cluster's byte meter
-/// in lockstep with the exact frame lengths the threaded transport reports,
-/// minus the fixed per-frame headers.
-pub fn factor_wire_bytes(m: &Matrix, compress: bool) -> u64 {
-    let nnz = factor_nnz(m);
-    if compress && 2 * nnz < m.len() {
-        16 * nnz as u64
-    } else {
-        8 * m.len() as u64
-    }
-}
-
-/// [`dist_add_low_rank`] with the sparse execution knobs exposed.
-///
-/// * `sparse` routes every per-block fold through the density-aware
-///   [`fold_low_rank`], so blocks hit by a near-basis factor pay
-///   `O(nnz·m)` FLOPs instead of the dense `O(k·n·m)` (bit-identical
-///   either way).
-/// * `compress` meters each broadcast factor at its compressed wire cost
-///   ([`factor_wire_bytes`]) instead of its dense footprint.
-pub fn dist_add_low_rank_sparse(
-    m: &mut DistMatrix,
-    u: &Matrix,
-    v: &Matrix,
-    cluster: &Cluster,
-    sparse: bool,
-    compress: bool,
-) -> Result<()> {
-    if u.rows() != m.rows() || v.rows() != m.cols() || u.cols() != v.cols() {
-        return Err(MatrixError::DimMismatch {
-            op: "dist_add_low_rank",
-            lhs: u.shape(),
-            rhs: v.shape(),
-        });
-    }
-    check_geometry("dist_add_low_rank", m, cluster)?;
-    if u.cols() == 0 {
-        // A rank-0 delta carries no update: nothing is broadcast and no
-        // message is metered — the same contract as the threaded
-        // transport, so per-backend delivery counts stay comparable.
-        return Ok(());
-    }
-    let factor_bytes = factor_wire_bytes(u, compress) + factor_wire_bytes(v, compress);
-    for _ in 0..cluster.workers() {
-        cluster.comm().record_broadcast(factor_bytes);
-    }
-    let (bh, bw) = m.block_shape();
-    let k = u.cols();
-    for i in 0..m.grid_rows() {
-        let u_i = u.submatrix(i * bh, 0, bh, k)?;
-        for j in 0..m.grid_cols() {
-            let v_j = v.submatrix(j * bw, 0, bw, k)?;
-            fold_low_rank(m.block_mut(i, j), &u_i, &v_j, sparse)?;
-        }
-    }
-    Ok(())
-}
-
-/// The metering model assumes one worker per block, so a kernel fed a
+/// The metering model assumes one worker per block, so a product fed a
 /// matrix whose grid disagrees with the cluster's would charge traffic for
 /// a different cluster than the one it reports on. Reject the mix-up.
 fn check_geometry(op: &'static str, m: &DistMatrix, cluster: &Cluster) -> Result<()> {
@@ -208,26 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn dist_add_low_rank_matches_dense_kernel() {
-        for (gr, gc) in [(1, 1), (2, 2), (2, 4), (4, 2)] {
-            let cluster = Cluster::with_grid(gr, gc);
-            let m0 = Matrix::random_uniform(16, 16, 11);
-            let u = Matrix::random_uniform(16, 3, 12);
-            let v = Matrix::random_uniform(16, 3, 13);
-            let mut dm = DistMatrix::from_dense_grid(&m0, gr, gc).unwrap();
-            dist_add_low_rank(&mut dm, &u, &v, &cluster).unwrap();
-            let mut dense = m0;
-            dense
-                .add_assign_from(&u.try_matmul(&v.transpose()).unwrap())
-                .unwrap();
-            assert!(
-                dm.to_dense().approx_eq(&dense, 1e-9),
-                "grid {gr}x{gc} diverged from the dense kernel"
-            );
-        }
-    }
-
-    #[test]
     fn matmul_shuffle_accounting_matches_model() {
         // Per result block: (g-1) A-blocks + (g-1) B-blocks of n²/g² doubles.
         let n = 24;
@@ -244,106 +145,6 @@ mod tests {
             assert_eq!(snap.broadcast_bytes, 0);
             assert_eq!(snap.broadcast_msgs, 0);
         }
-    }
-
-    #[test]
-    fn broadcast_accounting_consistent_across_grid_shapes() {
-        // One message per worker, each carrying both whole factors.
-        let (n, k) = (24, 2);
-        for (gr, gc) in [(1, 1), (2, 2), (3, 2), (1, 4)] {
-            let cluster = Cluster::with_grid(gr, gc);
-            let mut dm =
-                DistMatrix::from_dense_grid(&Matrix::random_uniform(n, n, 31), gr, gc).unwrap();
-            let u = Matrix::random_uniform(n, k, 32);
-            let v = Matrix::random_uniform(n, k, 33);
-            dist_add_low_rank(&mut dm, &u, &v, &cluster).unwrap();
-            let snap = cluster.comm().snapshot();
-            let workers = (gr * gc) as u64;
-            assert_eq!(snap.broadcast_msgs, workers);
-            assert_eq!(snap.broadcast_bytes, workers * (2 * n * k * 8) as u64);
-            assert_eq!(snap.shuffle_bytes, 0);
-            assert_eq!(snap.shuffle_msgs, 0);
-        }
-    }
-
-    #[test]
-    fn sparse_fold_variant_is_bit_identical_to_the_dense_kernel() {
-        // A basis-column U (density 1/16, below the crossover) must take
-        // the sparse per-block path and still produce bit-identical blocks.
-        let (n, k) = (16, 2);
-        let m0 = Matrix::random_uniform(n, n, 71);
-        let mut u = Matrix::zeros(n, k);
-        u.set(3, 0, 1.0);
-        u.set(11, 1, -2.0);
-        let v = Matrix::random_uniform(n, k, 72);
-        for (gr, gc) in [(1, 1), (2, 2), (4, 2)] {
-            let cluster = Cluster::with_grid(gr, gc);
-            let mut dense = DistMatrix::from_dense_grid(&m0, gr, gc).unwrap();
-            dist_add_low_rank(&mut dense, &u, &v, &cluster).unwrap();
-            let mut sparse = DistMatrix::from_dense_grid(&m0, gr, gc).unwrap();
-            dist_add_low_rank_sparse(&mut sparse, &u, &v, &cluster, true, true).unwrap();
-            assert_eq!(
-                sparse.to_dense(),
-                dense.to_dense(),
-                "sparse folds diverged on grid {gr}x{gc}"
-            );
-        }
-    }
-
-    #[test]
-    fn compressed_metering_charges_nnz_scaled_bytes() {
-        let (n, k) = (24, 2);
-        let mut u = Matrix::zeros(n, k);
-        u.set(5, 0, 1.0);
-        u.set(17, 1, 1.0);
-        let v = Matrix::random_uniform(n, k, 34); // dense → stays 8·len
-        assert_eq!(factor_wire_bytes(&u, true), 16 * 2);
-        assert_eq!(factor_wire_bytes(&u, false), (8 * n * k) as u64);
-        assert_eq!(factor_wire_bytes(&v, true), (8 * n * k) as u64);
-
-        for (gr, gc) in [(1, 1), (2, 2), (3, 2)] {
-            let cluster = Cluster::with_grid(gr, gc);
-            let mut dm =
-                DistMatrix::from_dense_grid(&Matrix::random_uniform(n, n, 35), gr, gc).unwrap();
-            dist_add_low_rank_sparse(&mut dm, &u, &v, &cluster, true, true).unwrap();
-            let snap = cluster.comm().snapshot();
-            let workers = (gr * gc) as u64;
-            assert_eq!(snap.broadcast_msgs, workers);
-            assert_eq!(
-                snap.broadcast_bytes,
-                workers * (16 * 2 + (8 * n * k) as u64),
-                "compressed byte model broke on grid {gr}x{gc}"
-            );
-        }
-    }
-
-    #[test]
-    fn factor_wire_bytes_threshold_is_exact() {
-        // len = 32: nnz 15 compresses (30 < 32), nnz 16 does not.
-        for (nnz, compressed) in [(15usize, true), (16usize, false)] {
-            let mut m = Matrix::zeros(8, 4);
-            for i in 0..nnz {
-                m.set(i / 4, i % 4, 1.0);
-            }
-            let want = if compressed { 16 * nnz as u64 } else { 8 * 32 };
-            assert_eq!(factor_wire_bytes(&m, true), want, "nnz {nnz}");
-        }
-    }
-
-    #[test]
-    fn rank_zero_update_moves_and_meters_nothing() {
-        let cluster = Cluster::new(4);
-        let m0 = Matrix::random_uniform(8, 8, 91);
-        let mut dm = DistMatrix::from_dense(&m0, 2).unwrap();
-        dist_add_low_rank(
-            &mut dm,
-            &Matrix::zeros(8, 0),
-            &Matrix::zeros(8, 0),
-            &cluster,
-        )
-        .unwrap();
-        assert_eq!(cluster.comm().snapshot(), crate::CommSnapshot::default());
-        assert!(dm.to_dense().approx_eq(&m0, 0.0));
     }
 
     #[test]
@@ -371,11 +172,6 @@ mod tests {
         let a = DistMatrix::from_dense(&Matrix::random_uniform(8, 8, 61), 2).unwrap();
         let b = DistMatrix::from_dense(&Matrix::random_uniform(10, 10, 62), 2).unwrap();
         assert!(dist_matmul(&a, &b, &cluster).is_err());
-
-        let mut m = a.clone();
-        let u = Matrix::random_uniform(6, 2, 63); // wrong row count
-        let v = Matrix::random_uniform(8, 2, 64);
-        assert!(dist_add_low_rank(&mut m, &u, &v, &cluster).is_err());
     }
 
     #[test]
@@ -388,15 +184,11 @@ mod tests {
     #[test]
     fn cluster_grid_mismatch_is_rejected() {
         // A 3×3-partitioned matrix fed to a 2×2 cluster would meter
-        // traffic for the wrong cluster; both kernels must refuse.
+        // traffic for the wrong cluster; the kernel must refuse.
         let cluster = Cluster::new(4);
         let m = Matrix::random_uniform(12, 12, 81);
         let dm = DistMatrix::from_dense(&m, 3).unwrap();
         assert!(dist_matmul(&dm, &dm, &cluster).is_err());
-        let mut dm2 = dm.clone();
-        let u = Matrix::random_uniform(12, 2, 82);
-        let v = Matrix::random_uniform(12, 2, 83);
-        assert!(dist_add_low_rank(&mut dm2, &u, &v, &cluster).is_err());
         assert_eq!(cluster.comm().snapshot(), crate::CommSnapshot::default());
     }
 

@@ -1,9 +1,8 @@
-//! Real message-passing transport: long-lived workers, byte frames.
+//! Message-passing transport: long-lived workers, byte frames.
 //!
-//! Everything else in this crate *meters* communication; this module
-//! actually **moves** it. The coordinator side is [`FramePool`], generic
-//! over a [`Transport`] that carries opaque [`Bytes`] frames to one worker
-//! per grid partition. Two transports exist:
+//! The coordinator side is [`FramePool`], generic over a [`Transport`] that
+//! carries opaque [`Bytes`] frames to one worker per grid partition. Two
+//! transports exist:
 //!
 //! * [`ChannelTransport`] — one OS thread per partition inside this
 //!   process, connected by bounded `mpsc` channels ([`WorkerPool`] is the
@@ -14,7 +13,7 @@
 //!   [`socket`](crate::socket)).
 //!
 //! Byte counts reported for these transports are exact frame lengths (tag +
-//! view name + matrix headers + payload), not analytical estimates.
+//! view name + matrix headers + payload).
 //!
 //! Protocol (all integers little-endian):
 //!
@@ -424,9 +423,10 @@ impl WorkerState {
         if u.cols() == 0 {
             return Ok(()); // rank-0 delta: nothing to fold
         }
-        // Slice this worker's own rows out of the broadcast factors (the
-        // same arithmetic as `dist_add_low_rank`, so worker state stays
-        // bit-identical to the metered simulation).
+        // Slice this worker's own rows out of the broadcast factors: each
+        // entry accumulates the same ascending-k chain as the unpartitioned
+        // fold, so worker state stays bit-identical to the coordinator
+        // mirror.
         let (bh, bw) = (block.rows(), block.cols());
         let ui = u
             .submatrix(br * bh, 0, bh, u.cols())
@@ -532,7 +532,7 @@ impl WorkerState {
 /// Implementations differ only in *where* the workers live (threads in this
 /// process, processes behind sockets); the frame protocol and the
 /// `WorkerState` machine interpreting it are shared, which is what keeps
-/// every transport bit-identical to the metered simulation.
+/// every transport bit-identical to every other.
 pub trait Transport: fmt::Debug + Send {
     /// Short name for diagnostics and backend labels (e.g. `"threaded"`).
     fn label(&self) -> &'static str;
@@ -972,8 +972,7 @@ impl<T: Transport> fmt::Debug for FramePool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dist_add_low_rank, Cluster};
-    use linview_matrix::ApproxEq;
+    use linview_matrix::{fold_low_rank, ApproxEq};
 
     #[test]
     fn matrix_codec_round_trips() {
@@ -1041,7 +1040,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_applies_deltas_identically_to_the_metered_simulation() {
+    fn pool_applies_deltas_identically_to_the_unpartitioned_fold() {
         for (gr, gc) in [(1, 1), (2, 2), (2, 4), (3, 1)] {
             let pool = WorkerPool::spawn(gr, gc);
             let m0 = Matrix::random_uniform(24, 24, 11);
@@ -1053,10 +1052,10 @@ mod tests {
             let sent = pool.broadcast_delta("X", &u, &v).unwrap();
             assert_eq!(sent, delta_frame("X", &u, &v).len() as u64);
 
-            // Reference: the metered (non-moving) kernel on the same input.
-            let cluster = Cluster::with_grid(gr, gc);
-            let mut reference = dm0.clone();
-            dist_add_low_rank(&mut reference, &u, &v, &cluster).unwrap();
+            // Reference: the dense fold of the unpartitioned matrix.
+            let mut dense = m0.clone();
+            fold_low_rank(&mut dense, &u, &v, false).unwrap();
+            let reference = DistMatrix::from_dense_grid(&dense, gr, gc).unwrap();
 
             let gathered = pool.gather("X").unwrap();
             for (idx, block) in gathered.iter().enumerate() {

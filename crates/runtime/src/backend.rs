@@ -9,15 +9,11 @@
 //!
 //! * [`LocalBackend`] — dense in-process views; a delta is a rank-k GEMM
 //!   into the environment's matrix.
-//! * [`DistBackend`] — grid-partitioned views over the `linview-dist`
-//!   simulated cluster; a delta broadcasts its skinny factors to the
-//!   workers (metered) while a coordinator mirror stays in sync for the
-//!   trigger's subsequent block evaluations.
-//! * [`ThreadedBackend`] — the same grid partitioning with **real**
-//!   message passing: one long-lived worker thread per partition owns its
-//!   blocks, and every factor broadcast is serialized into a byte frame
-//!   and moved over a channel. `CommStats` counts the frames actually
-//!   sent, not analytical estimates.
+//! * [`ThreadedBackend`] — grid-partitioned views (§6): one long-lived
+//!   worker thread per partition owns its blocks, every factor broadcast
+//!   is serialized into a byte frame and moved over a channel, and a
+//!   coordinator mirror stays in sync for the trigger's subsequent block
+//!   evaluations. `CommStats` counts the frames actually sent.
 //! * [`SocketBackend`] — the same frame protocol over TCP or Unix
 //!   sockets to out-of-process `linview worker` peers; both are
 //!   instantiations of the transport-generic [`FrameBackend`].
@@ -26,9 +22,9 @@ use std::collections::BTreeMap;
 
 use linview_compiler::{JointTrigger, Trigger};
 use linview_dist::{
-    delta_frame, dist_add_low_rank_sparse, factor_prefers_sparse, factor_wire_bytes,
-    sparse_delta_frame, transport::TransportError, ChannelTransport, Cluster, CommSnapshot,
-    DistMatrix, FramePool, PeerAddr, SocketConfig, SocketTransport, Transport, WorkerPool,
+    delta_frame, factor_prefers_sparse, sparse_delta_frame, transport::TransportError,
+    ChannelTransport, Cluster, CommSnapshot, DistMatrix, FramePool, PeerAddr, SocketConfig,
+    SocketTransport, Transport, WorkerPool,
 };
 use linview_matrix::{fold_low_rank, Matrix};
 
@@ -248,179 +244,18 @@ impl ExecBackend for LocalBackend {
     }
 }
 
-/// Distributed execution over the simulated cluster (§6).
+/// Distributed execution over message passing (§6), generic over *where
+/// the frames go*.
 ///
-/// Every materialized view is grid-partitioned into a [`DistMatrix`]. The
-/// trigger's compute phase runs on the coordinator against a dense mirror
-/// (factors are `O(kn)`-sized); each delta then broadcasts its factors so
-/// workers update their own blocks with **no shuffle**, and the mirror is
-/// folded forward so later statements of the same firing see post-delta
-/// state. Every byte moved is metered on the cluster's `CommStats`.
-#[derive(Debug)]
-pub struct DistBackend {
-    cluster: Cluster,
-    views: BTreeMap<String, DistMatrix>,
-    sched: SchedSnapshot,
-}
-
-impl DistBackend {
-    /// A backend over a square grid of `workers` (must be a perfect
-    /// square; every partitioned dimension must divide the grid side).
-    pub fn new(workers: usize) -> Result<Self> {
-        Ok(Self::with_cluster(
-            Cluster::try_new(workers).map_err(RuntimeError::Cluster)?,
-        ))
-    }
-
-    /// A backend over an existing (possibly rectangular) cluster.
-    pub fn with_cluster(cluster: Cluster) -> Self {
-        DistBackend {
-            cluster,
-            views: BTreeMap::new(),
-            sched: SchedSnapshot::default(),
-        }
-    }
-
-    /// Gathers a partitioned view back to a dense matrix.
-    pub fn view(&self, name: &str) -> Result<Matrix> {
-        self.views
-            .get(name)
-            .map(DistMatrix::to_dense)
-            .ok_or_else(|| RuntimeError::Unbound(name.to_string()))
-    }
-
-    /// The partitioned form of a view.
-    pub fn dist_view(&self, name: &str) -> Option<&DistMatrix> {
-        self.views.get(name)
-    }
-
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-}
-
-impl ExecBackend for DistBackend {
-    fn name(&self) -> &'static str {
-        "dist"
-    }
-
-    fn materialize(&mut self, env: &Env) -> Result<()> {
-        // Build the full partition set before committing, so a failure
-        // (e.g. an indivisible dimension) leaves the previous partitions —
-        // and therefore the owning view — untouched.
-        let mut views = BTreeMap::new();
-        for (name, m) in env.iter() {
-            let dm =
-                DistMatrix::from_dense_grid(m, self.cluster.grid_rows(), self.cluster.grid_cols())
-                    .map_err(RuntimeError::Matrix)?;
-            views.insert(name.to_string(), dm);
-        }
-        self.views = views;
-        Ok(())
-    }
-
-    fn apply_delta(
-        &mut self,
-        env: &mut Env,
-        target: &str,
-        u: &Matrix,
-        v: &Matrix,
-        sparse: bool,
-    ) -> Result<SparseStats> {
-        let dm = self
-            .views
-            .get_mut(target)
-            .ok_or_else(|| RuntimeError::Unbound(format!("partitioned view '{target}'")))?;
-        // Broadcast + block-local worker updates (metered; compressed
-        // factor payloads when sparse execution is on). Shape checks run
-        // even for rank-0 deltas, which are otherwise uncounted no-ops.
-        dist_add_low_rank_sparse(dm, u, v, &self.cluster, sparse, sparse)
-            .map_err(RuntimeError::Matrix)?;
-        if u.cols() == 0 {
-            env.get_mut(target)?;
-            return Ok(SparseStats::default());
-        }
-        // Keep the coordinator mirror in sync for subsequent statements;
-        // the mirror fold is the one coordinator-visible fold this apply
-        // counts.
-        let path = fold_low_rank(env.get_mut(target)?, u, v, sparse)?;
-        let mut stats = SparseStats::from_path(path);
-        // Wire accounting against the dense analytic model, mirroring the
-        // compression predicate `factor_wire_bytes` applied per factor.
-        if sparse && (factor_prefers_sparse(u) || factor_prefers_sparse(v)) {
-            let dense = 8 * (u.len() + v.len()) as u64;
-            let wire = factor_wire_bytes(u, true) + factor_wire_bytes(v, true);
-            stats.compressed_frames = 1;
-            stats.bytes_saved = self.cluster.workers() as u64 * (dense - wire);
-        }
-        Ok(stats)
-    }
-
-    /// A stage is **one merged broadcast round**: every factor pair of the
-    /// stage is metered as part of the same round (same bytes and message
-    /// counts as sequential — the merge buys latency, not volume), and the
-    /// simulated workers fold the deltas in statement order so partitions
-    /// stay bit-identical to the sequential path. Only rank-positive
-    /// deltas that actually applied count toward the round — mirroring
-    /// what [`ThreadedBackend`] counts as sent frames, so the two
-    /// backends' [`SchedSnapshot`]s stay comparable.
-    fn apply_stage(
-        &mut self,
-        env: &mut Env,
-        deltas: &[StageDelta],
-        sparse: bool,
-    ) -> Result<SparseStats> {
-        let mut sent = 0u64;
-        let mut stats = SparseStats::default();
-        for d in deltas {
-            stats.merge(self.apply_delta(env, &d.target, &d.u, &d.v, sparse)?);
-            if d.u.cols() > 0 {
-                sent += 1;
-            }
-        }
-        if sent >= 2 {
-            self.sched.merged_rounds += 1;
-            self.sched.overlapped += sent - 1;
-        }
-        Ok(stats)
-    }
-
-    fn extra_memory_bytes(&self) -> usize {
-        self.views
-            .values()
-            .map(|dm| dm.rows() * dm.cols() * std::mem::size_of::<f64>())
-            .sum()
-    }
-
-    fn comm(&self) -> CommSnapshot {
-        self.cluster.comm().snapshot()
-    }
-
-    fn reset_comm(&self) -> CommSnapshot {
-        self.cluster.comm().reset()
-    }
-
-    fn sched(&self) -> SchedSnapshot {
-        self.sched
-    }
-
-    fn reset_sched(&mut self) -> SchedSnapshot {
-        std::mem::take(&mut self.sched)
-    }
-}
-
-/// Distributed execution over **real** message passing (§6, without the
-/// simulation shortcut), generic over *where the frames go*.
-///
-/// Like [`DistBackend`], every materialized view is grid-partitioned and
-/// the trigger's compute phase runs on the coordinator against a dense
-/// mirror. Unlike it, the partitions live behind a [`Transport`]: every
-/// delta application serializes the factored update into a byte frame and
-/// broadcasts it to one worker per grid cell. Workers decode, slice their
-/// own rows, and fold the update into the blocks they own; nothing is
-/// shared. `CommStats` therefore counts the exact length of every frame
-/// moved.
+/// Every materialized view is grid-partitioned, and the trigger's compute
+/// phase runs on the coordinator against a dense mirror (factors are
+/// `O(kn)`-sized) that is folded forward so later statements of the same
+/// firing see post-delta state. The partitions live behind a
+/// [`Transport`]: every delta application serializes the factored update
+/// into a byte frame and broadcasts it to one worker per grid cell.
+/// Workers decode, slice their own rows, and fold the update into the
+/// blocks they own with **no shuffle**; nothing is shared. `CommStats`
+/// counts the exact length of every frame moved.
 ///
 /// The two shipped instantiations are
 ///
@@ -782,50 +617,33 @@ mod tests {
     }
 
     #[test]
-    fn dist_backend_partitions_every_binding_and_meters_broadcasts() {
-        let mut env = Env::new();
-        env.bind("A", Matrix::random_uniform(8, 8, 3));
-        env.bind("B", Matrix::random_uniform(8, 8, 4));
-        let mut backend = DistBackend::new(4).unwrap();
-        backend.materialize(&env).unwrap();
-        assert!(backend.dist_view("A").is_some());
-        assert!(backend.extra_memory_bytes() >= 2 * 8 * 8 * 8);
-
-        let u = Matrix::random_col(8, 5);
-        let v = Matrix::random_col(8, 6);
-        backend.apply_delta(&mut env, "A", &u, &v, true).unwrap();
-        let comm = backend.comm();
-        assert!(comm.broadcast_bytes > 0);
-        assert_eq!(comm.shuffle_bytes, 0);
-        // Mirror and partitions agree exactly: both fold u·vᵀ blockwise
-        // over the same entries.
-        let gathered = backend.view("A").unwrap();
-        assert_eq!(&gathered, env.get("A").unwrap());
-    }
-
-    #[test]
     fn threaded_backend_moves_exact_frames_and_matches_the_mirror() {
-        let mut env = Env::new();
-        env.bind("A", Matrix::random_uniform(8, 8, 3));
-        env.bind("B", Matrix::random_uniform(8, 8, 4));
-        let mut backend = ThreadedBackend::new(4).unwrap();
-        backend.materialize(&env).unwrap();
-        assert_eq!(backend.extra_memory_bytes(), 2 * 8 * 8 * 8);
-        backend.reset_comm(); // drop the initial-placement traffic
+        // One frame per worker, each carrying both whole factors, on
+        // square and rectangular grids alike.
+        for (gr, gc) in [(1, 1), (2, 2), (3, 2), (1, 4)] {
+            let workers = (gr * gc) as u64;
+            let mut env = Env::new();
+            env.bind("A", Matrix::random_uniform(24, 24, 3));
+            env.bind("B", Matrix::random_uniform(24, 24, 4));
+            let mut backend = ThreadedBackend::with_cluster(Cluster::with_grid(gr, gc));
+            backend.materialize(&env).unwrap();
+            assert_eq!(backend.extra_memory_bytes(), 2 * 24 * 24 * 8);
+            backend.reset_comm(); // drop the initial-placement traffic
 
-        let u = Matrix::random_col(8, 5);
-        let v = Matrix::random_col(8, 6);
-        backend.apply_delta(&mut env, "A", &u, &v, true).unwrap();
-        let comm = backend.comm();
-        // Byte counts recomputed from the same serialization the workers
-        // received — exact, not an estimate.
-        let frame = linview_dist::delta_frame("A", &u, &v);
-        assert_eq!(comm.broadcast_bytes, 4 * frame.len() as u64);
-        assert_eq!(comm.broadcast_msgs, 4);
-        assert_eq!(comm.shuffle_bytes, 0);
-        // Worker-owned state and the coordinator mirror agree exactly.
-        assert_eq!(&backend.view("A").unwrap(), env.get("A").unwrap());
-        assert_eq!(&backend.view("B").unwrap(), env.get("B").unwrap());
+            let u = Matrix::random_col(24, 5);
+            let v = Matrix::random_col(24, 6);
+            backend.apply_delta(&mut env, "A", &u, &v, true).unwrap();
+            let comm = backend.comm();
+            // Byte counts recomputed from the same serialization the
+            // workers received — exact, not an estimate.
+            let frame = linview_dist::delta_frame("A", &u, &v);
+            assert_eq!(comm.broadcast_bytes, workers * frame.len() as u64);
+            assert_eq!(comm.broadcast_msgs, workers);
+            assert_eq!(comm.shuffle_bytes, 0);
+            // Worker-owned state and the coordinator mirror agree exactly.
+            assert_eq!(&backend.view("A").unwrap(), env.get("A").unwrap());
+            assert_eq!(&backend.view("B").unwrap(), env.get("B").unwrap());
+        }
     }
 
     #[test]
@@ -870,6 +688,14 @@ mod tests {
                 v: Matrix::random_col(8, sv),
             })
             .collect()
+    }
+
+    /// Serialized dense-frame bytes of `deltas`, per receiving worker.
+    fn frame_bytes(deltas: &[StageDelta]) -> u64 {
+        deltas
+            .iter()
+            .map(|d| linview_dist::delta_frame(&d.target, &d.u, &d.v).len() as u64)
+            .sum()
     }
 
     fn two_view_env() -> Env {
@@ -932,90 +758,56 @@ mod tests {
     }
 
     #[test]
-    fn dist_apply_stage_meters_one_merged_round() {
-        let mut env = two_view_env();
-        let mut backend = DistBackend::new(4).unwrap();
-        backend.materialize(&env).unwrap();
-        backend.reset_comm();
-        assert_eq!(backend.sched(), SchedSnapshot::default());
-
-        let deltas = stage(&[("A", 3, 4), ("B", 5, 6)]);
-        backend.apply_stage(&mut env, &deltas, true).unwrap();
-        let sched = backend.sched();
-        assert_eq!(sched.merged_rounds, 1);
-        assert_eq!(sched.overlapped, 1);
-        // Volume is unchanged vs two sequential applies on a fresh twin.
-        let staged_comm = backend.reset_comm();
-        let mut twin_env = two_view_env();
-        let mut twin = DistBackend::new(4).unwrap();
-        twin.materialize(&twin_env).unwrap();
-        twin.reset_comm();
-        for d in &deltas {
-            twin.apply_delta(&mut twin_env, &d.target, &d.u, &d.v, true)
-                .unwrap();
-        }
-        assert_eq!(staged_comm, twin.comm());
-        assert_eq!(twin.sched(), SchedSnapshot::default());
-        // Partitions and mirror agree after the merged round.
-        assert_eq!(&backend.view("A").unwrap(), env.get("A").unwrap());
-        // Single-delta stages are not merged rounds.
-        backend
-            .apply_stage(&mut env, &stage(&[("A", 9, 10)]), true)
-            .unwrap();
-        assert_eq!(backend.sched().merged_rounds, 1);
-        assert_eq!(backend.reset_sched().overlapped, 1);
-        assert_eq!(backend.sched(), SchedSnapshot::default());
-    }
-
-    #[test]
-    fn dist_and_threaded_sched_counters_agree_on_rank_zero_stages() {
-        // Rank-0 members of a stage move nothing on either backend, so
-        // neither may count them toward merged rounds / overlap — the
-        // conformance suite asserts the two snapshots are equal.
+    fn rank_zero_stage_members_move_no_frames_and_count_no_overlap() {
+        // Rank-0 members of a stage move nothing, so they count toward
+        // neither the meters nor merged rounds / overlap: deliveries are
+        // exactly rank-positive deltas × workers, bytes exactly their
+        // serialized frames × workers.
         let rank0 = |t: &str| StageDelta {
             target: t.to_string(),
             u: Matrix::zeros(8, 0),
             v: Matrix::zeros(8, 0),
         };
-        let mut denv = two_view_env();
-        let mut dist = DistBackend::new(4).unwrap();
-        dist.materialize(&denv).unwrap();
-        let mut tenv = two_view_env();
-        let mut threaded = ThreadedBackend::new(4).unwrap();
-        threaded.materialize(&tenv).unwrap();
+        let mut env = two_view_env();
+        let mut backend = ThreadedBackend::new(4).unwrap();
+        backend.materialize(&env).unwrap();
+        backend.reset_comm();
 
         // One real delta + one cancelled one: a single frame moves — no
-        // overlap on either backend.
+        // overlap.
         let mut mixed = stage(&[("A", 3, 4)]);
         mixed.push(rank0("B"));
-        dist.apply_stage(&mut denv, &mixed, true).unwrap();
-        threaded.apply_stage(&mut tenv, &mixed, true).unwrap();
-        assert_eq!(dist.sched(), SchedSnapshot::default());
-        assert_eq!(dist.sched(), threaded.sched());
+        backend.apply_stage(&mut env, &mixed, true).unwrap();
+        assert_eq!(backend.sched(), SchedSnapshot::default());
+        assert_eq!(backend.comm().broadcast_msgs, 4);
+        assert_eq!(backend.comm().broadcast_bytes, 4 * frame_bytes(&mixed[..1]));
 
         // Entirely cancelled stage: still nothing.
-        dist.apply_stage(&mut denv, &[rank0("A"), rank0("B")], true)
+        backend
+            .apply_stage(&mut env, &[rank0("A"), rank0("B")], true)
             .unwrap();
-        threaded
-            .apply_stage(&mut tenv, &[rank0("A"), rank0("B")], true)
-            .unwrap();
-        assert_eq!(dist.sched(), threaded.sched());
-        assert_eq!(dist.sched().merged_rounds, 0);
+        assert_eq!(backend.sched(), SchedSnapshot::default());
+        assert_eq!(backend.comm().broadcast_msgs, 4);
 
-        // Two live deltas: one merged round, one overlap, on both.
+        // Two live deltas: one merged round, one overlap, two more frames
+        // per worker.
         let live = stage(&[("A", 5, 6), ("B", 7, 8)]);
-        dist.apply_stage(&mut denv, &live, true).unwrap();
-        threaded.apply_stage(&mut tenv, &live, true).unwrap();
-        assert_eq!(dist.sched(), threaded.sched());
+        backend.apply_stage(&mut env, &live, true).unwrap();
         assert_eq!(
-            dist.sched(),
+            backend.sched(),
             SchedSnapshot {
                 merged_rounds: 1,
                 overlapped: 1
             }
         );
-        assert_eq!(&threaded.view("A").unwrap(), tenv.get("A").unwrap());
-        assert_eq!(denv.get("A").unwrap(), tenv.get("A").unwrap());
+        let comm = backend.comm();
+        assert_eq!(comm.broadcast_msgs, 3 * 4);
+        assert_eq!(
+            comm.broadcast_bytes,
+            4 * (frame_bytes(&mixed[..1]) + frame_bytes(&live))
+        );
+        assert_eq!(&backend.view("A").unwrap(), env.get("A").unwrap());
+        assert_eq!(&backend.view("B").unwrap(), env.get("B").unwrap());
     }
 
     #[test]
@@ -1031,15 +823,18 @@ mod tests {
         assert_eq!(backend.sched().overlapped, 1);
         // Exact frame accounting: both frames to all 4 workers.
         let comm = backend.comm();
-        let expected: u64 = deltas
-            .iter()
-            .map(|d| linview_dist::delta_frame(&d.target, &d.u, &d.v).len() as u64)
-            .sum();
-        assert_eq!(comm.broadcast_bytes, 4 * expected);
+        assert_eq!(comm.broadcast_bytes, 4 * frame_bytes(&deltas));
         assert_eq!(comm.broadcast_msgs, 8);
         // Worker-owned state caught up with the mirror at the barrier.
         assert_eq!(&backend.view("A").unwrap(), env.get("A").unwrap());
         assert_eq!(&backend.view("B").unwrap(), env.get("B").unwrap());
+        // Single-delta stages are not merged rounds.
+        backend
+            .apply_stage(&mut env, &stage(&[("A", 9, 10)]), true)
+            .unwrap();
+        assert_eq!(backend.sched().merged_rounds, 1);
+        assert_eq!(backend.reset_sched().overlapped, 1);
+        assert_eq!(backend.sched(), SchedSnapshot::default());
         // A bad shape anywhere in the stage aborts before any send.
         backend.reset_comm();
         let mut bad = stage(&[("A", 7, 8)]);
@@ -1054,34 +849,5 @@ mod tests {
         ));
         assert_eq!(backend.comm().broadcast_msgs, 0);
         assert_eq!(&backend.view("A").unwrap(), env.get("A").unwrap());
-        // Rank-0 members of a stage neither move bytes nor count overlap.
-        let mut with_empty = stage(&[("A", 11, 12)]);
-        with_empty.push(StageDelta {
-            target: "B".into(),
-            u: Matrix::zeros(8, 0),
-            v: Matrix::zeros(8, 0),
-        });
-        backend.reset_sched();
-        backend.apply_stage(&mut env, &with_empty, true).unwrap();
-        assert_eq!(backend.sched().overlapped, 0);
-        assert_eq!(&backend.view("A").unwrap(), env.get("A").unwrap());
-    }
-
-    #[test]
-    fn dist_backend_rejects_unknown_targets_and_bad_grids() {
-        assert!(DistBackend::new(8).is_err()); // not a perfect square
-        let mut backend = DistBackend::new(4).unwrap();
-        let mut env = Env::new();
-        env.bind("A", Matrix::zeros(8, 8));
-        backend.materialize(&env).unwrap();
-        let u = Matrix::zeros(8, 1);
-        assert!(backend.apply_delta(&mut env, "Z", &u, &u, true).is_err());
-        // Indivisible dimension surfaces at materialize time — and the
-        // failure leaves the previous partitions intact (restore() relies
-        // on this to keep a view consistent after a bad checkpoint).
-        env.bind("Odd", Matrix::zeros(7, 7));
-        assert!(backend.materialize(&env).is_err());
-        assert!(backend.dist_view("A").is_some());
-        assert!(backend.dist_view("Odd").is_none());
     }
 }

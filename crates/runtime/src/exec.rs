@@ -190,9 +190,8 @@ pub struct FiringReport {
 /// backend (the distributed backends count their mirror fold, not the
 /// per-block worker folds, so the counters stay comparable across
 /// backends). Rank-0 deltas are uncounted no-ops everywhere. Byte savings
-/// are measured against what the same broadcast would have cost dense, at
-/// each backend's own accounting granularity — exact frame lengths on the
-/// threaded transport, analytic factor payloads on the simulated cluster.
+/// are measured against what the same broadcast would have cost dense, in
+/// exact frame lengths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SparseStats {
     /// Rank-positive view folds that took the sparse row-replay path.
@@ -1071,69 +1070,6 @@ mod tests {
                     .unwrap()
                     .approx_eq(plain.get(view).unwrap(), 1e-7),
                 "{view} diverged under recompression"
-            );
-        }
-    }
-
-    #[test]
-    fn recompression_exploits_redundant_batch_updates() {
-        // A batch of three rank-1 updates hitting the *same* row is
-        // syntactically rank 3 but numerically rank 1. Generic updates have
-        // numerically tight blocks (rank 2 for Delta B, 4 for Delta C — the
-        // Fig. 1 escalation), so the win here comes entirely from spotting
-        // the hidden redundancy: block ranks drop 3 -> 1, 6 -> 2, 12 -> 4,
-        // and the firing gets strictly cheaper in FLOPs.
-        let n = 48;
-        let mut cat = Catalog::new();
-        cat.declare("A", n, n);
-        let mut prog = Program::new();
-        prog.assign("B", Expr::var("A") * Expr::var("A"));
-        prog.assign("C", Expr::var("B") * Expr::var("B"));
-        let tp = compile(&prog, &["A"], &cat, &CompileOptions::default()).unwrap();
-        let a = Matrix::random_spectral(n, 7, 0.7);
-        let build_env = || {
-            let b = a.try_matmul(&a).unwrap();
-            let c = b.try_matmul(&b).unwrap();
-            let mut env = Env::new();
-            env.bind("A", a.clone());
-            env.bind("B", b);
-            env.bind("C", c);
-            env
-        };
-        let ev = Evaluator::new();
-        // Uncompacted batch: three updates to row 3.
-        let mut e3 = Matrix::zeros(n, 1);
-        e3.set(3, 0, 1.0);
-        let du = Matrix::hstack(&[&e3, &e3, &e3]).unwrap();
-        let dv = Matrix::hstack(&[
-            &Matrix::random_col(n, 8).scale(0.01),
-            &Matrix::random_col(n, 9).scale(0.01),
-            &Matrix::random_col(n, 10).scale(0.01),
-        ])
-        .unwrap();
-
-        let run = |opts: &ExecOptions| {
-            let mut env = build_env();
-            linview_matrix::flops::reset();
-            fire_trigger_with_options(&mut env, &ev, &tp.triggers[0], &du, &dv, opts).unwrap();
-            (linview_matrix::flops::read(), env)
-        };
-        let (plain_flops, plain_env) = run(&ExecOptions::default());
-        let (comp_flops, comp_env) = run(&ExecOptions {
-            recompress_tol: Some(1e-10),
-            ..ExecOptions::default()
-        });
-        assert!(
-            comp_flops < plain_flops,
-            "recompressed firing {comp_flops} !< plain {plain_flops}"
-        );
-        for view in ["A", "B", "C"] {
-            assert!(
-                comp_env
-                    .get(view)
-                    .unwrap()
-                    .approx_eq(plain_env.get(view).unwrap(), 1e-8),
-                "{view} diverged"
             );
         }
     }

@@ -40,8 +40,7 @@ mod view;
 pub mod wal;
 
 pub use backend::{
-    DistBackend, ExecBackend, FrameBackend, LocalBackend, SchedSnapshot, SocketBackend,
-    ThreadedBackend,
+    ExecBackend, FrameBackend, LocalBackend, SchedSnapshot, SocketBackend, ThreadedBackend,
 };
 pub use checkpoint::CheckpointError;
 pub use engine::{DiskRecovery, EngineStats, FlushPolicy, MaintenanceEngine, RecoveryStats};

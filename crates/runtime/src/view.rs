@@ -85,8 +85,8 @@ impl ReevalView {
 /// triggers execute.
 ///
 /// The default backend is [`LocalBackend`] (in-process dense views); pass a
-/// [`DistBackend`](crate::DistBackend) to [`IncrementalView::build_on`] and
-/// the same compiled triggers drive grid-partitioned views with metered
+/// [`ThreadedBackend`](crate::ThreadedBackend) to `build_on` and the same
+/// compiled triggers drive grid-partitioned views with metered
 /// communication instead — one code path, two deployments (§6).
 #[derive(Debug, Clone)]
 pub struct IncrementalView<B: ExecBackend = LocalBackend> {

@@ -1,23 +1,19 @@
-//! Distributed matrix powers on the simulated cluster (§6, Fig. 3f).
+//! Distributed matrix powers over a worker grid (§6, Fig. 3f).
 //!
 //! Re-evaluation shuffles full matrix blocks on every product; incremental
 //! maintenance runs the compiled trigger to obtain the factored delta
 //! `ΔC = U_C V_Cᵀ` and only *broadcasts* those skinny factors to the
 //! workers holding the partitioned view. This example makes the §6
 //! communication claim concrete by metering both. The incremental side is
-//! the generic `IncrementalView` on a `DistBackend` — the same triggers
-//! and interpreter that drive local maintenance.
-//!
-//! The third meter is the `ThreadedBackend`: the same triggers again, but
-//! the partitions live on real worker threads and every factor broadcast
-//! is a serialized byte frame moved over a channel — its traffic numbers
-//! are exact frame lengths, not analytical estimates, and its gathered
-//! view must equal the simulated one bit for bit.
+//! the generic `IncrementalView` on a `ThreadedBackend` — the same triggers
+//! and interpreter that drive local maintenance, with the partitions owned
+//! by worker threads and every factor broadcast a serialized byte frame
+//! moved over a channel, so its traffic numbers are exact frame lengths.
 //!
 //! Run with: `cargo run --release --example distributed_powers`
 
 use linview::prelude::*;
-use linview::runtime::{DistBackend, ThreadedBackend};
+use linview::runtime::ThreadedBackend;
 use std::time::Instant;
 
 fn main() {
@@ -52,10 +48,12 @@ fn main() {
         let reeval_comm = reeval_cluster.comm().reset();
 
         // --- Distributed incremental: the compiled trigger fires through
-        //     the DistBackend — delta blocks evaluate centrally (they are
-        //     O(kn), tiny), factors broadcast, workers update their
-        //     partitions locally with no shuffle. ---
-        let backend = DistBackend::new(workers).expect("square worker count");
+        //     the ThreadedBackend — delta blocks evaluate centrally (they
+        //     are O(kn), tiny), factors are serialized into frames and
+        //     broadcast, worker threads update the partitions they own
+        //     with no shuffle. The closing gather is the barrier that
+        //     waits for every queued fold. ---
+        let backend = ThreadedBackend::new(workers).expect("square worker count");
         let mut incr = IncrementalView::build_on(backend, &program, &[("A", a.clone())], &cat)
             .expect("incremental view builds");
         incr.reset_comm();
@@ -65,31 +63,15 @@ fn main() {
             incr.apply("A", &stream.next_rank_one())
                 .expect("trigger fires");
         }
+        let dist_c = incr.backend().view("C").expect("C is partitioned");
         let incr_time = t0.elapsed();
         let incr_comm = incr.reset_comm();
-
-        // --- Threaded incremental: identical triggers, but the broadcast
-        //     factors are serialized into frames and *moved* to worker
-        //     threads that own the partitions. ---
-        let backend = ThreadedBackend::new(workers).expect("square worker count");
-        let mut thr = IncrementalView::build_on(backend, &program, &[("A", a.clone())], &cat)
-            .expect("threaded view builds");
-        thr.reset_comm();
-        let mut stream = UpdateStream::new(n, n, 0.01, 55);
-        let t0 = Instant::now();
-        for _ in 0..updates {
-            thr.apply("A", &stream.next_rank_one())
-                .expect("trigger fires");
-        }
-        let thr_time = t0.elapsed();
-        let thr_comm = thr.reset_comm();
-
-        let dist_c = incr.backend().view("C").expect("C is partitioned");
-        let thr_c = thr.backend().view("C").expect("C is partitioned");
         assert_eq!(
-            dist_c, thr_c,
-            "simulated and thread-owned partitions diverged"
+            &dist_c,
+            incr.get("C").expect("C is mirrored"),
+            "worker-owned partitions diverged from the coordinator mirror"
         );
+
         let diff = dist_c.rel_diff(&reeval_c.expect("ran").to_dense());
         println!("workers = {workers} (grid {grid}x{grid}), n = {n}, {updates} updates of A^4:");
         println!(
@@ -97,12 +79,8 @@ fn main() {
             reeval_time, reeval_comm.shuffle_bytes, reeval_comm.broadcast_bytes
         );
         println!(
-            "  INCR (dist):   {:>9.2?}, shuffle {:>12} B, broadcast {:>10} B (metered model)",
+            "  INCR:          {:>9.2?}, shuffle {:>12} B, broadcast {:>10} B (frames moved)",
             incr_time, incr_comm.shuffle_bytes, incr_comm.broadcast_bytes
-        );
-        println!(
-            "  INCR (thread): {:>9.2?}, shuffle {:>12} B, broadcast {:>10} B (real frames)",
-            thr_time, thr_comm.shuffle_bytes, thr_comm.broadcast_bytes
         );
         println!(
             "  comm reduction: {:.0}x   divergence: {:.2e}\n",
@@ -110,7 +88,6 @@ fn main() {
             diff
         );
         assert!(diff < 1e-7);
-        assert_eq!(thr_comm.shuffle_bytes, 0);
-        assert!(thr_comm.broadcast_bytes > incr_comm.broadcast_bytes);
+        assert_eq!(incr_comm.shuffle_bytes, 0);
     }
 }

@@ -5,17 +5,16 @@
 //! `B` of `C := A * B; D := C * C;`) flows into a `MaintenanceEngine`,
 //! which coalesces per-input events into rank-k batches and fires the
 //! compiled triggers through the pluggable `ExecBackend` — the same code
-//! path whether views are in-process dense matrices (`LocalBackend`),
-//! grid-partitioned over the simulated cluster (`DistBackend`, §6), or
-//! owned by real worker threads that receive every factor broadcast as a
-//! serialized byte frame (`ThreadedBackend`). Final flushes fire ONE joint
-//! trigger per round (§4.4) when both inputs are pending.
+//! path whether views are in-process dense matrices (`LocalBackend`) or
+//! grid-partitioned (§6) across worker threads that receive every factor
+//! broadcast as a serialized byte frame (`ThreadedBackend`). Final flushes
+//! fire ONE joint trigger per round (§4.4) when both inputs are pending.
 //!
 //! Run with:
-//! `cargo run --release --example maintenance_engine -- [local|dist|threaded|both|all]`
+//! `cargo run --release --example maintenance_engine -- [local|threaded|all]`
 
 use linview::prelude::*;
-use linview::runtime::{DistBackend, ExecBackend, FlushPolicy, MaintenanceEngine, ThreadedBackend};
+use linview::runtime::{ExecBackend, FlushPolicy, MaintenanceEngine, ThreadedBackend};
 
 const N: usize = 48;
 const EVENTS: usize = 64;
@@ -66,15 +65,6 @@ fn build_local(program: &Program, inputs: &[(&str, Matrix)], cat: &Catalog) -> I
     IncrementalView::build(program, inputs, cat).expect("local view builds")
 }
 
-fn build_dist(
-    program: &Program,
-    inputs: &[(&str, Matrix)],
-    cat: &Catalog,
-) -> IncrementalView<DistBackend> {
-    let backend = DistBackend::new(WORKERS).expect("square worker count");
-    IncrementalView::build_on(backend, program, inputs, cat).expect("dist view builds")
-}
-
 fn build_threaded(
     program: &Program,
     inputs: &[(&str, Matrix)],
@@ -85,7 +75,7 @@ fn build_threaded(
 }
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "both".into());
+    let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
     let program = parse_program("C := A * B; D := C * C;").expect("program parses");
     let mut cat = Catalog::new();
     cat.declare("A", N, N);
@@ -101,19 +91,13 @@ fn main() {
     let mut reference: Option<Matrix> = None;
     for batch in [1usize, 8] {
         let mut per_batch: Vec<(u64, Matrix)> = Vec::new();
-        if matches!(which.as_str(), "local" | "both" | "all") {
+        if matches!(which.as_str(), "local" | "all") {
             per_batch.push(stream(build_local(&program, &inputs, &cat), batch));
-        }
-        if matches!(which.as_str(), "dist" | "both" | "all") {
-            per_batch.push(stream(build_dist(&program, &inputs, &cat), batch));
         }
         if matches!(which.as_str(), "threaded" | "all") {
             per_batch.push(stream(build_threaded(&program, &inputs, &cat), batch));
         }
-        assert!(
-            !per_batch.is_empty(),
-            "usage: -- [local|dist|threaded|both|all]"
-        );
+        assert!(!per_batch.is_empty(), "usage: -- [local|threaded|all]");
         // Every backend and every batch size must maintain the same D:
         // batching is exact, and the backends share one execution path.
         for (_, d) in &per_batch {

@@ -25,8 +25,8 @@ use linview::expr::cost::CostModel;
 use linview::expr::{Catalog, DeltaOptions};
 use linview::matrix::{gemm_threads, set_default_kernel, set_gemm_threads, GemmKernel, Matrix};
 use linview::runtime::{
-    DistBackend, ExecBackend, FlushPolicy, IncrementalView, MaintenanceEngine, SocketBackend,
-    ThreadedBackend, UpdateStream,
+    ExecBackend, FlushPolicy, IncrementalView, MaintenanceEngine, SocketBackend, ThreadedBackend,
+    UpdateStream,
 };
 use std::process::ExitCode;
 
@@ -84,12 +84,12 @@ ENGINE OPTIONS (stream a Zipf-skewed multi-input workload):
   --batch K          flush threshold (default: 8; 1 = fire per event)
   --policy P         count | rank | immediate batching policy (default: count)
   --zipf S           row-skew exponent of the event stream (default: 1.5)
-  --workers W        cluster size for the dist/threaded/socket backends
+  --workers W        cluster size for the threaded/socket backends
                      (default: 4)
-  --backend B        local | dist | threaded | socket | both | all
-                     (default: both; 'threaded' runs real message-passing
-                     worker threads, 'socket' drives out-of-process workers
-                     over the byte-frame protocol, 'all' compares every
+  --backend B        local | threaded | socket | all
+                     (default: all; 'threaded' runs message-passing worker
+                     threads, 'socket' drives out-of-process workers over
+                     the same byte-frame protocol, 'all' compares every
                      backend and asserts bit-identical results)
   --connect LIST     comma-separated worker addresses for the socket leg of
                      --backend socket/all (tcp:HOST:PORT or unix:PATH,
@@ -729,7 +729,7 @@ fn parse_engine_args(argv: &[String]) -> Result<EngineArgs, String> {
         policy: "count".into(),
         zipf: 1.5,
         workers: 4,
-        backend: "both".into(),
+        backend: "all".into(),
         connect: None,
         checkpoint_every: 0,
         kill_worker_after: None,
@@ -811,10 +811,10 @@ fn parse_engine_args(argv: &[String]) -> Result<EngineArgs, String> {
     }
     if !matches!(
         args.backend.as_str(),
-        "local" | "dist" | "threaded" | "socket" | "both" | "all"
+        "local" | "threaded" | "socket" | "all"
     ) {
         return Err(format!(
-            "unknown --backend '{}' (want local|dist|threaded|socket|both|all)",
+            "unknown --backend '{}' (want local|threaded|socket|all)",
             args.backend
         ));
     }
@@ -1039,19 +1039,11 @@ fn run_engine(args: &EngineArgs) -> Result<String, String> {
         gemm_threads(),
     );
     let mut results: Vec<(String, Matrix)> = Vec::new();
-    if matches!(args.backend.as_str(), "local" | "both" | "all") {
+    if matches!(args.backend.as_str(), "local" | "all") {
         let view = IncrementalView::build(&program, &inputs, &cat).map_err(render_error)?;
         let (report, d) = drive_engine(view, args, |_, _| {})?;
         out.push_str(&report);
         results.push(("local".into(), d));
-    }
-    if matches!(args.backend.as_str(), "dist" | "both" | "all") {
-        let backend = DistBackend::new(args.workers).map_err(render_error)?;
-        let view =
-            IncrementalView::build_on(backend, &program, &inputs, &cat).map_err(render_error)?;
-        let (report, d) = drive_engine(view, args, |_, _| {})?;
-        out.push_str(&report);
-        results.push(("dist".into(), d));
     }
     if matches!(args.backend.as_str(), "threaded" | "all") {
         let backend = ThreadedBackend::new(args.workers).map_err(render_error)?;

@@ -22,8 +22,9 @@
 //!   Octave code generator; APL-style text frontend.
 //! * [`runtime`] — evaluation, trigger execution (incl. Sherman–Morrison),
 //!   update streams, REEVAL/INCR view maintainers.
-//! * [`dist`] — a simulated cluster (grid partitioning, communication
-//!   metering) standing in for the paper's Spark backend.
+//! * [`dist`] — grid partitioning, the frame transport to thread or
+//!   socket workers, and communication metering, standing in for the
+//!   paper's Spark backend.
 //! * [`sparse`] — CSR kernel and evolving graphs whose edge mutations are
 //!   exposed as the factored rank-1 transition-matrix updates the paper's
 //!   workload model assumes; exact sparse PageRank baseline.
@@ -64,7 +65,6 @@ pub use linview_sparse as sparse;
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use linview_apps::convergence::ConvergentIteration;
-    pub use linview_apps::distributed::DistIncrView;
     pub use linview_apps::expm::{IncrExpm, ReevalExpm};
     pub use linview_apps::gd::GradientDescentLR;
     pub use linview_apps::general::{GeneralForm, Strategy};
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use linview_compiler::{
         analyze, compile, AnalysisReport, CompileOptions, Program, StmtDag, TriggerProgram,
     };
-    pub use linview_dist::{dist_add_low_rank, dist_matmul, Cluster, DistMatrix};
+    pub use linview_dist::{dist_matmul, Cluster, DistMatrix};
     pub use linview_expr::{Catalog, Expr};
     pub use linview_matrix::{ApproxEq, Cholesky, Matrix};
     pub use linview_runtime::{

@@ -1,24 +1,22 @@
 //! Cross-backend conformance suite.
 //!
 //! Every app workload (matrix powers, sums of powers, OLS, reachability,
-//! a PageRank power-iteration step) runs on the Local, Dist, and Threaded
+//! a PageRank power-iteration step) runs on the Local and Threaded
 //! backends from the *same* `UpdateStream` seed, and the maintained views
-//! must be **bit-identical** across all three — the shared statement
+//! must be **bit-identical** across both — the shared statement
 //! interpreter leaves no room for divergence, and this suite is the lock
-//! on that door. Per-backend communication invariants ride along:
+//! on that door (`tests/socket_transport.rs` pins the socket backend to
+//! the threaded one the same way). Per-backend communication invariants
+//! ride along:
 //!
 //! * Local never communicates at all.
-//! * Dist (the metered simulation) and Threaded (real message passing)
-//!   broadcast on every delta and never shuffle.
-//! * Dist and Threaded perform the *same number* of broadcast deliveries,
-//!   while Threaded's byte counts are strictly larger: they are exact
-//!   serialized frame lengths (tag + view name + matrix headers +
-//!   payload), not the simulation's `8·(|U|+|V|)` estimate.
+//! * Threaded broadcasts on every delta and never shuffles: exactly one
+//!   frame per worker for every rank-positive delta Local folded.
 
 use linview::apps::powers::powers_program;
 use linview::apps::sums::sums_program;
 use linview::prelude::*;
-use linview::runtime::{DistBackend, ExecBackend, ThreadedBackend};
+use linview::runtime::{ExecBackend, ThreadedBackend};
 
 const SEED: u64 = 4242;
 
@@ -140,13 +138,9 @@ fn run_case(case: &Case) {
 
     let mut local = IncrementalView::build(&case.program, &inputs, &cat)
         .unwrap_or_else(|e| panic!("{}: local build failed: {e}", case.name));
-    let dist_backend = DistBackend::with_cluster(Cluster::with_grid(case.grid.0, case.grid.1));
-    let mut dist = IncrementalView::build_on(dist_backend, &case.program, &inputs, &cat)
-        .unwrap_or_else(|e| panic!("{}: dist build failed: {e}", case.name));
     let thr_backend = ThreadedBackend::with_cluster(Cluster::with_grid(case.grid.0, case.grid.1));
     let mut threaded = IncrementalView::build_on(thr_backend, &case.program, &inputs, &cat)
         .unwrap_or_else(|e| panic!("{}: threaded build failed: {e}", case.name));
-    dist.reset_comm();
     threaded.reset_comm();
 
     let (rows, cols) = inputs
@@ -155,36 +149,22 @@ fn run_case(case: &Case) {
         .map(|(_, m)| m.shape())
         .expect("target is an input");
     let mut s_local = UpdateStream::new(rows, cols, case.scale, SEED);
-    let mut s_dist = UpdateStream::new(rows, cols, case.scale, SEED);
     let mut s_thr = UpdateStream::new(rows, cols, case.scale, SEED);
     for _ in 0..case.updates {
         local.apply(case.target, &s_local.next_rank_one()).unwrap();
-        dist.apply(case.target, &s_dist.next_rank_one()).unwrap();
         threaded.apply(case.target, &s_thr.next_rank_one()).unwrap();
     }
 
     for view in &views {
         let reference = local.get(view).unwrap();
         assert_eq!(
-            dist.get(view).unwrap(),
-            reference,
-            "{}: view {view} is not bit-identical on dist",
-            case.name
-        );
-        assert_eq!(
             threaded.get(view).unwrap(),
             reference,
             "{}: view {view} is not bit-identical on threaded",
             case.name
         );
-        // The partitioned state itself — simulated blocks and
-        // worker-thread-owned blocks — must also equal the mirror exactly.
-        assert_eq!(
-            &dist.backend().view(view).unwrap(),
-            reference,
-            "{}: dist partitions of {view} diverged from the mirror",
-            case.name
-        );
+        // The partitioned state itself — the worker-thread-owned blocks —
+        // must also equal the mirror exactly.
         assert_eq!(
             &threaded.backend().view(view).unwrap(),
             reference,
@@ -200,48 +180,31 @@ fn run_case(case: &Case) {
         "{}: local moved bytes",
         case.name
     );
-    let dc = dist.comm();
     let tc = threaded.comm();
-    for (backend, comm) in [("dist", dc), ("threaded", tc)] {
-        assert!(
-            comm.broadcast_bytes > 0 && comm.broadcast_msgs > 0,
-            "{}: {backend} broadcast nothing",
-            case.name
-        );
-        assert_eq!(
-            comm.shuffle_bytes, 0,
-            "{}: {backend} shuffled on the incremental path",
-            case.name
-        );
-        assert_eq!(
-            comm.broadcast_msgs % workers,
-            0,
-            "{}: {backend} deliveries are not one-per-worker",
-            case.name
-        );
-    }
-    // Same trigger statements ⇒ same number of deliveries; real frames
-    // carry headers the analytical estimate does not.
-    assert_eq!(
-        tc.broadcast_msgs, dc.broadcast_msgs,
-        "{}: threaded and dist disagree on delivery count",
+    assert!(
+        tc.broadcast_bytes > 0 && tc.broadcast_msgs > 0,
+        "{}: threaded broadcast nothing",
         case.name
     );
-    assert!(
-        tc.broadcast_bytes > dc.broadcast_bytes,
-        "{}: serialized frames ({} B) should exceed the estimate ({} B)",
-        case.name,
-        tc.broadcast_bytes,
-        dc.broadcast_bytes
+    assert_eq!(
+        tc.shuffle_bytes, 0,
+        "{}: threaded shuffled on the incremental path",
+        case.name
+    );
+    // Same trigger statements ⇒ one delivery per worker for every
+    // rank-positive delta the local run folded.
+    assert_eq!(
+        tc.broadcast_msgs,
+        local.sparse_stats().total_folds() * workers,
+        "{}: threaded deliveries are not one-per-worker per applied delta",
+        case.name
     );
 
     // All of the above ran through the *staged* interpreter (the default):
     // every backend must agree on the stage structure, and every app
     // trigger must actually collapse statements into parallel stages.
     let ls = local.sched_stats();
-    let ds = dist.sched_stats();
     let ts = threaded.sched_stats();
-    assert_eq!(ls, ds, "{}: dist stage accounting diverged", case.name);
     assert_eq!(ls, ts, "{}: threaded stage accounting diverged", case.name);
     assert!(
         ls.stages < ls.stmts,
@@ -249,13 +212,6 @@ fn run_case(case: &Case) {
         case.name,
         ls.stages,
         ls.stmts
-    );
-    // The distributed backends overlapped the same broadcasts on the wire.
-    assert_eq!(
-        dist.backend().sched(),
-        threaded.backend().sched(),
-        "{}: dist and threaded disagree on overlapped broadcasts",
-        case.name
     );
     assert!(
         threaded.backend().sched().overlapped > 0,
@@ -274,7 +230,7 @@ fn every_app_is_bit_identical_across_all_backends() {
 /// Sparse-aware execution conformance: a basis-row update stream (factor
 /// density 1/n, inside the fold crossover and far below the
 /// wire-compression break-even) maintained with sparse execution ON must
-/// be bit-identical — across all three backends AND against the same runs
+/// be bit-identical — across both backends AND against the same runs
 /// forced dense — while compressed broadcast frames strictly shrink the
 /// wire, by exactly the bytes the accounting claims.
 #[test]
@@ -316,15 +272,6 @@ fn sparse_execution_is_bit_identical_and_strictly_cheaper_on_the_wire() {
     }
 
     let build_local = || IncrementalView::build(&program, &inputs, &cat).unwrap();
-    let build_dist = || {
-        IncrementalView::build_on(
-            DistBackend::with_cluster(Cluster::with_grid(2, 2)),
-            &program,
-            &inputs,
-            &cat,
-        )
-        .unwrap()
-    };
     let build_thr = || {
         IncrementalView::build_on(
             ThreadedBackend::with_cluster(Cluster::with_grid(2, 2)),
@@ -336,18 +283,14 @@ fn sparse_execution_is_bit_identical_and_strictly_cheaper_on_the_wire() {
     };
 
     let (reference, l_sparse, _) = drive(build_local(), None, &views, n);
-    let (d_views, d_sparse, d_comm) = drive(build_dist(), None, &views, n);
     let (t_views, t_sparse, t_comm) = drive(build_thr(), None, &views, n);
     let (lf_views, lf_sparse, _) = drive(build_local(), Some(false), &views, n);
-    let (df_views, df_sparse, df_comm) = drive(build_dist(), Some(false), &views, n);
     let (tf_views, tf_sparse, tf_comm) = drive(build_thr(), Some(false), &views, n);
 
     for (i, name) in views.iter().enumerate() {
         for (label, run) in [
-            ("dist sparse", &d_views),
             ("threaded sparse", &t_views),
             ("local forced-dense", &lf_views),
-            ("dist forced-dense", &df_views),
             ("threaded forced-dense", &tf_views),
         ] {
             assert_eq!(
@@ -358,22 +301,14 @@ fn sparse_execution_is_bit_identical_and_strictly_cheaper_on_the_wire() {
     }
 
     // The sparse path actually engaged on every backend…
-    for (backend, stats) in [
-        ("local", l_sparse),
-        ("dist", d_sparse),
-        ("threaded", t_sparse),
-    ] {
+    for (backend, stats) in [("local", l_sparse), ("threaded", t_sparse)] {
         assert!(
             stats.sparse_folds > 0,
             "{backend}: no fold took the sparse path at density 1/{n}"
         );
     }
     // …and the forced-dense opt-out actually opted out, of everything.
-    for (backend, stats) in [
-        ("local", lf_sparse),
-        ("dist", df_sparse),
-        ("threaded", tf_sparse),
-    ] {
+    for (backend, stats) in [("local", lf_sparse), ("threaded", tf_sparse)] {
         assert_eq!(
             stats.sparse_folds, 0,
             "{backend}: forced dense still folded sparsely"
@@ -387,32 +322,27 @@ fn sparse_execution_is_bit_identical_and_strictly_cheaper_on_the_wire() {
             "{backend}: forced dense claimed savings"
         );
     }
-    // Compression strictly shrinks the wire on both communicating
-    // backends, by exactly the bytes the accounting claims.
-    for (backend, stats, comm, forced) in [
-        ("dist", d_sparse, d_comm, df_comm),
-        ("threaded", t_sparse, t_comm, tf_comm),
-    ] {
-        assert!(
-            stats.compressed_frames > 0 && stats.bytes_saved > 0,
-            "{backend}: no broadcast ever compressed"
-        );
-        assert!(
-            comm.broadcast_bytes < forced.broadcast_bytes,
-            "{backend}: compression did not shrink the wire ({} !< {})",
-            comm.broadcast_bytes,
-            forced.broadcast_bytes
-        );
-        assert_eq!(
-            comm.broadcast_bytes + stats.bytes_saved,
-            forced.broadcast_bytes,
-            "{backend}: bytes_saved disagrees with the meters"
-        );
-        assert_eq!(
-            comm.broadcast_msgs, forced.broadcast_msgs,
-            "{backend}: compression changed the delivery count"
-        );
-    }
+    // Compression strictly shrinks the wire, by exactly the bytes the
+    // accounting claims.
+    assert!(
+        t_sparse.compressed_frames > 0 && t_sparse.bytes_saved > 0,
+        "no broadcast ever compressed"
+    );
+    assert!(
+        t_comm.broadcast_bytes < tf_comm.broadcast_bytes,
+        "compression did not shrink the wire ({} !< {})",
+        t_comm.broadcast_bytes,
+        tf_comm.broadcast_bytes
+    );
+    assert_eq!(
+        t_comm.broadcast_bytes + t_sparse.bytes_saved,
+        tf_comm.broadcast_bytes,
+        "bytes_saved disagrees with the meters"
+    );
+    assert_eq!(
+        t_comm.broadcast_msgs, tf_comm.broadcast_msgs,
+        "compression changed the delivery count"
+    );
 }
 
 /// The app-level constructors too: `new_on` must give the same maintained

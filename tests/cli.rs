@@ -269,33 +269,32 @@ fn emit_analysis_prints_analyzer_report() {
 }
 
 #[test]
-fn engine_subcommand_runs_both_backends() {
-    let (ok, stdout, stderr) = linview(&[
-        "engine",
-        "--n",
-        "24",
-        "--events",
-        "16",
-        "--batch",
-        "4",
-        "--backend",
-        "both",
-    ]);
+fn engine_subcommand_cross_checks_every_backend_by_default() {
+    let (ok, stdout, stderr) = linview(&["engine", "--n", "24", "--events", "16", "--batch", "4"]);
     assert!(ok, "engine subcommand failed: {stderr}");
     assert!(stdout.contains("backend local"));
-    assert!(stdout.contains("backend  dist"));
+    assert!(stdout.contains("backend threaded"));
+    assert!(stdout.contains("backend socket"));
     assert!(stdout.contains("firings"));
     // Batching 16 events by 4 must fire 4 triggers per backend.
     assert!(stdout.contains("16 events -> 4 firings"));
     // Shared execution path: the backends agree exactly.
-    assert!(stdout.contains("backend divergence on D (local vs dist): 0.00e0"));
+    assert!(stdout.contains("backend divergence on D (local vs threaded): 0.00e0"));
+    assert!(stdout.contains("backend divergence on D (local vs socket): 0.00e0"));
 }
 
 #[test]
 fn engine_subcommand_rejects_bad_flags() {
-    let (ok, _, stderr) = linview(&["engine", "--backend", "quantum"]);
-    assert!(!ok);
-    assert!(stderr.contains("--backend"));
+    for bad in ["quantum", "dist", "both"] {
+        let (ok, _, stderr) = linview(&["engine", "--backend", bad]);
+        assert!(!ok, "--backend {bad} was accepted");
+        assert!(
+            stderr.contains(&format!(
+                "unknown --backend '{bad}' (want local|threaded|socket|all)"
+            )),
+            "missing diagnostic for {bad}: {stderr}"
+        );
+    }
     let (ok, _, stderr) = linview(&["engine", "--bogus"]);
     assert!(!ok);
     assert!(stderr.contains("bogus"));
@@ -383,12 +382,12 @@ fn engine_results_are_identical_across_gemm_thread_budgets() {
             "--events",
             "8",
             "--backend",
-            "both",
+            "all",
             "--threads",
             threads,
         ]);
         assert!(ok, "engine --threads {threads} failed: {stderr}");
-        assert!(stdout.contains("backend divergence on D (local vs dist): 0.00e0"));
+        assert!(stdout.contains("backend divergence on D (local vs threaded): 0.00e0"));
     };
     run("1");
     run("3");
@@ -539,7 +538,7 @@ fn engine_recovers_a_killed_worker_with_zero_divergence() {
         "6",
     ]);
     assert!(ok, "engine recovery run failed: {stderr}");
-    for pair in ["local vs dist", "local vs threaded", "local vs socket"] {
+    for pair in ["local vs threaded", "local vs socket"] {
         assert!(
             stdout.contains(&format!("backend divergence on D ({pair}): 0.00e0")),
             "nonzero divergence for {pair}: {stdout}"

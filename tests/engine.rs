@@ -4,9 +4,10 @@
 //! 1. **Engine exactness** — batched multi-input ingestion over the
 //!    `LocalBackend` matches full re-evaluation to 1e-9 across random
 //!    event streams, for every batching policy exercised.
-//! 2. **Backend equivalence** — the `DistBackend` maintains bit-for-bit
-//!    the same views as the `LocalBackend` on identical streams (one
-//!    shared execution path), while metering broadcast-only traffic.
+//! 2. **Backend equivalence** — the `ThreadedBackend` maintains
+//!    bit-for-bit the same views as the `LocalBackend` on identical
+//!    streams (one shared execution path), in its coordinator mirror and
+//!    in the worker-owned blocks, while moving broadcast-only traffic.
 //! 3. **Compaction soundness** — row compaction of arbitrary mixed
 //!    batches (row + dense updates) preserves the dense delta.
 //! 4. **Joint-flush exactness** — flush rounds that fire ONE joint trigger
@@ -15,7 +16,7 @@
 //!    more triggers than the sequential path.
 
 use linview::prelude::*;
-use linview::runtime::{DistBackend, FlushPolicy, MaintenanceEngine};
+use linview::runtime::{FlushPolicy, MaintenanceEngine, ThreadedBackend};
 use proptest::prelude::*;
 // Explicit: the facade prelude also globs in `apps::general::Strategy`.
 use proptest::strategy::Strategy;
@@ -90,14 +91,14 @@ proptest! {
         prop_assert_eq!(engine.stats().events, events.len() as u64);
     }
 
-    /// Property 2: DistBackend == LocalBackend bit-for-bit, broadcast-only.
+    /// Property 2: ThreadedBackend == LocalBackend bit-for-bit, broadcast-only.
     #[test]
-    fn dist_backend_matches_local_bit_for_bit(events in event_strategy(), batch in 1usize..5) {
+    fn threaded_backend_matches_local_bit_for_bit(events in event_strategy(), batch in 1usize..5) {
         let (program, cat, a, b) = build_setup();
         let inputs = [("A", a), ("B", b)];
         let local = IncrementalView::build(&program, &inputs, &cat).unwrap();
         let dist = IncrementalView::build_on(
-            DistBackend::new(4).unwrap(),
+            ThreadedBackend::new(4).unwrap(),
             &program,
             &inputs,
             &cat,
@@ -120,9 +121,15 @@ proptest! {
                 "{} is not bit-identical across backends",
                 view
             );
+            prop_assert_eq!(
+                &dist_engine.view().backend().view(view).unwrap(),
+                local_engine.get(view).unwrap(),
+                "worker-owned blocks of {} diverged from local",
+                view
+            );
         }
         let comm = dist_engine.comm();
-        prop_assert!(comm.broadcast_bytes > 0, "no broadcast traffic metered");
+        prop_assert!(comm.broadcast_bytes > 0, "no broadcast traffic moved");
         prop_assert_eq!(comm.shuffle_bytes, 0, "incremental path must never shuffle");
         prop_assert_eq!(local_engine.comm().total_bytes(), 0);
     }

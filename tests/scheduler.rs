@@ -6,8 +6,8 @@
 //!
 //! 1. **Exactness** — staged execution is **bit-identical** to the
 //!    sequential opt-out (`ExecOptions::sequential`) on every backend
-//!    (Local / Dist / Threaded) for every shipped app workload, with
-//!    identical communication volume on the distributed backends.
+//!    (Local / Threaded) for every shipped app workload, with identical
+//!    communication volume on the distributed backend.
 //! 2. **Shape** — stage count never exceeds statement count, with
 //!    equality exactly for chain-dependent trigger bodies; every shipped
 //!    app trigger actually collapses statements into wider stages.
@@ -16,7 +16,7 @@
 //! staged-vs-sequential comparison.
 
 use linview::prelude::*;
-use linview::runtime::{DistBackend, ExecBackend, ThreadedBackend};
+use linview::runtime::{ExecBackend, ThreadedBackend};
 use proptest::prelude::*;
 
 const SEED: u64 = 20726;
@@ -194,12 +194,6 @@ fn staged_equals_sequential_bitwise_on_all_backends() {
             &case,
             linview::runtime::LocalBackend,
             linview::runtime::LocalBackend,
-            &views,
-        );
-        run_pair(
-            &case,
-            DistBackend::with_cluster(Cluster::with_grid(case.grid.0, case.grid.1)),
-            DistBackend::with_cluster(Cluster::with_grid(case.grid.0, case.grid.1)),
             &views,
         );
         run_pair(

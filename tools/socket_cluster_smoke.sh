@@ -90,7 +90,7 @@ if ! "$BIN" engine --n 16 --events 40 --batch 2 --workers 4 \
     exit 1
 fi
 cat "$LOG2"
-for pair in "local vs dist" "local vs threaded" "local vs socket"; do
+for pair in "local vs threaded" "local vs socket"; do
     if ! grep -q "backend divergence on D ($pair): 0.00e0" "$LOG2"; then
         echo "error: missing zero-divergence line for $pair" >&2
         exit 1
