@@ -9,40 +9,43 @@
 
 use linview_bench::{experiments, Config};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let names: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let cfg = if quick {
-        Config::quick()
-    } else {
-        Config::default()
-    };
+/// Prints `problem` and the registry-generated usage, then exits 2.
+fn reject(problem: &str) -> ! {
+    let names: Vec<&str> = experiments::REGISTRY.iter().map(|(n, _)| *n).collect();
+    eprintln!(
+        "{problem}\nusage: harness [--quick] <experiment>...\nexperiments: {} all",
+        names.join(" ")
+    );
+    std::process::exit(2);
+}
 
-    if names.is_empty() {
-        eprintln!(
-            "usage: harness [--quick] <experiment>...\n\
-             experiments: fig3a fig3b fig3c fig3d fig3e fig3f fig3g fig3h \
-             table2 table3 table4 engine scheduler gemm sparsity serving ablations extensions all"
-        );
-        std::process::exit(2);
+fn main() {
+    // Every argument is resolved before any experiment runs, so a typo
+    // costs nothing and never falls back to the full-scale suite.
+    let mut cfg = Config::default();
+    let mut runs = Vec::new();
+    for arg in std::env::args().skip(1) {
+        if arg == "--quick" {
+            cfg = Config::quick();
+        } else if arg.starts_with('-') {
+            reject(&format!("unknown flag '{arg}'"));
+        } else if let Some(run) = experiments::by_name(&arg) {
+            runs.push(run);
+        } else {
+            reject(&format!("unknown experiment '{arg}'"));
+        }
+    }
+    if runs.is_empty() {
+        reject("no experiment named");
     }
 
     println!(
         "LINVIEW experiment harness (n = {}, k = {}, {} updates per point)\n",
         cfg.n, cfg.k, cfg.updates
     );
-    for name in names {
-        match experiments::by_name(name, &cfg) {
-            Some(tables) => {
-                for t in tables {
-                    println!("{t}");
-                }
-            }
-            None => {
-                eprintln!("unknown experiment '{name}'");
-                std::process::exit(2);
-            }
+    for run in runs {
+        for t in run(&cfg) {
+            println!("{t}");
         }
     }
 }

@@ -6,12 +6,9 @@
 //! strategies being compared, and returns a printable [`report::Table`]
 //! whose rows mirror the paper's plot series.
 //!
-//! Two consumers:
-//!
-//! * `cargo run -p linview-bench --release --bin harness -- <experiment>` —
-//!   prints the tables (the source of EXPERIMENTS.md).
-//! * `cargo bench -p linview-bench` — Criterion benches, one per figure or
-//!   table, reusing the same workload builders.
+//! `cargo run -p linview-bench --release --bin harness -- <experiment>`
+//! prints the tables. Regressions are not judged here: `bash
+//! benchmark/run.sh` and its `compare` gate own that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
