@@ -128,7 +128,7 @@ impl ConvergentIteration {
         // ΔTᵢ = [u | A·Uᵢ₋₁ + u·(vᵀUᵢ₋₁)] [Tᵢ₋₁ᵀv | Vᵢ₋₁]ᵀ.
         let mut deltas: Vec<(Matrix, Matrix)> = Vec::with_capacity(k);
         let u1 = upd.u.clone();
-        let v1 = self.t0.transpose().try_matmul(&upd.v)?;
+        let v1 = self.t0.try_matmul_tn(&upd.v)?;
         deltas.push((u1, v1));
         for i in 1..k {
             let (prev_u, prev_v) = &deltas[i - 1];
@@ -137,7 +137,7 @@ impl ConvergentIteration {
                 .try_matmul(prev_u)?
                 .try_add(&upd.u.try_matmul(&upd.v.transpose().try_matmul(prev_u)?)?)?;
             let new_u = Matrix::hstack(&[&upd.u, &mid])?;
-            let new_v = Matrix::hstack(&[&self.t[i - 1].transpose().try_matmul(&upd.v)?, prev_v])?;
+            let new_v = Matrix::hstack(&[&self.t[i - 1].try_matmul_tn(&upd.v)?, prev_v])?;
             deltas.push((new_u, new_v));
         }
 

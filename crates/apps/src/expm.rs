@@ -137,7 +137,7 @@ impl IncrExpm {
                 .try_add(&upd.u.try_matmul(&upd.v.transpose().try_matmul(prev_u)?)?)?;
             let new_u = Matrix::hstack(&[&upd.u, &mid])?;
             // deltas[i] is ΔM_{i+1}; the recurrence references M_i.
-            let left = self.m[i - 1].transpose().try_matmul(&upd.v)?;
+            let left = self.m[i - 1].try_matmul_tn(&upd.v)?;
             let new_v = Matrix::hstack(&[&left, prev_v])?;
             deltas.push((new_u, new_v));
         }

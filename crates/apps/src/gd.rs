@@ -52,7 +52,7 @@ impl GradientDescentLR {
         let v = &upd.v;
         // Δ(XᵀX) = v·(uᵀX) + (Xᵀu + v·(uᵀu))·vᵀ  =  P Qᵀ with
         //   P = [v | Xᵀu + v·(uᵀu)],  Q = [Xᵀu | v].
-        let xtu = self.x.transpose().try_matmul(u)?;
+        let xtu = self.x.try_matmul_tn(u)?;
         let utu = Matrix::dot(u, u)?;
         let p2 = xtu.try_add(&v.scale(utu))?;
         let p = Matrix::hstack(&[v, &p2])?;
@@ -62,7 +62,7 @@ impl GradientDescentLR {
         let dav = q;
         // ΔB = λ·(ΔXᵀ)·Y = λ·v·(uᵀY)ᵀ = (λ·v)·(Yᵀu)ᵀ.
         let dbu = v.scale(self.lambda);
-        let dbv = self.y.transpose().try_matmul(u)?;
+        let dbv = self.y.try_matmul_tn(u)?;
         self.gf.apply_factored(&dau, &dav, Some((&dbu, &dbv)))?;
         upd.apply_to(&mut self.x)?;
         Ok(())

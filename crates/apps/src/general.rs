@@ -328,7 +328,7 @@ impl GeneralForm {
                     TDelta::Dense(d)
                 } else {
                     let u = Matrix::hstack(&[&da.u, &dbf.u])?;
-                    let v = Matrix::hstack(&[&self.t0.transpose().try_matmul(&da.v)?, &dbf.v])?;
+                    let v = Matrix::hstack(&[&self.t0.try_matmul_tn(&da.v)?, &dbf.v])?;
                     TDelta::Factored(Fd::new(u, v))
                 }
             } else {
@@ -359,11 +359,11 @@ impl GeneralForm {
                             &dp.u.try_matmul(&dp.v.transpose().try_matmul(&dt_prev.u)?)?,
                         )?;
                         let mut us = vec![dp.u.clone(), mid];
-                        let mut vs = vec![t_prev.transpose().try_matmul(&dp.v)?, dt_prev.v.clone()];
+                        let mut vs = vec![t_prev.try_matmul_tn(&dp.v)?, dt_prev.v.clone()];
                         if let Some((s_mat, ds)) = s_pair {
                             // ΔS·B term.
                             us.push(ds.u.clone());
-                            vs.push(self.b.transpose().try_matmul(&ds.v)?);
+                            vs.push(self.b.try_matmul_tn(&ds.v)?);
                             // (S + ΔS)·ΔB term.
                             if dbf.rank() > 0 {
                                 let sbu = s_mat.try_matmul(&dbf.u)?.try_add(
@@ -457,14 +457,14 @@ impl GeneralForm {
                 .try_matmul(&q.u)?
                 .try_add(&q.u.try_matmul(&q.v.transpose().try_matmul(&q.u)?)?)?;
             let qu = Matrix::hstack(&[&q.u, &mid])?;
-            let qv = Matrix::hstack(&[&ph.transpose().try_matmul(&q.v)?, &q.v])?;
+            let qv = Matrix::hstack(&[&ph.try_matmul_tn(&q.v)?, &q.v])?;
             // ΔS_i for S_i = P·S + S:
             //   U = [Q | P·Z + Q·(RᵀZ) + Z], V = [SᵀR | W].
             let mut s_mid = ph.try_matmul(&z.u)?;
             s_mid.add_assign_from(&q.u.try_matmul(&q.v.transpose().try_matmul(&z.u)?)?)?;
             s_mid.add_assign_from(&z.u)?;
             let zu = Matrix::hstack(&[&q.u, &s_mid])?;
-            let zv = Matrix::hstack(&[&sh.transpose().try_matmul(&q.v)?, &z.v])?;
+            let zv = Matrix::hstack(&[&sh.try_matmul_tn(&q.v)?, &z.v])?;
             dq.insert(i, Fd::new(qu, qv));
             dz.insert(i, Fd::new(zu, zv));
             prev = i;

@@ -163,7 +163,7 @@ impl CholOls {
     /// definiteness (`X` lost full column rank); the state is left
     /// untouched in that case.
     pub fn apply(&mut self, upd: &RankOneUpdate) -> Result<()> {
-        let s = self.x.transpose().try_matmul(&upd.u)?;
+        let s = self.x.try_matmul_tn(&upd.u)?;
         let alpha = Matrix::dot(&upd.u, &upd.u)?;
         let half = 0.5_f64.sqrt();
         let w_plus = upd.v.try_add(&s)?.scale(half);
@@ -178,7 +178,7 @@ impl CholOls {
         chol.downdate(&w_minus)?;
         self.chol = chol;
         // Δ(XᵀY) = v·(uᵀY) — rank 1, O(mp + np).
-        let uty = self.y.transpose().try_matmul(&upd.u)?; // p×1
+        let uty = self.y.try_matmul_tn(&upd.u)?; // p×1
         self.xty.add_assign_from(&Matrix::outer(&upd.v, &uty)?)?;
         upd.apply_to(&mut self.x)?;
         self.beta = self.chol.solve(&self.xty)?;

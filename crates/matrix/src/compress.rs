@@ -109,6 +109,37 @@ pub fn recompress(u: &Matrix, v: &Matrix, rel_tol: f64) -> Result<Recompressed> 
     })
 }
 
+/// How far above `rel_tol` the rank estimate of [`keeps_full_rank`] must
+/// clear it: six decimal orders, against the roundoff of forming two Gram
+/// matrices and the slack in `σ_k(U Vᵀ) ≥ σ_k(U)·σ_k(V)`.
+const FULL_RANK_SAFETY: f64 = 1e6;
+
+/// True when [`recompress`] at `rel_tol` provably cannot shed rank from
+/// `U·Vᵀ`, decided from the two `k×k` Gram matrices alone.
+///
+/// The eigenvalues of `FᵀF` are the squared singular values of a factor
+/// `F`, and `σ_k(U Vᵀ) ≥ σ_k(U)·σ_k(V)`; [`recompress`] drops directions
+/// below `rel_tol·σ₁(U)·σ₁(V)`. So when the product of the factors'
+/// `σ_k/σ₁` ratios clears `rel_tol` by six decimal orders, the full
+/// `O((n+m)k²)`-per-sweep SVD pass would return the pair at its original
+/// rank — and a caller that only acts on a *reduced* rank can skip it for
+/// one `O((n+m)k²)` Gram product. `false` is always safe: it just means
+/// "run the real pass".
+pub fn keeps_full_rank(u: &Matrix, v: &Matrix, rel_tol: f64) -> Result<bool> {
+    let k = u.cols();
+    if v.cols() != k || k == 0 || k > u.rows().min(v.rows()) {
+        return Ok(false);
+    }
+    let mut margin = 1.0;
+    for factor in [u, v] {
+        let gram = Svd::factorize(&factor.try_matmul_tn(factor)?)?;
+        let lambda = gram.singular_values();
+        margin *= (lambda[k - 1] / lambda[0]).sqrt();
+    }
+    // A NaN margin (a zero factor) compares false.
+    Ok(margin >= FULL_RANK_SAFETY * rel_tol)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +195,38 @@ mod tests {
         assert_eq!(r.rank_after, 0);
         assert_eq!(r.u.cols(), 1);
         assert!(product(&r.u, &r.v).max_abs() == 0.0);
+    }
+
+    #[test]
+    fn full_rank_estimate_never_contradicts_the_real_pass() {
+        let tol = 1e-12;
+        let u = Matrix::random_uniform(60, 5, 31);
+        let v = Matrix::random_uniform(40, 5, 32);
+        // Comfortably full rank: the estimate says so, the pass agrees.
+        assert!(keeps_full_rank(&u, &v, tol).unwrap());
+        assert!(!recompress(&u, &v, tol).unwrap().reduced());
+        // Basis-vector factors (coalesced row updates) are orthonormal.
+        let mut basis = Matrix::zeros(60, 5);
+        for c in 0..5 {
+            basis.set(7 * c + 3, c, 1.0);
+        }
+        assert!(keeps_full_rank(&basis, &v, tol).unwrap());
+        // A repeated column — exact (the pass sheds it) or off by 1e-9
+        // (it does not, but the estimate cannot tell) — goes to the pass.
+        for wobble in [0.0, 1e-9] {
+            let mut dup = u.clone();
+            for r in 0..60 {
+                dup.set(r, 4, u.get(r, 0) * (1.0 + wobble * r as f64));
+            }
+            assert!(!keeps_full_rank(&dup, &v, tol).unwrap(), "wobble {wobble}");
+            assert!(!keeps_full_rank(&v, &dup, tol).unwrap(), "wobble {wobble}");
+            assert_eq!(recompress(&dup, &v, tol).unwrap().reduced(), wobble == 0.0);
+        }
+        // Degenerate shapes never claim full rank.
+        assert!(!keeps_full_rank(&Matrix::zeros(60, 5), &v, tol).unwrap());
+        assert!(!keeps_full_rank(&u, &Matrix::random_uniform(40, 4, 33), tol).unwrap());
+        let wide = Matrix::random_uniform(3, 5, 34);
+        assert!(!keeps_full_rank(&wide, &v, tol).unwrap());
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!    remains the fallback and the reference;
 //! 4. skinny `n×k · k×n` products (`k ≤ 16` — the shape every low-rank
 //!    delta fold emits) skip the packed nest entirely and run the
-//!    dedicated rank-k fast path (the in-crate `rankk` module).
+//!    dedicated rank-k fast path (the in-crate `rankk` module), and
+//!    products with a skinny *output* — `P·U` and `Pᵀ·V` for an `n×k`
+//!    block, the shapes delta-block evaluation emits — run the in-crate
+//!    `skinny` kernels; wider `AᵀB` products run this nest with the `A`
+//!    panels packed straight from the transposed operand.
 //!
 //! Parallelism comes from `MC`-row output chunks scheduled onto the
 //! work-stealing queue of the persistent `pool` module, with the shared
@@ -43,7 +47,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::pack::{pack_a, pack_b, pack_b_panels};
+use crate::pack::{pack_a, pack_a_transposed, pack_b, pack_b_panels};
 use crate::{flops, pool, rankk, Matrix, MatrixError, Result};
 
 /// Microkernel tile height (rows of `C` held in registers).
@@ -250,9 +254,15 @@ pub fn gemm_threads() -> usize {
         .and_then(|r| r.as_ref().ok())
         .copied()
         .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+            // Asked once: the answer cannot change under a running
+            // process's feet in a way the pool could follow, and the query
+            // reads cgroup files — far too slow for every kernel call.
+            static AUTO: OnceLock<usize> = OnceLock::new();
+            *AUTO.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
         })
 }
 
@@ -333,6 +343,17 @@ pub(crate) enum Fuse {
     /// bit-comparable to `Exact`, held to ≤ 1e-10 of the Kahan oracle by
     /// the differential suite.
     Fused,
+}
+
+impl Fuse {
+    /// The rendering `kernel` asks of the packed family.
+    pub(crate) fn of(kernel: GemmKernel) -> Fuse {
+        if kernel.fuses() {
+            Fuse::Fused
+        } else {
+            Fuse::Exact
+        }
+    }
 }
 
 /// True when the host can run the AVX2 microkernel renderings.
@@ -498,13 +519,34 @@ fn microkernel(ap: &[f64], bp: &[f64], fuse: Fuse) -> [[f64; NR]; MR] {
     microkernel_portable(ap, bp)
 }
 
+/// The left operand of the packed nest: `a` itself, or `aᵀ` read in place
+/// (the panels are packed straight from `a`, see
+/// [`pack_a_transposed`]) — what lets `AᵀB` run without forming `Aᵀ`.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    a: &'a Matrix,
+    transposed: bool,
+}
+
+impl Lhs<'_> {
+    /// `(rows, inner)` of the operand as the nest sees it.
+    fn shape(&self) -> (usize, usize) {
+        let (r, c) = self.a.shape();
+        if self.transposed {
+            (c, r)
+        } else {
+            (r, c)
+        }
+    }
+}
+
 /// One `MC`-block of microkernel calls against an already-packed `B` slab:
 /// packs `A[r0..r0+mc][pc..pc+kc]` into `abuf` and accumulates the block's
 /// contribution into `out_rows` (the block's `mc` full-width output rows,
 /// written at columns `jc..jc+nc`).
 #[allow(clippy::too_many_arguments)]
 fn packed_block(
-    a: &Matrix,
+    a: Lhs,
     r0: usize,
     mc: usize,
     pc: usize,
@@ -517,7 +559,11 @@ fn packed_block(
     abuf: &mut Vec<f64>,
     fuse: Fuse,
 ) {
-    pack_a(a, r0, mc, pc, kc, MR, abuf);
+    if a.transposed {
+        pack_a_transposed(a.a, r0, mc, pc, kc, MR, abuf);
+    } else {
+        pack_a(a.a, r0, mc, pc, kc, MR, abuf);
+    }
     for jr in (0..nc).step_by(NR) {
         let nr = NR.min(nc - jr);
         let bp = &bbuf[(jr / NR) * kc * NR..][..kc * NR];
@@ -538,8 +584,8 @@ fn packed_block(
 /// The serial packed loop nest over one row band: computes
 /// `C[r0..r0+mc_total][..] += A[r0..r0+mc_total][..] · B` into `out`, a
 /// row-major `mc_total × n` buffer.
-fn packed_band(a: &Matrix, b: &Matrix, out: &mut [f64], r0: usize, mc_total: usize, fuse: Fuse) {
-    let k = a.cols();
+fn packed_band(a: Lhs, b: &Matrix, out: &mut [f64], r0: usize, mc_total: usize, fuse: Fuse) {
+    let k = a.shape().1;
     let n = b.cols();
     let mut abuf = Vec::new();
     let mut bbuf = Vec::new();
@@ -577,7 +623,7 @@ fn packed_band(a: &Matrix, b: &Matrix, out: &mut [f64], r0: usize, mc_total: usi
 /// assignment — including mid-flight steals — is bit-identical to the
 /// serial product. This replaces the one-coarse-band-per-thread split,
 /// whose ragged tail left the barrier stalled on a single worker.
-fn packed_parallel(a: &Matrix, b: &Matrix, out: &mut [f64], threads: usize, fuse: Fuse) {
+fn packed_parallel(a: Lhs, b: &Matrix, out: &mut [f64], threads: usize, fuse: Fuse) {
     let (m, k) = a.shape();
     let n = b.cols();
     // Chunk height: at most MC (one packed A panel), shrunk so every
@@ -651,14 +697,61 @@ pub(crate) fn packed_matmul(a: &Matrix, b: &Matrix, fuse: Fuse) -> Matrix {
     if rankk::eligible(m, k, n) && !rank_k_disabled() {
         return rankk::rank_k_matmul(a, b, fuse);
     }
-    let mut out = Matrix::zeros(m, n);
+    packed_nest(
+        Lhs {
+            a,
+            transposed: false,
+        },
+        b,
+        fuse,
+    )
+}
+
+/// The packed product `aᵀ · b` without forming `aᵀ` (shapes already
+/// validated, FLOPs already counted by the caller): the same nest as
+/// [`packed_matmul`] with the `A` panels packed from the transposed
+/// operand, so it is bit-identical to `packed_matmul(&a.transpose(), b)`
+/// whenever that call runs the nest.
+pub(crate) fn packed_matmul_tn(a: &Matrix, b: &Matrix, fuse: Fuse) -> Matrix {
+    packed_nest(
+        Lhs {
+            a,
+            transposed: true,
+        },
+        b,
+        fuse,
+    )
+}
+
+fn packed_nest(a: Lhs, b: &Matrix, fuse: Fuse) -> Matrix {
+    let mut out = Matrix::zeros(a.shape().0, b.cols());
+    packed_nest_into(a, b, out.as_mut_slice(), fuse);
+    out
+}
+
+/// The packed nest of [`packed_matmul`] into a caller-owned contiguous
+/// `m×n` buffer, overwriting whatever it held — for callers that reuse one
+/// result buffer across products. Bit-identical to the allocating form.
+pub(crate) fn packed_matmul_into(a: &Matrix, b: &Matrix, out: &mut [f64], fuse: Fuse) {
+    out.fill(0.0);
+    let a = Lhs {
+        a,
+        transposed: false,
+    };
+    packed_nest_into(a, b, out, fuse);
+}
+
+/// The packed nest accumulating into `out`, a zeroed contiguous `m×n`
+/// buffer.
+fn packed_nest_into(a: Lhs, b: &Matrix, out: &mut [f64], fuse: Fuse) {
+    let (m, k) = a.shape();
+    let n = b.cols();
     let threads = gemm_threads().min(m.div_ceil(MR).max(1));
     if threads <= 1 || m * k * n < PARALLEL_THRESHOLD {
-        packed_band(a, b, out.as_mut_slice(), 0, m, fuse);
-        return out;
+        packed_band(a, b, out, 0, m, fuse);
+    } else {
+        packed_parallel(a, b, out, threads, fuse);
     }
-    packed_parallel(a, b, out.as_mut_slice(), threads, fuse);
-    out
 }
 
 impl Matrix {

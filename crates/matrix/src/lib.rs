@@ -50,13 +50,14 @@ mod pool;
 mod qr;
 mod random;
 mod rankk;
+mod skinny;
 mod sparsity;
 mod strassen;
 mod svd;
 
 pub use block::BlockBuilder;
 pub use cholesky::{random_spd, Cholesky};
-pub use compress::{recompress, Recompressed};
+pub use compress::{keeps_full_rank, recompress, Recompressed};
 pub use decomp::Lu;
 pub use dense::Matrix;
 pub use error::MatrixError;

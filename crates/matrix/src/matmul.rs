@@ -14,12 +14,17 @@
 //!   choice, no size dispatch (the differential suite's entry point).
 //! * [`Matrix::matmul_serial`] / [`Matrix::matmul_parallel`] — the blocked
 //!   kernel pinned serial / row-band parallel, kept for ablation.
+//! * [`Matrix::try_matmul_tn`] — `selfᵀ · rhs` without forming the
+//!   transpose; [`Matrix::matmul_into`] / [`Matrix::matmul_tn_into`] write
+//!   either product into a column block of an existing matrix.
 //!
-//! Skinny products (`matvec`, `outer`) are the `O(n²)`-class primitives
-//! that incremental maintenance is built from.
+//! Skinny products (`matvec`, `outer`, and the `n×n · n×k` / `(n×n)ᵀ · n×k`
+//! block products of the in-crate `skinny` module) are the `O(n²)`-class
+//! primitives that incremental maintenance is built from.
 
-use crate::gemm::{self, GemmKernel};
-use crate::{flops, pool, Matrix, MatrixError, Result};
+use crate::gemm::{self, Fuse, GemmKernel};
+use crate::skinny::{self, SKINNY_MAX_COLS};
+use crate::{flops, pool, rankk, Matrix, MatrixError, Result};
 
 /// Cache block edge for the serial blocked kernel.
 const BLOCK: usize = 64;
@@ -36,19 +41,115 @@ impl Matrix {
         }
         let work = self.rows() * self.cols() * rhs.cols();
         let kernel = gemm::default_kernel();
-        // Size-based fallback: packing three buffers for a tiny or
-        // vector-shaped product costs more than the multiply. The blocked
-        // kernel keeps its own serial/parallel gate, so large skinny
-        // products still fan out across the pool. (Large low-rank shapes
-        // never reach this arm — they pass the work gate and take the
-        // packed kernels' rank-k fast path, which does not pack at all.)
+        if takes_tall_skinny(kernel, rhs.cols()) {
+            let mut out = Matrix::zeros(self.rows(), rhs.cols());
+            self.matmul_into(rhs, &mut out, 0)?;
+            return Ok(out);
+        }
+        // Size-based fallback: packing three buffers for a tiny product
+        // costs more than the multiply. (Large low-rank shapes never
+        // reach this arm — they pass the work gate and take the packed
+        // kernels' rank-k fast path, which does not pack at all.)
         if matches!(kernel, GemmKernel::Packed | GemmKernel::PackedFma)
-            && (work < gemm::PACKED_MIN_WORK || rhs.cols() < gemm::NR)
+            && work < gemm::PACKED_MIN_WORK
         {
             flops::add((2 * work) as u64);
             return Ok(self.blocked_matmul_auto(rhs));
         }
         self.matmul_with(rhs, kernel)
+    }
+
+    /// `selfᵀ · rhs` without materializing the transpose (counts
+    /// `2·m·n·k` FLOPs for `self: m×n`, `rhs: m×k`).
+    ///
+    /// Right-hand blocks of at most 16 columns — the `Pᵀ V` of every
+    /// factored delta — stream the rows of `self` once through the skinny
+    /// kernel under every [`GemmKernel`]; wider products run the packed
+    /// nest with its `A` panels packed straight from the transposed
+    /// operand. Shapes the packed nest would not take anyway (tiny
+    /// products, a non-packed default kernel) form the transpose and
+    /// defer to [`Matrix::try_matmul`]. The exact kernels are
+    /// bit-identical to `self.transpose().try_matmul(rhs)`.
+    pub fn try_matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::zeros(self.cols(), rhs.cols());
+        self.matmul_tn_into(rhs, &mut out, 0)?;
+        Ok(out)
+    }
+
+    /// Writes `self · rhs` into columns `c0..c0 + rhs.cols()` of `out`
+    /// (which must have `self.rows()` rows), leaving the other columns
+    /// untouched. Kernel selection, FLOP count and result bits are those
+    /// of [`Matrix::try_matmul`]. Products the skinny kernel takes are
+    /// written in place, and so is a packed-nest product that fills `out`
+    /// exactly (`c0 == 0`, `out.cols() == rhs.cols()`) — which is how a
+    /// caller multiplies repeatedly into one buffer instead of allocating
+    /// a result per product; anything else is computed and copied in.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix, c0: usize) -> Result<()> {
+        if self.cols() != rhs.rows() {
+            return Err(MatrixError::DimMismatch {
+                op: "matmul",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        check_block(out, self.rows(), c0, rhs.cols())?;
+        if rhs.cols() == 0 {
+            return Ok(());
+        }
+        let kernel = gemm::default_kernel();
+        if !takes_tall_skinny(kernel, rhs.cols()) {
+            let (m, inner, n) = (self.rows(), self.cols(), rhs.cols());
+            if out.cols() == n
+                && matches!(kernel, GemmKernel::Packed | GemmKernel::PackedFma)
+                && m * inner * n >= gemm::PACKED_MIN_WORK
+                && !rankk::eligible(m, inner, n)
+            {
+                flops::add((2 * m * inner * n) as u64);
+                gemm::packed_matmul_into(self, rhs, out.as_mut_slice(), Fuse::of(kernel));
+                return Ok(());
+            }
+            return out.set_submatrix(0, c0, &self.try_matmul(rhs)?);
+        }
+        flops::add((2 * self.rows() * self.cols() * rhs.cols()) as u64);
+        let ld = out.cols();
+        skinny::tall_skinny_into(self, rhs, out.as_mut_slice(), ld, c0);
+        Ok(())
+    }
+
+    /// Writes `selfᵀ · rhs` into columns `c0..c0 + rhs.cols()` of `out`
+    /// (which must have `self.cols()` rows); see [`Matrix::try_matmul_tn`]
+    /// and [`Matrix::matmul_into`].
+    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix, c0: usize) -> Result<()> {
+        if self.rows() != rhs.rows() {
+            return Err(MatrixError::DimMismatch {
+                op: "matmul_tn",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let (inner, m) = self.shape();
+        let n = rhs.cols();
+        check_block(out, m, c0, n)?;
+        if n == 0 {
+            return Ok(());
+        }
+        if n <= SKINNY_MAX_COLS {
+            flops::add((2 * m * inner * n) as u64);
+            let ld = out.cols();
+            skinny::tn_skinny_into(self, rhs, out.as_mut_slice(), ld, c0);
+            return Ok(());
+        }
+        let kernel = gemm::default_kernel();
+        let product = if matches!(kernel, GemmKernel::Packed | GemmKernel::PackedFma)
+            && m * inner * n >= gemm::PACKED_MIN_WORK
+            && !rankk::eligible(m, inner, n)
+        {
+            flops::add((2 * m * inner * n) as u64);
+            gemm::packed_matmul_tn(self, rhs, Fuse::of(kernel))
+        } else {
+            self.transpose().try_matmul(rhs)?
+        };
+        out.set_submatrix(0, c0, &product)
     }
 
     /// Serial cache-blocked product (for benchmarking the kernels in
@@ -204,6 +305,26 @@ impl Matrix {
             .map(|(&a, &b)| a * b)
             .sum())
     }
+}
+
+/// True when [`Matrix::try_matmul`] hands a product with `cols` output
+/// columns to the tall-skinny kernel: under the packed family, anything
+/// narrower than a register tile (the packed nest would pad it to `NR`
+/// and the blocked kernel would run one scalar chain per row).
+fn takes_tall_skinny(kernel: GemmKernel, cols: usize) -> bool {
+    matches!(kernel, GemmKernel::Packed | GemmKernel::PackedFma)
+        && (1..=SKINNY_MAX_COLS).contains(&cols)
+}
+
+/// Validates that `out[.., c0..c0+cols]` exists and has `rows` rows.
+fn check_block(out: &Matrix, rows: usize, c0: usize, cols: usize) -> Result<()> {
+    if out.rows() != rows || c0 + cols > out.cols() {
+        return Err(MatrixError::OutOfBounds {
+            index: (rows, c0 + cols),
+            shape: out.shape(),
+        });
+    }
+    Ok(())
 }
 
 /// Cache-blocked i-k-j kernel writing `a[r0..r0+h] · b` into `out`.

@@ -42,6 +42,31 @@ pub(crate) fn pack_a(
     }
 }
 
+/// [`pack_a`] for the operand `aᵀ`, read straight from `a`: packs
+/// `a[p0+p][r0+i]` for `i < mc`, `p < kc` into the same `MR`-tall panel
+/// layout, so the nest multiplies by `aᵀ` without ever forming it. Step
+/// `p` of a panel is `mr` *adjacent* values of row `p0+p` of `a`.
+pub(crate) fn pack_a_transposed(
+    a: &Matrix,
+    r0: usize,
+    mc: usize,
+    p0: usize,
+    kc: usize,
+    mr: usize,
+    buf: &mut Vec<f64>,
+) {
+    let panels = mc.div_ceil(mr);
+    buf.clear();
+    buf.resize(panels * kc * mr, 0.0);
+    for p in 0..kc {
+        let row = &a.row(p0 + p)[r0..r0 + mc];
+        for (panel, vals) in row.chunks(mr).enumerate() {
+            let at = panel * kc * mr + p * mr;
+            buf[at..at + vals.len()].copy_from_slice(vals);
+        }
+    }
+}
+
 /// Packs `b[p0+p][c0+j]` for `p < kc`, `j < nc` into `NR`-wide panels.
 ///
 /// Layout: panel `j/NR` occupies `kc·nr` consecutive values; within a
@@ -109,6 +134,18 @@ mod tests {
         assert_eq!(&buf[8..10], &[20.0, 0.0]);
         // Panel 1, k-step 3: a[3][5], padding.
         assert_eq!(&buf[14..16], &[23.0, 0.0]);
+    }
+
+    #[test]
+    fn pack_a_transposed_matches_packing_the_materialized_transpose() {
+        let a = Matrix::random_uniform(7, 9, 3);
+        let at = a.transpose();
+        let (mut direct, mut via) = (Vec::new(), Vec::new());
+        for (r0, mc, p0, kc, mr) in [(0, 9, 0, 7, 4), (2, 5, 1, 4, 2), (1, 7, 3, 3, 6)] {
+            pack_a_transposed(&a, r0, mc, p0, kc, mr, &mut direct);
+            pack_a(&at, r0, mc, p0, kc, mr, &mut via);
+            assert_eq!(direct, via, "r0={r0} mc={mc} p0={p0} kc={kc} mr={mr}");
+        }
     }
 
     #[test]

@@ -45,9 +45,8 @@
 //!
 //! Shape eligibility lives in [`eligible`]; dispatch happens inside the
 //! packed kernel family (`gemm::packed_matmul`) and the dense fold
-//! (`sparsity::fold_low_rank`), so `matmul_with`, `try_matmul`, the
-//! backends' `ApplyDelta` folds and `runtime::exec`'s heavy-stage
-//! products all inherit the fast path automatically.
+//! (`sparsity::fold_low_rank`), so `matmul_with`, `try_matmul` and the
+//! backends' `ApplyDelta` folds all inherit the fast path automatically.
 //!
 //! [`force_general_nest`]: crate::gemm::force_general_nest
 

@@ -146,12 +146,12 @@ pub fn fold_low_rank(
             return sparse_fold(target, u, v, nnz, m);
         }
     }
-    // Fused rank-k fold: skip the n×m delta temporary when the shape is
-    // skinny enough that the product would take the packed family's
-    // rank-k fast path anyway. Mirroring try_matmul's small-work gate
-    // keeps kernel selection — and therefore bit-exact values — aligned
-    // with the GEMM-then-add fold this replaces; the per-element chain
-    // (ascending-k accumulate, one add into the target) is identical.
+    // Fused rank-k fold: skip the n×m delta temporary whenever the shape
+    // is skinny enough for the packed family's rank-k path — at every
+    // size, so a firing never allocates a view-sized matrix to fold a
+    // block pair. The per-element chain (ascending-k accumulate, one add
+    // into the target) is that of the GEMM-then-add fold this replaces,
+    // under whichever exact kernel the product would have taken.
     let kernel = crate::gemm::default_kernel();
     if crate::rankk::eligible(n, k, m)
         && !crate::gemm::rank_k_disabled()
@@ -159,14 +159,9 @@ pub fn fold_low_rank(
             kernel,
             crate::GemmKernel::Packed | crate::GemmKernel::PackedFma
         )
-        && n * k * m >= crate::gemm::PACKED_MIN_WORK
         && m >= crate::gemm::NR
     {
-        let fuse = if kernel.fuses() {
-            crate::gemm::Fuse::Fused
-        } else {
-            crate::gemm::Fuse::Exact
-        };
+        let fuse = crate::gemm::Fuse::of(kernel);
         crate::rankk::rank_k_fold(target, u, &v.transpose(), fuse);
         // Same meter charge as the two-step: 2nkm for the product, nm for
         // the fold into the target.

@@ -81,7 +81,7 @@ pub trait ExecBackend: std::fmt::Debug {
     /// Folds one **stage** of provably independent deltas (pairwise
     /// distinct targets, guaranteed by the compile-time DAG). The default
     /// applies them one at a time in statement order; backends override to
-    /// exploit the independence — threaded GEMMs into disjoint slots,
+    /// exploit the independence — all-or-nothing target validation,
     /// merged broadcast rounds, pipelined frames. Every override must stay
     /// bit-identical to the sequential fold.
     fn apply_stage(
@@ -191,54 +191,26 @@ impl ExecBackend for LocalBackend {
         Ok(SparseStats::from_path(path))
     }
 
-    /// A multi-delta stage folds every rank-k GEMM concurrently: the
-    /// targets are pairwise distinct, so [`Env::get_many_mut`] hands one
-    /// worker thread exclusive access to each view. Disjoint memory means
-    /// the result is bit-identical to the sequential fold regardless of
-    /// scheduling. Small stages (every target under the parallel
-    /// threshold) fold inline — spawn overhead would dominate.
+    /// A multi-delta stage claims every target up front: the targets are
+    /// pairwise distinct, so [`Env::get_many_mut`] hands out all the views
+    /// at once, and an unknown target aborts the stage before any view is
+    /// touched. The folds then run in statement order — each one already
+    /// spreads over the GEMM pool inside the rank-k kernel, and a thread per
+    /// fold on top of that measured slower (see the `exec` module docs).
     fn apply_stage(
         &mut self,
         env: &mut Env,
         deltas: &[StageDelta],
         sparse: bool,
     ) -> Result<SparseStats> {
-        let heavy = crate::exec::multi_core()
-            && deltas.iter().any(|d| {
-                env.get(&d.target)
-                    .is_ok_and(|m| m.len() >= crate::exec::PARALLEL_MIN_ELEMS)
-            });
-        if deltas.len() < 2 || !heavy {
-            let mut stats = SparseStats::default();
-            for d in deltas {
-                stats.merge(self.apply_delta(env, &d.target, &d.u, &d.v, sparse)?);
-            }
-            return Ok(stats);
-        }
         let names: Vec<&str> = deltas.iter().map(|d| d.target.as_str()).collect();
-        let slots = env.get_many_mut(&names)?;
-        let results: Vec<Result<SparseStats>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slots
-                .into_iter()
-                .zip(deltas)
-                .map(|(slot, d)| {
-                    scope.spawn(move || -> Result<SparseStats> {
-                        if d.u.cols() == 0 {
-                            return Ok(SparseStats::default());
-                        }
-                        let path = fold_low_rank(slot, &d.u, &d.v, sparse)?;
-                        Ok(SparseStats::from_path(path))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stage delta thread panicked"))
-                .collect()
-        });
         let mut stats = SparseStats::default();
-        for r in results {
-            stats.merge(r?);
+        for (slot, d) in env.get_many_mut(&names)?.into_iter().zip(deltas) {
+            if d.u.cols() > 0 {
+                stats.merge(SparseStats::from_path(fold_low_rank(
+                    slot, &d.u, &d.v, sparse,
+                )?));
+            }
         }
         Ok(stats)
     }
@@ -707,9 +679,10 @@ mod tests {
 
     #[test]
     fn local_apply_stage_matches_sequential_fold_bitwise() {
-        // Small views take the inline path; 200×200 views cross the
-        // parallel threshold and fold on worker threads. Both must be
-        // bit-identical to the sequential fold.
+        // The local backend claims every target of a stage, then folds one
+        // delta at a time (the rank-k kernel parallelizes inside each fold
+        // once a view is big enough): bit-identical to applying the deltas
+        // individually, at a small and at a pool-sized view.
         for n in [8usize, 200] {
             let build = || {
                 let mut env = Env::new();
@@ -737,23 +710,13 @@ mod tests {
             }
             assert_eq!(staged.get("A").unwrap(), seq.get("A").unwrap(), "n={n}");
             assert_eq!(staged.get("B").unwrap(), seq.get("B").unwrap(), "n={n}");
-            // Error path. The threaded (heavy) fold pre-validates every
-            // slot, so an unknown target aborts before touching anything;
-            // the inline fold keeps the usual sequential partial-failure
-            // semantics (deltas before the failing one are applied).
+            // Error path. The stage pre-validates every slot, so an unknown
+            // target aborts before touching anything, at every size.
             let mut bad = deltas.clone();
             bad[1].target = "Z".into();
             let before = staged.get("A").unwrap().clone();
             assert!(LocalBackend.apply_stage(&mut staged, &bad, true).is_err());
-            if n >= 200 && crate::exec::multi_core() {
-                assert_eq!(staged.get("A").unwrap(), &before);
-            } else {
-                let mut expect = before.clone();
-                expect
-                    .add_assign_from(&bad[0].u.try_matmul(&bad[0].v.transpose()).unwrap())
-                    .unwrap();
-                assert_eq!(staged.get("A").unwrap(), &expect);
-            }
+            assert_eq!(staged.get("A").unwrap(), &before);
         }
     }
 

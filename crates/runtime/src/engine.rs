@@ -668,9 +668,13 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
     /// rank — its output is dense, so accepting a same-rank result would
     /// densify sparse basis factors for no gain. Runs unconditionally
     /// (never gated on the sparse-fold knob) so sparse and forced-dense
-    /// executions fold identical deltas.
+    /// executions fold identical deltas. A batch whose `k×k` Gram matrices
+    /// already prove it comfortably full rank — the common case for
+    /// coalesced row updates — skips the SVD pass, which could only have
+    /// confirmed the rank and been discarded.
     fn recompress_batch(&mut self, batch: BatchUpdate) -> Result<BatchUpdate> {
-        if batch.rank() < 2 {
+        if batch.rank() < 2 || linview_matrix::keeps_full_rank(&batch.u, &batch.v, RECOMPRESS_TOL)?
+        {
             return Ok(batch);
         }
         let rc = linview_matrix::recompress(&batch.u, &batch.v, RECOMPRESS_TOL)?;

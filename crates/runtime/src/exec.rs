@@ -1,28 +1,47 @@
 //! Trigger execution, including the numeric Sherman–Morrison primitive.
 //!
-//! There is exactly **one** statement interpreter ([`run_statements`]) for
-//! every execution backend, and it is **staged**: instead of walking
-//! `trigger.stmts` in program order, it consumes the compile-time
-//! statement dependency DAG ([`Trigger::dag`]) one topological stage at a
-//! time. Every statement in a stage is provably independent, so the stage
-//! is evaluated against the pre-stage environment — on worker threads when
-//! the stage holds more than one statement — and its low-rank view deltas
-//! are handed to the backend **as a set** through
-//! [`ExecBackend::apply_stage`](crate::ExecBackend::apply_stage) (threaded
-//! GEMMs into disjoint slots locally; merged broadcast rounds and
-//! pipelined frames on the distributed backends). Program order is a
-//! linear extension of the DAG, so staged execution is bit-identical to
-//! the sequential walk — [`ExecOptions::sequential`] opts back into the
-//! legacy one-statement-per-stage order for ablation.
+//! There is exactly **one** statement interpreter (`Firing::run_stage`)
+//! for every execution backend, and it is **staged**: instead of walking
+//! `trigger.stmts` in program order, it consumes the statement dependency
+//! DAG ([`Trigger::dag`]) one topological stage at a time. Every statement
+//! in a stage is provably independent, so the stage is evaluated against
+//! the pre-stage state and its low-rank view deltas are handed to the
+//! backend **as a set** through
+//! [`ExecBackend::apply_stage`](crate::ExecBackend::apply_stage) (merged
+//! broadcast rounds and pipelined frames on the distributed backends).
+//! Program order is a linear extension of the DAG, so staged execution is
+//! bit-identical to the sequential walk — [`ExecOptions::sequential`] opts
+//! back into the one-statement-per-stage order for ablation.
+//!
+//! A firing first lowers its trigger into a [`crate::plan`] — stages,
+//! chain associations, integer slots for the block temporaries (tens of
+//! microseconds) — and the interpreter then walks that plan over borrowed
+//! operands ([`crate::eval`]): blocks live in a slot vector, never in the
+//! [`Env`]; views are read in place; a fold over two bare blocks takes
+//! them by move. At the `~3 ms` a rank-1 `A¹⁶` firing costs at `n = 512`,
+//! the n×n copies and transposes this replaced were most of the time, not
+//! noise.
+//!
+//! Parallelism lives in the kernels (row and column chunks on the
+//! persistent GEMM pool), not in the interpreter: a stage's statements are
+//! evaluated, and its deltas folded, in statement order. A thread per
+//! statement and per fold was measured against that on `A¹⁶` firings at
+//! `n = 512` (ten alternating benchmark runs, two cores) and lost all ten,
+//! 4.45 ms against 3.50 ms per firing — the views bounce between the
+//! cores' caches.
 //!
 //! The free functions [`fire_trigger`] / [`fire_trigger_with_options`] /
 //! [`fire_joint_trigger`] are the historical in-process entry points and
 //! simply run on a [`LocalBackend`](crate::LocalBackend).
 
-use linview_compiler::{Trigger, TriggerStmt};
-use linview_expr::delta::input_delta_names;
+use std::borrow::Cow;
+
+use linview_compiler::Trigger;
+use linview_expr::Dim;
 use linview_matrix::Matrix;
 
+use crate::eval::{exec, resolve, Frame, Scope};
+use crate::plan::{declare_inputs, lower_step, Step, StepKind, TriggerPlan, Update};
 use crate::{Env, Evaluator, ExecBackend, LocalBackend, Result, RuntimeError};
 
 /// Denominators smaller than this abort the Sherman–Morrison update.
@@ -48,6 +67,8 @@ pub fn sherman_morrison(w: &Matrix, p: &Matrix, q: &Matrix) -> Result<(Matrix, M
             update: (p.shape(), q.shape()),
         });
     }
+    // The running inverse is the only n×n allocation: `W_iᵀ q_i` streams it
+    // in place (no transpose), straight into column `i` of the output.
     let mut w_work = w.clone();
     let mut out_u = Matrix::zeros(n, k);
     let mut out_v = Matrix::zeros(n, k);
@@ -55,7 +76,7 @@ pub fn sherman_morrison(w: &Matrix, p: &Matrix, q: &Matrix) -> Result<(Matrix, M
         let u = p.col_matrix(i);
         let v = q.col_matrix(i);
         let wu = w_work.matvec(&u)?;
-        let wv = w_work.transpose().matvec(&v)?;
+        w_work.matmul_tn_into(&v, &mut out_v, i)?;
         let den = 1.0 + Matrix::dot(&v, &wu)?;
         if den.abs() < SM_TOL {
             return Err(RuntimeError::ShermanMorrisonSingular {
@@ -64,11 +85,8 @@ pub fn sherman_morrison(w: &Matrix, p: &Matrix, q: &Matrix) -> Result<(Matrix, M
             });
         }
         let ucol = wu.scale(-1.0 / den);
-        for r in 0..n {
-            out_u.set(r, i, ucol.get(r, 0));
-            out_v.set(r, i, wv.get(r, 0));
-        }
-        w_work.add_outer(&ucol, &wv)?;
+        out_u.set_submatrix(0, i, &ucol)?;
+        w_work.add_outer(&ucol, &out_v.col_matrix(i))?;
     }
     Ok((out_u, out_v))
 }
@@ -95,13 +113,13 @@ pub fn woodbury(w: &Matrix, p: &Matrix, q: &Matrix) -> Result<(Matrix, Matrix)> 
         });
     }
     let wp = w.try_matmul(p)?; // n×k
-    let wtq = w.transpose().try_matmul(q)?; // n×k  (V = Wᵀ Q)
-                                            // capacitance C = I_k + Qᵀ (W P)  — k×k.
-    let mut cap = q.transpose().try_matmul(&wp)?;
+    let wtq = w.try_matmul_tn(q)?; // n×k  (V = Wᵀ Q), W streamed in place
+    let mut cap = q.try_matmul_tn(&wp)?; // capacitance C = I_k + Qᵀ (W P) — k×k
     for i in 0..k {
         cap.set(i, i, cap.get(i, i) + 1.0);
     }
-    // U = −(W P)·C⁻¹: solve Cᵀ Xᵀ = (W P)ᵀ to avoid forming C⁻¹.
+    // U = −(W P)·C⁻¹: solve Cᵀ Xᵀ = (W P)ᵀ to avoid forming C⁻¹ (the
+    // transposes here are k×k and k×n; there is no transposed LU solve).
     let xt = cap
         .transpose()
         .solve(&wp.transpose())
@@ -331,49 +349,30 @@ pub(crate) fn fire_trigger_on<B: ExecBackend + ?Sized>(
     dv: &Matrix,
     opts: &ExecOptions,
 ) -> Result<FiringReport> {
-    let (du_name, dv_name) = input_delta_names(&trigger.input);
-    // Shape check against the target input.
-    let target = env.get(&trigger.input)?;
+    check_update_shape(env.get(&trigger.input)?, du, dv)?;
+    // The input update is the root of every propagated block: recompressing
+    // it first (when enabled) shrinks all downstream ranks.
+    let compressed = match opts.recompress_tol {
+        Some(tol) if du.cols() > 1 => Some(linview_matrix::recompress(du, dv, tol)?),
+        _ => None,
+    };
+    let (du, dv) = compressed.as_ref().map_or((du, dv), |rc| (&rc.u, &rc.v));
+    fire(
+        backend,
+        env,
+        evaluator,
+        trigger,
+        &[(&trigger.input, du, dv)],
+        opts,
+    )
+}
+
+fn check_update_shape(target: &Matrix, du: &Matrix, dv: &Matrix) -> Result<()> {
     if du.rows() != target.rows() || dv.rows() != target.cols() || du.cols() != dv.cols() {
         return Err(RuntimeError::UpdateShape {
             target: target.shape(),
             update: (du.shape(), dv.shape()),
         });
-    }
-    // The input update is the root of every propagated block: recompressing
-    // it first (when enabled) shrinks all downstream ranks.
-    if let (Some(tol), true) = (opts.recompress_tol, du.cols() > 1) {
-        let rc = linview_matrix::recompress(du, dv, tol)?;
-        env.bind(du_name.clone(), rc.u);
-        env.bind(dv_name.clone(), rc.v);
-    } else {
-        env.bind(du_name.clone(), du.clone());
-        env.bind(dv_name.clone(), dv.clone());
-    }
-
-    let mut temporaries = vec![du_name, dv_name];
-    let result = run_statements(backend, env, evaluator, trigger, &mut temporaries, opts);
-    for t in &temporaries {
-        env.unbind(t);
-    }
-    result
-}
-
-/// Recompresses the delta pair `(u_name, v_name)` in place once both blocks
-/// are bound; a no-op for rank-1 pairs (nothing to shrink but a zero test).
-fn recompress_pair(env: &mut Env, u_name: &str, v_name: &str, tol: f64) -> Result<()> {
-    if !env.contains(u_name) || !env.contains(v_name) {
-        return Ok(());
-    }
-    let u = env.get(u_name)?;
-    if u.cols() <= 1 {
-        return Ok(());
-    }
-    let v = env.get(v_name)?;
-    let rc = linview_matrix::recompress(u, v, tol)?;
-    if rc.reduced() {
-        env.bind(u_name.to_string(), rc.u);
-        env.bind(v_name.to_string(), rc.v);
     }
     Ok(())
 }
@@ -413,275 +412,257 @@ pub(crate) fn fire_joint_trigger_on<B: ExecBackend + ?Sized>(
             joint.inputs
         )));
     }
-    let mut temporaries = Vec::with_capacity(2 * updates.len());
     for (input, du, dv) in updates {
-        let target = env.get(input)?;
-        if du.rows() != target.rows() || dv.rows() != target.cols() || du.cols() != dv.cols() {
-            return Err(RuntimeError::UpdateShape {
-                target: target.shape(),
-                update: (du.shape(), dv.shape()),
-            });
-        }
-        let (du_name, dv_name) = input_delta_names(input);
-        env.bind(du_name.clone(), (*du).clone());
-        env.bind(dv_name.clone(), (*dv).clone());
-        temporaries.push(du_name);
-        temporaries.push(dv_name);
+        check_update_shape(env.get(input)?, du, dv)?;
     }
-    let result = run_statements(
-        backend,
-        env,
-        evaluator,
-        &joint.trigger,
-        &mut temporaries,
-        opts,
-    );
-    for t in &temporaries {
-        env.unbind(t);
-    }
-    result
+    fire(backend, env, evaluator, &joint.trigger, updates, opts)
 }
 
-/// Stages whose statements only touch matrices smaller than this many
-/// elements are evaluated inline even when independent: thread-spawn
-/// overhead beats the parallelism for small operands, and the dense
-/// kernels already multi-thread internally in exactly that regime. The
-/// stage *structure* (and the backends' merged rounds / pipelined
-/// broadcasts) is unaffected — only where the expression evaluation runs.
-///
-/// Skinny low-rank products (`n×k · k×n`, `k ≤`
-/// [`linview_matrix::RANK_K_MAX_K`]) stay under this gate for the same
-/// reason: the matrix crate routes them to its dedicated rank-k kernel,
-/// which work-steals across row chunks internally, so a heavy stage made
-/// of `ApplyDelta` folds already saturates the thread budget without
-/// stage-level fan-out.
-pub(crate) const PARALLEL_MIN_ELEMS: usize = 32_768;
-
-/// True when the execution layer may fan work out to more than one
-/// thread. Follows the process-wide GEMM thread budget
-/// ([`linview_matrix::gemm_threads`], i.e. `LINVIEW_THREADS` / the
-/// `--threads` CLI flag, defaulting to the machine's parallelism), so
-/// pinning the budget to 1 serializes stage evaluation, stage delta
-/// folds, *and* the dense kernels with one knob. Results are bit-identical
-/// either way — the gate only decides where the arithmetic runs.
-pub(crate) fn multi_core() -> bool {
-    linview_matrix::gemm_threads() > 1
-}
-
-/// True when any statement of the stage reads an environment matrix large
-/// enough to justify evaluating the stage on worker threads. Reuses the
-/// effect sets the DAG analysis already computed.
-fn stage_is_heavy(stage: &[usize], effects: &[linview_compiler::StmtEffects], env: &Env) -> bool {
-    multi_core()
-        && stage.iter().any(|&i| {
-            effects[i]
-                .reads
-                .iter()
-                .any(|r| env.get(r).is_ok_and(|m| m.len() >= PARALLEL_MIN_ELEMS))
-        })
-}
+/// The firing's block temporaries, indexed by plan slot. The incoming
+/// `dU_X`/`dV_X` factors are borrowed from the caller; everything the body
+/// defines is owned. Blocks never enter the [`Env`].
+type Slots<'a> = Vec<Option<Cow<'a, Matrix>>>;
 
 /// One statement's evaluated result, produced read-only against the
-/// pre-stage environment and applied after the whole stage has evaluated.
+/// pre-stage state and applied after the whole stage has evaluated.
 enum StmtOutput {
-    /// Variables to bind (an `Assign` yields one, Sherman–Morrison two).
-    Bind(Vec<(String, Matrix)>),
+    /// Blocks to bind (an `Assign` yields one, Sherman–Morrison two).
+    Bind(Vec<(usize, Matrix)>),
     /// An evaluated low-rank view delta for the backend's stage barrier.
     Delta(StageDelta),
 }
 
-/// Evaluates one statement against the (read-only) pre-stage environment.
-/// Safe to call from several threads for the statements of one stage: the
-/// dependency DAG guarantees no statement reads another's output.
-fn eval_stmt(
-    stmt: &TriggerStmt,
-    env: &Env,
-    evaluator: &Evaluator,
-    opts: &ExecOptions,
-) -> Result<StmtOutput> {
-    match stmt {
-        TriggerStmt::Assign { var, expr } => {
-            let value = evaluator.eval(expr, env)?;
-            Ok(StmtOutput::Bind(vec![(var.clone(), value)]))
+/// Evaluates one statement against the (read-only) pre-stage state.
+fn eval_step(step: &Step, frame: &Frame<'_>, opts: &ExecOptions) -> Result<StmtOutput> {
+    Ok(match &step.kind {
+        StepKind::Assign { slot, expr } => {
+            StmtOutput::Bind(vec![(*slot, exec(expr, frame)?.into_matrix())])
         }
-        TriggerStmt::ShermanMorrison {
-            inv_var,
+        StepKind::ShermanMorrison {
+            w,
             p,
             q,
             out_u,
             out_v,
         } => {
-            let pm = evaluator.eval(p, env)?;
-            let qm = evaluator.eval(q, env)?;
-            let w = env.get(inv_var)?;
+            let (w, p, q) = (
+                exec(w, frame)?.plain(),
+                exec(p, frame)?.plain(),
+                exec(q, frame)?.plain(),
+            );
             let (u, v) = match opts.inverse_primitive {
-                InversePrimitive::ShermanMorrison => sherman_morrison(w, &pm, &qm)?,
-                InversePrimitive::Woodbury => woodbury(w, &pm, &qm)?,
+                InversePrimitive::ShermanMorrison => sherman_morrison(&w, &p, &q)?,
+                InversePrimitive::Woodbury => woodbury(&w, &p, &q)?,
             };
-            Ok(StmtOutput::Bind(vec![
-                (out_u.clone(), u),
-                (out_v.clone(), v),
-            ]))
+            StmtOutput::Bind(vec![(*out_u, u), (*out_v, v)])
         }
-        TriggerStmt::ApplyDelta { target, u, v } => {
-            let um = evaluator.eval(u, env)?;
-            let vm = evaluator.eval(v, env)?;
-            Ok(StmtOutput::Delta(StageDelta {
-                target: target.clone(),
-                u: um,
-                v: vm,
-            }))
+        StepKind::ApplyDelta { target, u, v } => StmtOutput::Delta(StageDelta {
+            target: target.clone(),
+            u: exec(u, frame)?.into_matrix(),
+            v: exec(v, frame)?.into_matrix(),
+        }),
+        StepKind::FoldBlocks { .. } => {
+            unreachable!("bare-block folds are assembled at the stage barrier")
         }
-    }
+    })
 }
 
-/// The staged statement interpreter shared by every backend.
-///
-/// Each stage runs in three phases: (1) every statement of the stage is
-/// evaluated against the pre-stage environment — concurrently when the
-/// stage holds more than one statement, since the DAG proves them
-/// independent; (2) compute results are bound in program order (and the
-/// optional §4.3 recompression pass runs for pairs completed this stage);
-/// (3) the stage's view deltas are folded through
-/// [`ExecBackend::apply_stage`] — the stage barrier, and the only
-/// backend-specific step.
-fn run_statements<B: ExecBackend + ?Sized>(
-    backend: &mut B,
-    env: &mut Env,
-    evaluator: &Evaluator,
-    trigger: &Trigger,
-    temporaries: &mut Vec<String>,
-    opts: &ExecOptions,
-) -> Result<FiringReport> {
-    // Orientation-preserving pair lookup for the optional recompression
-    // pass: block name -> (U name, V name) of its pair.
-    let pairs: Vec<(String, String)> = if opts.recompress_tol.is_some() {
-        trigger
-            .delta_pairs()
-            .into_iter()
-            .map(|(u, v)| (u.to_string(), v.to_string()))
-            .collect()
+/// Hands block `slot` to a fold: moved out when this was its last
+/// reference, copied while later statements still read it.
+fn take_block(slots: &mut Slots<'_>, reads_left: &mut [u32], slot: usize) -> Matrix {
+    reads_left[slot] -= 1;
+    let block = &mut slots[slot];
+    let taken = if reads_left[slot] == 0 {
+        block.take()
     } else {
-        Vec::new()
+        block.clone()
     };
-    // The §4.3 recompression pass rewrites a pair's blocks in place the
-    // moment the pair completes, and later statements of the *sequential*
-    // walk observe the rebinding mid-body — a stage evaluated against the
-    // pre-stage environment could not. Recompression therefore always
-    // runs on the sequential schedule; bit-identity with the opt-out is
-    // preserved by construction.
-    //
-    // The DAG is re-analyzed per firing rather than cached on the
-    // trigger: `Trigger::stmts` is public and the optimizer rewrites
-    // bodies in place, so a stored schedule could silently go stale. The
-    // analysis is O(stmts²) over tiny bodies — noise next to one O(kn²)
-    // delta fold.
-    let dag = if opts.sequential || opts.recompress_tol.is_some() {
-        None
-    } else {
-        Some(trigger.dag()?)
-    };
-    let stages: Vec<Vec<usize>> = match &dag {
-        Some(dag) => dag.stages().to_vec(),
-        None => (0..trigger.stmts.len()).map(|i| vec![i]).collect(),
-    };
-    let mut report = FiringReport {
-        stmts: trigger.stmts.len() as u64,
-        stages: stages.len() as u64,
-        writes: 0,
-        sparse: SparseStats::default(),
-    };
-    let sparse = opts.sparse_enabled();
-    // Debug builds re-derive the analyzer's effect sets once per firing and
-    // assert every observed view write against them: the statically-proved
-    // write sets are the contract `apply_stage` soundness rests on, so a
-    // divergence here is a scheduler or analyzer bug, not a data error.
-    #[cfg(debug_assertions)]
-    let proved = linview_compiler::analyze::derive_effects(&trigger.stmts);
-    for stage in &stages {
-        // Phase 1: evaluate the stage against the pre-stage environment.
-        let heavy = dag
-            .as_ref()
-            .is_some_and(|dag| stage.len() >= 2 && stage_is_heavy(stage, dag.effects(), env));
-        let outputs: Vec<Result<StmtOutput>> = if heavy {
-            let env = &*env;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = stage[1..]
-                    .iter()
-                    .map(|&i| {
-                        scope.spawn(move || eval_stmt(&trigger.stmts[i], env, evaluator, opts))
-                    })
-                    .collect();
-                let mut outs = vec![eval_stmt(&trigger.stmts[stage[0]], env, evaluator, opts)];
-                outs.extend(
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("stage evaluator thread panicked")),
-                );
-                outs
-            })
-        } else {
-            stage
-                .iter()
-                .map(|&i| eval_stmt(&trigger.stmts[i], env, evaluator, opts))
-                .collect()
+    taken
+        .expect("the schedule defines a block before any statement reads it")
+        .into_owned()
+}
+
+/// The mutable state of one firing.
+struct Firing<'f, 'm, B: ?Sized> {
+    backend: &'f mut B,
+    env: &'f mut Env,
+    opts: &'f ExecOptions,
+    slots: Slots<'m>,
+    report: FiringReport,
+}
+
+impl<B: ExecBackend + ?Sized> Firing<'_, '_, B> {
+    /// Runs one stage — the statement interpreter shared by every backend.
+    ///
+    /// (1) Every statement of the stage is evaluated against the pre-stage
+    /// state (the DAG proves them independent, so any order observes the
+    /// same operands); (2) results are bound in statement order and the
+    /// stage's view deltas collected, bare blocks taken per `reads_left`
+    /// (the references to each slot not yet consumed); (3) the deltas are
+    /// folded through [`ExecBackend::apply_stage`] — the stage barrier,
+    /// and the only backend-specific step. Returns the slots `Assign`s
+    /// bound.
+    fn run_stage(
+        &mut self,
+        ext_names: &[String],
+        stage: &[&Step],
+        reads_left: &mut [u32],
+    ) -> Result<Vec<usize>> {
+        let mut outputs = {
+            let ext = resolve(ext_names, self.env)?;
+            let frame = Frame {
+                ext: &ext,
+                slots: &self.slots,
+            };
+            let evaluated = stage.iter().filter(|s| !s.is_fold());
+            evaluated
+                .map(|s| eval_step(s, &frame, self.opts))
+                .collect::<Result<Vec<_>>>()?
+                .into_iter()
         };
-        // Phase 2: bind compute results in program order, collect deltas.
         let mut deltas: Vec<StageDelta> = Vec::new();
-        let mut bound_now: Vec<String> = Vec::new();
-        for (&i, out) in stage.iter().zip(outputs) {
-            match out? {
+        let mut assigned = Vec::new();
+        for step in stage {
+            if let StepKind::FoldBlocks { target, u, v } = &step.kind {
+                deltas.push(StageDelta {
+                    target: target.clone(),
+                    u: take_block(&mut self.slots, reads_left, *u),
+                    v: take_block(&mut self.slots, reads_left, *v),
+                });
+                continue;
+            }
+            match outputs.next().expect("one output per evaluated statement") {
                 StmtOutput::Bind(binds) => {
-                    // Only plain assignments feed the recompression pass
-                    // (Sherman–Morrison outputs are left exact, as in the
-                    // sequential interpreter).
-                    let assign = matches!(trigger.stmts[i], TriggerStmt::Assign { .. });
-                    for (name, value) in binds {
-                        env.bind(name.clone(), value);
-                        temporaries.push(name.clone());
-                        if assign {
-                            bound_now.push(name);
+                    for (slot, value) in binds {
+                        self.slots[slot] = Some(Cow::Owned(value));
+                        // Only plain assignments feed the recompression
+                        // pass (Sherman–Morrison outputs are left exact).
+                        if matches!(step.kind, StepKind::Assign { .. }) {
+                            assigned.push(slot);
                         }
                     }
                 }
                 StmtOutput::Delta(d) => deltas.push(d),
             }
         }
-        if let Some(tol) = opts.recompress_tol {
+        self.report.writes += deltas.len() as u64;
+        if !deltas.is_empty() {
+            let sparse = self.opts.sparse_enabled();
+            let folded = self.backend.apply_stage(self.env, &deltas, sparse)?;
+            self.report.sparse.merge(folded);
+        }
+        Ok(assigned)
+    }
+}
+
+/// Fires `trigger` for `updates` (shapes already validated).
+///
+/// The normal path lowers the whole body into a [`crate::plan`] and
+/// executes it one DAG stage at a time ([`ExecOptions::sequential`]: one
+/// statement at a time, in program order). The §4.3 recompression pass
+/// rewrites a pair's blocks the moment the pair completes — changing block
+/// *widths* mid-body — so no plan lowered up front can describe it: with
+/// [`ExecOptions::recompress_tol`] set, each statement is lowered against
+/// the blocks as they are when it runs, always in program order (a stage
+/// evaluated against the pre-stage state could not observe a rebinding
+/// inside its own stage), and — a block's last read being unknown until
+/// the body ends — folds copy their blocks instead of taking them. Both
+/// paths run every statement through [`Firing::run_stage`].
+fn fire<B: ExecBackend + ?Sized>(
+    backend: &mut B,
+    env: &mut Env,
+    evaluator: &Evaluator,
+    trigger: &Trigger,
+    updates: &[Update<'_>],
+    opts: &ExecOptions,
+) -> Result<FiringReport> {
+    let mut firing = Firing {
+        backend,
+        env,
+        opts,
+        slots: updates
+            .iter()
+            .flat_map(|(_, du, dv)| [Some(Cow::Borrowed(*du)), Some(Cow::Borrowed(*dv))])
+            .collect(),
+        report: FiringReport {
+            stmts: trigger.stmts.len() as u64,
+            ..FiringReport::default()
+        },
+    };
+    if let Some(tol) = opts.recompress_tol {
+        let mut scope = Scope::default();
+        declare_inputs(&mut scope, updates);
+        let pairs = trigger.delta_pairs();
+        let mut reads_left = Vec::new();
+        for stmt in &trigger.stmts {
+            let step = lower_step(evaluator, stmt, &mut scope, firing.env)?;
+            firing.slots.resize(scope.slots.len(), None);
+            reads_left.resize(scope.slots.len(), u32::MAX); // never the last read
+            let assigned = firing.run_stage(&scope.ext_names, &[&step], &mut reads_left)?;
             for (u_name, v_name) in &pairs {
-                if bound_now.iter().any(|b| b == u_name || b == v_name) {
-                    recompress_pair(env, u_name, v_name, tol)?;
+                let slot_of = |name: &str| scope.slots.iter().position(|(n, _)| n == name);
+                if let (Some(u), Some(v)) = (slot_of(u_name), slot_of(v_name)) {
+                    if assigned.contains(&u) || assigned.contains(&v) {
+                        recompress_pair(&mut firing.slots, &mut scope, u, v, tol)?;
+                    }
                 }
             }
         }
-        // Phase 3: the stage barrier — fold every independent delta.
-        #[cfg(debug_assertions)]
-        {
-            let mut seen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-            for d in &deltas {
-                debug_assert!(
-                    seen.insert(d.target.as_str()),
-                    "stage writes view '{}' twice; statically-proved stage writes \
-                     must be pairwise disjoint",
-                    d.target
-                );
-                debug_assert!(
-                    stage.iter().any(|&i| proved[i].writes.contains(&d.target)),
-                    "observed write to '{}' is outside the statically-proved \
-                     effect sets of stage {:?}",
-                    d.target,
-                    stage
-                );
-            }
+        firing.report.stages = firing.report.stmts;
+        return Ok(firing.report);
+    }
+    let plan = TriggerPlan::lower(evaluator, trigger, updates, firing.env)?;
+    firing.slots.resize(plan.slot_reads.len(), None);
+    let mut reads_left = plan.slot_reads.clone();
+    let mut run = |stage: &[usize]| {
+        let steps: Vec<&Step> = stage.iter().map(|&i| &plan.steps[i]).collect();
+        // Evaluated statements are done with their blocks by the time the
+        // stage's folds pick theirs up.
+        for &slot in steps.iter().filter(|s| !s.is_fold()).flat_map(|s| &s.reads) {
+            reads_left[slot] -= 1;
         }
-        report.writes += deltas.len() as u64;
-        if !deltas.is_empty() {
-            report
-                .sparse
-                .merge(backend.apply_stage(env, &deltas, sparse)?);
+        firing.run_stage(&plan.ext_names, &steps, &mut reads_left)
+    };
+    if opts.sequential {
+        for i in 0..plan.steps.len() {
+            run(&[i])?;
+        }
+        firing.report.stages = firing.report.stmts;
+    } else {
+        let stages = plan.stages.as_ref().map_err(Clone::clone)?;
+        for stage in stages {
+            run(stage)?;
+        }
+        firing.report.stages = stages.len() as u64;
+    }
+    Ok(firing.report)
+}
+
+/// Recompresses the block pair `(u, v)` in place once both are bound; a
+/// no-op for rank-1 pairs (nothing to shrink but a zero test). A shrunk
+/// pair's new width is recorded in `scope` for the statements still to be
+/// lowered.
+fn recompress_pair(
+    slots: &mut Slots<'_>,
+    scope: &mut Scope,
+    u: usize,
+    v: usize,
+    tol: f64,
+) -> Result<()> {
+    let (Some(um), Some(vm)) = (&slots[u], &slots[v]) else {
+        return Ok(());
+    };
+    if um.cols() <= 1 {
+        return Ok(());
+    }
+    let rc = linview_matrix::recompress(um, vm, tol)?;
+    if rc.reduced() {
+        for (slot, m) in [(u, rc.u), (v, rc.v)] {
+            scope.slots[slot].1 = Dim::new(m.rows(), m.cols());
+            slots[slot] = Some(Cow::Owned(m));
         }
     }
-    Ok(report)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1078,9 +1059,7 @@ mod tests {
     fn staged_execution_is_bit_identical_to_sequential() {
         // A^8 with a batch update: wide stages (U_B/V_B, U_C/V_C, U_D/V_D
         // pairs plus independent view folds) against the one-statement-at-
-        // a-time opt-out. Bit-identical, not approximately equal. n is
-        // past the parallel threshold so stage evaluation really runs on
-        // worker threads.
+        // a-time opt-out. Bit-identical, not approximately equal.
         let n = 192;
         let mut cat = Catalog::new();
         cat.declare("A", n, n);

@@ -33,6 +33,7 @@ mod env;
 mod error;
 mod eval;
 mod exec;
+mod plan;
 pub mod snapshot;
 pub mod stats;
 pub mod updates;

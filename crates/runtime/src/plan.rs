@@ -1,0 +1,204 @@
+//! Firing plans: a trigger lowered to flat vectors, then executed.
+//!
+//! Lowering a [`Trigger`] fixes everything about a firing that does not
+//! depend on matrix *values*: every block variable the body defines (and
+//! the incoming `dU_X`/`dV_X` factors) gets an integer slot, every
+//! expression becomes a lowered tree with its chain associations chosen
+//! ([`Evaluator::lower`]), the dependency DAG is analyzed into stages, and
+//! each `X += U V'` over bare blocks is marked so the firing can *move*
+//! the blocks into the fold instead of copying them. The statement
+//! interpreter then walks flat vectors: no `String`-keyed binding of
+//! temporaries, no name lookups, no shape checks while multiplying.
+//!
+//! A plan is specialized to the shapes it was lowered against (the rank of
+//! the fired update sets block widths, and with them allocation sizes and
+//! chain associations), so a firing lowers its trigger afresh: ~30 µs for
+//! the 16-statement `A¹⁶` body, about 1 % of the 3 ms that firing costs at
+//! `n = 512`. Keeping plans across firings was tried (a content-keyed
+//! cache on the evaluator) and did not move `refresh_p50_ms` beyond
+//! run-to-run spread, so there is none.
+
+use linview_compiler::{StmtDag, Trigger, TriggerStmt};
+use linview_expr::delta::input_delta_names;
+use linview_expr::{Dim, ExprError};
+use linview_matrix::Matrix;
+
+use crate::eval::{Node, Scope};
+use crate::{Env, Evaluator, Result};
+
+/// One factored input update of a firing: `(input, dU, dV)`.
+pub(crate) type Update<'a> = (&'a str, &'a Matrix, &'a Matrix);
+
+/// A lowered trigger statement.
+#[derive(Debug)]
+pub(crate) struct Step {
+    pub(crate) kind: StepKind,
+    /// Slots the statement reads, one entry per reference.
+    pub(crate) reads: Vec<usize>,
+}
+
+impl Step {
+    /// True for a fold over two bare blocks: assembled at the stage
+    /// barrier, never evaluated.
+    pub(crate) fn is_fold(&self) -> bool {
+        matches!(self.kind, StepKind::FoldBlocks { .. })
+    }
+}
+
+#[derive(Debug)]
+pub(crate) enum StepKind {
+    /// `slot := expr`.
+    Assign { slot: usize, expr: Node },
+    /// `(out_u, out_v) := sherman_morrison(w, p, q)`.
+    ShermanMorrison {
+        w: Node,
+        p: Node,
+        q: Node,
+        out_u: usize,
+        out_v: usize,
+    },
+    /// `target += u vᵀ` with factors that need evaluating.
+    ApplyDelta { target: String, u: Node, v: Node },
+    /// `target += U Vᵀ` over two bare blocks: nothing to evaluate, the
+    /// blocks are handed to the fold (moved, once nothing reads them).
+    FoldBlocks { target: String, u: usize, v: usize },
+}
+
+/// Lowers one statement, defining the slots it writes.
+pub(crate) fn lower_step(
+    ev: &Evaluator,
+    stmt: &TriggerStmt,
+    scope: &mut Scope,
+    env: &Env,
+) -> Result<Step> {
+    scope.slot_reads.clear();
+    let kind = match stmt {
+        TriggerStmt::Assign { var, expr } => {
+            let expr = ev.lower(expr, scope, env)?;
+            StepKind::Assign {
+                slot: scope.slot(var, expr.dim),
+                expr,
+            }
+        }
+        TriggerStmt::ShermanMorrison {
+            inv_var,
+            p,
+            q,
+            out_u,
+            out_v,
+        } => {
+            let w = scope.lookup(inv_var, env)?;
+            let (p, q) = (ev.lower(p, scope, env)?, ev.lower(q, scope, env)?);
+            let block = Dim::new(w.dim.rows, p.dim.cols);
+            StepKind::ShermanMorrison {
+                out_u: scope.slot(out_u, block),
+                out_v: scope.slot(out_v, block),
+                w,
+                p,
+                q,
+            }
+        }
+        TriggerStmt::ApplyDelta { target, u, v } => {
+            let (u, v) = (ev.lower(u, scope, env)?, ev.lower(v, scope, env)?);
+            match (u.as_slot(), v.as_slot()) {
+                (Some(u), Some(v)) => StepKind::FoldBlocks {
+                    target: target.clone(),
+                    u,
+                    v,
+                },
+                _ => StepKind::ApplyDelta {
+                    target: target.clone(),
+                    u,
+                    v,
+                },
+            }
+        }
+    };
+    Ok(Step {
+        kind,
+        reads: std::mem::take(&mut scope.slot_reads),
+    })
+}
+
+/// Declares the `dU_X`/`dV_X` slots of `updates` (slots `2i`, `2i + 1`).
+pub(crate) fn declare_inputs(scope: &mut Scope, updates: &[Update<'_>]) {
+    for (input, du, dv) in updates {
+        let (du_name, dv_name) = input_delta_names(input);
+        scope.slot(&du_name, Dim::new(du.rows(), du.cols()));
+        scope.slot(&dv_name, Dim::new(dv.rows(), dv.cols()));
+    }
+}
+
+/// A trigger lowered against one firing's shapes.
+#[derive(Debug)]
+pub(crate) struct TriggerPlan {
+    /// Environment matrices the body reads, in `Kind::Env` order.
+    pub(crate) ext_names: Vec<String>,
+    /// References to each block slot across the whole body (one entry
+    /// per slot a firing needs).
+    pub(crate) slot_reads: Vec<u32>,
+    /// One step per statement, in program order.
+    pub(crate) steps: Vec<Step>,
+    /// Topological stages of the dependency DAG (statement indices), or
+    /// why the body has none.
+    pub(crate) stages: std::result::Result<Vec<Vec<usize>>, ExprError>,
+}
+
+impl TriggerPlan {
+    /// Lowers `trigger` for `updates` against the matrices bound in `env`.
+    pub(crate) fn lower(
+        ev: &Evaluator,
+        trigger: &Trigger,
+        updates: &[Update<'_>],
+        env: &Env,
+    ) -> Result<TriggerPlan> {
+        let mut scope = Scope::default();
+        declare_inputs(&mut scope, updates);
+        let steps = trigger
+            .stmts
+            .iter()
+            .map(|stmt| lower_step(ev, stmt, &mut scope, env))
+            .collect::<Result<Vec<_>>>()?;
+        let mut slot_reads = vec![0u32; scope.slots.len()];
+        for &slot in steps.iter().flat_map(|s| &s.reads) {
+            slot_reads[slot] += 1;
+        }
+        let stages = StmtDag::analyze(&trigger.stmts).map(|dag| dag.stages().to_vec());
+        #[cfg(debug_assertions)]
+        if let Ok(stages) = &stages {
+            assert_stage_writes_are_proved(trigger, stages);
+        }
+        Ok(TriggerPlan {
+            ext_names: scope.ext_names,
+            slot_reads,
+            steps,
+            stages,
+        })
+    }
+}
+
+/// The statically-proved write sets are the contract `apply_stage`
+/// soundness rests on: every stage folds pairwise-distinct views, and only
+/// views the analyzer proved the stage writes. A divergence here is a
+/// scheduler or analyzer bug, not a data error.
+#[cfg(debug_assertions)]
+fn assert_stage_writes_are_proved(trigger: &Trigger, stages: &[Vec<usize>]) {
+    let proved = linview_compiler::analyze::derive_effects(&trigger.stmts);
+    for stage in stages {
+        let mut seen = std::collections::BTreeSet::new();
+        for &i in stage {
+            if let TriggerStmt::ApplyDelta { target, .. } = &trigger.stmts[i] {
+                assert!(
+                    seen.insert(target.as_str()),
+                    "stage writes view '{target}' twice; statically-proved stage writes \
+                     must be pairwise disjoint"
+                );
+                assert!(
+                    proved[i].writes.contains(target),
+                    "write to '{target}' is outside the statically-proved effect sets of \
+                     stage {stage:?}"
+                );
+            }
+        }
+    }
+}

@@ -1,0 +1,96 @@
+//! A firing allocates blocks, not views.
+//!
+//! The factored delta of `A¹⁶` is a few `n×k` blocks (`k ≤ 16`); the
+//! evaluator that used to run it cloned every `n×n` view it referenced and
+//! materialized `Pᵀ` to compute `Pᵀ V`. This guard counts every byte the
+//! process allocates during one firing and holds the total under the size
+//! of a *single* `n×n` matrix — so an `n×n` temporary anywhere on the
+//! firing path (evaluator, kernels, folds, backend) fails it, whatever
+//! else changes.
+//!
+//! The counter is the process-global allocator, so this is the ONE test of
+//! its binary (same isolation as the `flop_accounting.rs` files): no
+//! sibling test thread allocates while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use linview::apps::powers::{compute_power, IncrPowers};
+use linview::apps::IterModel;
+use linview::matrix::{ApproxEq, Matrix};
+use linview::runtime::RankOneUpdate;
+
+struct Counting;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn count(bytes: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counters are
+// plain atomics and allocate nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract is `System.alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract is `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size.saturating_sub(layout.size()));
+        // SAFETY: the caller's contract is `System.realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is `System.dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+#[test]
+fn one_firing_allocates_less_than_one_view() {
+    // What a firing allocates is its blocks (∝ n·k) plus what lowering the
+    // 16-statement body takes (≈ 36 KB of small allocations, independent
+    // of n). n = 256 puts the two at about half of one view, so the bound
+    // has room for neither an n×n temporary nor a second copy of the
+    // blocks.
+    let (n, k) = (256, 16);
+    let a = Matrix::random_spectral(n, 9, 0.9);
+    let mut incr = IncrPowers::new(a.clone(), IterModel::Exponential, k).unwrap();
+    let warm_up = RankOneUpdate::row_update(n, n, 3, 0.01, 13);
+    let measured = RankOneUpdate::row_update(n, n, 7, 0.01, 14);
+    // The first firing spawns the pool workers; the guard is about the
+    // steady state.
+    incr.apply(&warm_up).unwrap();
+
+    COUNTING.store(true, Ordering::SeqCst);
+    incr.apply(&measured).unwrap();
+    COUNTING.store(false, Ordering::SeqCst);
+    let bytes = BYTES.load(Ordering::SeqCst);
+
+    let view_bytes = 8 * n * n;
+    assert!(
+        bytes < view_bytes,
+        "one A^{k} firing at n = {n} allocated {bytes} B; a single view is {view_bytes} B"
+    );
+    // And it was a real firing.
+    let mut expected = a;
+    warm_up.apply_to(&mut expected).unwrap();
+    measured.apply_to(&mut expected).unwrap();
+    let expected = compute_power(&expected, IterModel::Exponential, k).unwrap();
+    assert!(incr.result().approx_eq(&expected, 1e-9));
+}

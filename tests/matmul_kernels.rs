@@ -22,14 +22,20 @@
 //!    opt-in `packed-fma` kernel may differ, and it is held to the same
 //!    1e-10 Kahan budget as everything else.
 //!
+//! 5. **Transpose-free and skinny entry points** — `try_matmul_tn` (and
+//!    the `n×n · n×k` products `try_matmul` hands to the tall-skinny
+//!    kernel) equal the product over the *formed* transpose through the
+//!    naive kernel, bit for bit, on degenerate, ragged and `n < k` shapes
+//!    at one and two threads, into a fresh matrix or a column block.
+//!
 //! Tests mutate process-wide kernel state (thread budget, default
 //! kernel), so each takes the `SUITE` lock — the binary is internally
 //! serialized and safe under any `RUST_TEST_THREADS`.
 
 use linview::matrix::gemm::{MR, NR};
 use linview::matrix::{
-    flops, force_general_nest, force_portable_microkernel, set_default_kernel, set_gemm_threads,
-    GemmKernel, Matrix, RANK_K_MAX_K,
+    flops, fold_low_rank, force_general_nest, force_portable_microkernel, set_default_kernel,
+    set_gemm_threads, GemmKernel, Matrix, RANK_K_MAX_K,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -301,6 +307,126 @@ fn intrinsics_rendering_is_bit_identical_to_portable() {
         }
     }
     set_gemm_threads(None);
+}
+
+/// `AᵀB` without forming `Aᵀ`, and `A·B` for a block of at most 16
+/// columns, against the formed transpose through the naive kernel. The
+/// skinny kernels never fuse, so they are `==` to the oracle under every
+/// default kernel (including `LINVIEW_GEMM=packed-fma`); wider `AᵀB`
+/// products run the packed nest over panels packed from the transposed
+/// operand and must equal the same nest over the formed transpose.
+#[test]
+fn transpose_free_and_skinny_products_match_the_formed_transpose() {
+    let _guard = lock();
+    // (rows of A, cols of A, block columns)
+    let shapes = [
+        (1, 1, 1),
+        (1, 1, 0), // no columns at all
+        (0, 3, 2),
+        (3, 0, 2),
+        (5, 7, 3),
+        (37, 29, 13), // nothing a multiple of a tile
+        (3, 4, 16),   // n < k
+        (2, 9, 5),
+        (130, 70, 16),
+        (300, 400, 8), // past the parallel threshold
+        (40, 50, 17),  // one past the skinny limit: blocked fallback
+        (64, 72, 40),  // packed nest, panels packed from Aᵀ
+        (300, 64, 40), // … across two KC blocks
+        (12, 90, 30),  // rank-k-eligible transposed shape
+    ];
+    let fused = linview::matrix::default_kernel().fuses();
+    for threads in [1, 2] {
+        set_gemm_threads(Some(threads));
+        for (m, n, k) in shapes {
+            let label = format!("{m}x{n} with {k} columns, {threads} thread(s)");
+            let a = Matrix::random_uniform(m, n, (m * 100 + n) as u64);
+            let b_tn = Matrix::random_uniform(m, k, (m * 100 + k) as u64 + 7);
+            let b_nn = Matrix::random_uniform(n, k, (n * 100 + k) as u64 + 9);
+            let formed = a.transpose();
+
+            let before = flops::read();
+            let tn = a.try_matmul_tn(&b_tn).unwrap();
+            assert_eq!(flops::read() - before, (2 * m * n * k) as u64, "{label}");
+            assert_eq!(tn.shape(), (n, k), "{label}");
+            let oracle = formed.matmul_with(&b_tn, GemmKernel::Naive).unwrap();
+            if k <= RANK_K_MAX_K {
+                assert_eq!(tn, oracle, "AᵀB, {label}");
+                let nn = a.try_matmul(&b_nn).unwrap();
+                let oracle = a.matmul_with(&b_nn, GemmKernel::Naive).unwrap();
+                assert_eq!(nn, oracle, "AB, {label}");
+            } else if fused {
+                assert!(tn.rel_diff(&oracle) <= 1e-10, "AᵀB, {label}");
+            } else {
+                assert_eq!(tn, formed.try_matmul(&b_tn).unwrap(), "AᵀB, {label}");
+                assert!(tn.rel_diff(&oracle) <= 1e-10, "AᵀB, {label}");
+            }
+
+            // The same products into the middle of a wider matrix.
+            let mut wide = Matrix::filled(n, k + 3, 9.0);
+            a.matmul_tn_into(&b_tn, &mut wide, 2).unwrap();
+            let mut tall = Matrix::filled(m, k + 3, 9.0);
+            a.matmul_into(&b_nn, &mut tall, 2).unwrap();
+            let nn = a.try_matmul(&b_nn).unwrap();
+            // … and over every column of an exact-fit matrix, where the
+            // packed nest overwrites the buffer in place.
+            let mut fit = Matrix::filled(m, k, 9.0);
+            a.matmul_into(&b_nn, &mut fit, 0).unwrap();
+            assert_eq!(fit, nn, "exact fit, {label}");
+            for (block, whole) in [(&wide, &tn), (&tall, &nn)] {
+                for r in 0..block.rows() {
+                    let row = block.row(r);
+                    assert_eq!(&row[2..2 + k], whole.row(r), "block, {label}");
+                    assert!(row[..2].iter().chain(&row[2 + k..]).all(|&x| x == 9.0));
+                }
+            }
+        }
+    }
+    set_gemm_threads(None);
+    let a = Matrix::zeros(4, 3);
+    assert!(a.try_matmul_tn(&Matrix::zeros(3, 2)).is_err());
+    assert!(a
+        .matmul_tn_into(&Matrix::zeros(4, 2), &mut Matrix::zeros(3, 1), 0)
+        .is_err());
+    assert!(a
+        .matmul_into(&Matrix::zeros(3, 2), &mut Matrix::zeros(4, 3), 2)
+        .is_err());
+}
+
+/// Small folds and narrow products, below the `48³` work gate that used to
+/// keep them on the unfused blocked kernel: `fold_low_rank` now takes the
+/// fused-capable rank-k fold at every size, and `try_matmul` hands every
+/// product of at most 16 output columns to the never-fusing tall-skinny
+/// kernel. Under the exact kernels both stay `==` to GEMM-then-add through
+/// the naive kernel; under `packed-fma` the small fold's bits may move
+/// (one rounding per multiply-add) and are held to the 1e-10 budget.
+#[test]
+fn small_folds_and_narrow_products_agree_with_gemm_then_add() {
+    let _guard = lock();
+    // (n, k, m): target n×m, rank k; all far below 48³ multiply-adds.
+    for (n, k, m) in [(24, 3, 24), (9, 1, 8), (40, 16, 17), (12, 5, 30)] {
+        let target = Matrix::random_uniform(n, m, (n * m) as u64);
+        let u = Matrix::random_uniform(n, k, (n * k) as u64 + 1);
+        let v = Matrix::random_uniform(m, k, (m * k) as u64 + 2);
+        let delta = u.matmul_with(&v.transpose(), GemmKernel::Naive).unwrap();
+        let mut two_step = target.clone();
+        two_step.add_assign_from(&delta).unwrap();
+        let narrow_rhs = Matrix::random_uniform(m, k, (m + k) as u64 + 3);
+        let narrow = target.matmul_with(&narrow_rhs, GemmKernel::Naive).unwrap();
+        for kernel in [GemmKernel::Packed, GemmKernel::PackedFma] {
+            set_default_kernel(Some(kernel));
+            let mut folded = target.clone();
+            fold_low_rank(&mut folded, &u, &v, false).unwrap();
+            if kernel.fuses() {
+                assert!(folded.rel_diff(&two_step) <= 1e-10, "{kernel} {n}x{k}x{m}");
+            } else {
+                assert_eq!(folded, two_step, "{kernel} {n}x{k}x{m}");
+            }
+            // ≤ 16 output columns: unfused under either kernel.
+            assert_eq!(target.try_matmul(&narrow_rhs).unwrap(), narrow, "{kernel}");
+        }
+    }
+    set_default_kernel(None);
 }
 
 /// The dispatcher honors a pinned default kernel end to end (the API side
