@@ -184,7 +184,7 @@ impl ExecBackend for LocalBackend {
         sparse: bool,
     ) -> Result<SparseStats> {
         if u.cols() == 0 {
-            env.get_mut(target)?; // target must still exist
+            env.get(target)?; // target must still exist; `get_mut` would copy a shared view
             return Ok(SparseStats::default()); // rank-0: uncounted no-op
         }
         let path = fold_low_rank(env.get_mut(target)?, u, v, sparse)?;
@@ -194,7 +194,9 @@ impl ExecBackend for LocalBackend {
     /// A multi-delta stage claims every target up front: the targets are
     /// pairwise distinct, so [`Env::get_many_mut`] hands out all the views
     /// at once, and an unknown target aborts the stage before any view is
-    /// touched. The folds then run in statement order — each one already
+    /// touched. Rank-0 members are only checked to exist — claiming them
+    /// for writing would copy a shared view to fold nothing into it. The
+    /// folds then run in statement order — each one already
     /// spreads over the GEMM pool inside the rank-k kernel, and a thread per
     /// fold on top of that measured slower (see the `exec` module docs).
     fn apply_stage(
@@ -203,14 +205,16 @@ impl ExecBackend for LocalBackend {
         deltas: &[StageDelta],
         sparse: bool,
     ) -> Result<SparseStats> {
-        let names: Vec<&str> = deltas.iter().map(|d| d.target.as_str()).collect();
+        for d in deltas {
+            env.get(&d.target)?;
+        }
+        let live = || deltas.iter().filter(|d| d.u.cols() > 0);
+        let names: Vec<&str> = live().map(|d| d.target.as_str()).collect();
         let mut stats = SparseStats::default();
-        for (slot, d) in env.get_many_mut(&names)?.into_iter().zip(deltas) {
-            if d.u.cols() > 0 {
-                stats.merge(SparseStats::from_path(fold_low_rank(
-                    slot, &d.u, &d.v, sparse,
-                )?));
-            }
+        for (slot, d) in env.get_many_mut(&names)?.into_iter().zip(live()) {
+            stats.merge(SparseStats::from_path(fold_low_rank(
+                slot, &d.u, &d.v, sparse,
+            )?));
         }
         Ok(stats)
     }

@@ -4,15 +4,23 @@
 //! CQRS-style separation between the write path (trigger firings inside
 //! [`IncrementalView`](crate::IncrementalView) /
 //! [`MaintenanceEngine`](crate::MaintenanceEngine)) and a read path that
-//! never blocks it. Every flush round the maintainer finishes, it builds an
-//! immutable epoch-stamped [`ViewSnapshot`] of all maintained matrices
-//! *outside* any lock and swaps it in with a single pointer-width store.
+//! never blocks it. The write path never builds a read model: every flush
+//! round the maintainer finishes, it publishes an epoch-stamped
+//! [`ViewSnapshot`] that *shares* the environment's matrices — one `Arc`
+//! clone per binding, `O(views)` whatever their size — and swaps it in with
+//! a single pointer-width store. The matrices of a published epoch are
+//! never written again: the next firing's folds go through
+//! [`Env`]'s copy-on-write, which copies only the views that firing
+//! touches, into a buffer recycled from the epoch before, so an untouched
+//! input is the same allocation in every snapshot.
+//!
 //! Readers go through a cloneable [`ViewHandle`]: acquiring a snapshot is
 //! one `Arc` clone under a read lock whose critical section contains no
 //! allocation, no copying, and no matrix work — readers are wait-free in
-//! practice and can never hold up a trigger firing, and every snapshot is
-//! round-consistent (a reader observes a state the engine actually passed
-//! through, never a torn mid-stage mixture).
+//! practice and can never hold up a trigger firing (a reader that pins an
+//! old snapshot costs the writer one allocation, never a wait), and every
+//! snapshot is round-consistent (a reader observes a state the engine
+//! actually passed through, never a torn mid-stage mixture).
 //!
 //! Epochs count state-changing events on the maintained view — trigger
 //! firings and checkpoint restores — since serving was enabled. A handle's
@@ -30,23 +38,26 @@ use linview_matrix::{Matrix, MatrixError};
 
 use crate::{Env, Result, RuntimeError};
 
-/// One immutable, epoch-stamped copy of every maintained matrix (inputs
+/// One immutable, epoch-stamped view of every maintained matrix (inputs
 /// and views) as of a completed flush round.
 ///
-/// Snapshots are shared via `Arc` and never mutated after publication, so
-/// any number of readers can hold one at zero coordination cost while the
-/// engine keeps firing triggers against the live environment.
+/// A snapshot holds the environment's matrices by reference (`Arc`), not
+/// copies of them. Nothing writes a matrix a snapshot holds — the live
+/// environment copies a view before its next write to it — so any number of
+/// readers can hold one at zero coordination cost while the engine keeps
+/// firing triggers, and consecutive snapshots share every matrix the rounds
+/// between them did not touch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewSnapshot {
     epoch: u64,
-    views: BTreeMap<String, Matrix>,
+    views: BTreeMap<String, Arc<Matrix>>,
 }
 
 impl ViewSnapshot {
     fn capture(epoch: u64, env: &Env) -> ViewSnapshot {
         let views = env
-            .iter()
-            .map(|(name, m)| (name.to_string(), m.clone()))
+            .iter_shared()
+            .map(|(name, m)| (name.to_string(), Arc::clone(m)))
             .collect();
         ViewSnapshot { epoch, views }
     }
@@ -72,6 +83,7 @@ impl ViewSnapshot {
     pub fn get(&self, name: &str) -> Result<&Matrix> {
         self.views
             .get(name)
+            .map(|m| &**m)
             .ok_or_else(|| RuntimeError::Unbound(name.to_string()))
     }
 
@@ -110,8 +122,8 @@ impl ViewSnapshot {
 #[derive(Debug)]
 struct Shared {
     /// The latest published snapshot. The lock guards only the `Arc`
-    /// pointer: readers clone it, the publisher swaps it — the snapshot
-    /// itself is built outside the lock.
+    /// pointer: readers clone it, the publisher swaps it — the snapshot's
+    /// name → matrix map is built outside the lock.
     current: RwLock<Arc<ViewSnapshot>>,
     /// Epoch of the snapshot in `current`, mirrored for lock-free
     /// `epoch()` / `staleness()` queries.
@@ -160,19 +172,28 @@ impl SnapshotPublisher {
         self.every
     }
 
-    /// Builds a snapshot of `env` at the current round count and swaps it
-    /// in. The copy happens before the lock is taken; the write lock is
-    /// held only for the pointer swap.
+    /// Publishes `env` as of the current round count: shares every binding
+    /// into a new snapshot (`O(views)` pointer copies and one small map,
+    /// before the lock is taken) and swaps it in; the write lock is held
+    /// only for the pointer swap. No matrix is copied here — the next write
+    /// to a published view pays for its own copy inside [`Env`].
     pub fn publish(&self, env: &Env) {
         let epoch = self.shared.rounds.load(Ordering::Acquire);
         let snap = Arc::new(ViewSnapshot::capture(epoch, env));
-        let mut slot = self
-            .shared
-            .current
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        *slot = snap;
-        self.shared.published.store(epoch, Ordering::Release);
+        let superseded = {
+            let mut slot = self
+                .shared
+                .current
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            let superseded = std::mem::replace(&mut *slot, snap);
+            self.shared.published.store(epoch, Ordering::Release);
+            superseded
+        };
+        // Dropped outside the lock. Unless a reader still pins it, this is
+        // the last outside reference to the matrices the environment parked
+        // as copy-on-write spares, which makes them reusable.
+        drop(superseded);
     }
 
     /// Records one completed flush round and republishes when the cadence

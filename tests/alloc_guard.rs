@@ -8,6 +8,12 @@
 //! firing path (evaluator, kernels, folds, backend) fails it, whatever
 //! else changes.
 //!
+//! A second, served phase holds a firing *plus its publish* to the same
+//! bound: snapshots share the environment's matrices, and the copy-on-write
+//! a published view needs before its next fold lands in a buffer recycled
+//! from the epoch before last — so a view-sized allocation anywhere between
+//! fold and publish fails it too, whatever mood the allocator is in.
+//!
 //! The counter is the process-global allocator, so this is the ONE test of
 //! its binary (same isolation as the `flop_accounting.rs` files): no
 //! sibling test thread allocates while it counts.
@@ -15,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use linview::apps::powers::{compute_power, IncrPowers};
+use linview::apps::powers::{compute_power, powers_program, IncrPowers};
 use linview::apps::IterModel;
 use linview::matrix::{ApproxEq, Matrix};
 use linview::runtime::RankOneUpdate;
@@ -80,17 +86,43 @@ fn one_firing_allocates_less_than_one_view() {
     COUNTING.store(true, Ordering::SeqCst);
     incr.apply(&measured).unwrap();
     COUNTING.store(false, Ordering::SeqCst);
-    let bytes = BYTES.load(Ordering::SeqCst);
+    let bytes = BYTES.swap(0, Ordering::SeqCst);
 
     let view_bytes = 8 * n * n;
     assert!(
         bytes < view_bytes,
         "one A^{k} firing at n = {n} allocated {bytes} B; a single view is {view_bytes} B"
     );
-    // And it was a real firing.
+
+    // Served: every firing now ends in a publish, and every view the
+    // firing folds into is shared with the previous snapshot. The first
+    // served firing allocates each view's second buffer; from then on the
+    // two ping-pong, so the warm-ups leave every spare in place and free.
+    let handle = incr.enable_serving(1);
+    let served: Vec<RankOneUpdate> = (0..4)
+        .map(|i| RankOneUpdate::row_update(n, n, 11 + i, 0.01, 15 + i as u64))
+        .collect();
+    for upd in &served[..3] {
+        incr.apply(upd).unwrap();
+    }
+    COUNTING.store(true, Ordering::SeqCst);
+    incr.apply(&served[3]).unwrap();
+    COUNTING.store(false, Ordering::SeqCst);
+    let bytes = BYTES.load(Ordering::SeqCst);
+    assert!(
+        bytes < view_bytes,
+        "one served A^{k} firing at n = {n} allocated {bytes} B with its publish; a single view \
+         is {view_bytes} B"
+    );
+    assert_eq!(handle.epoch(), 4, "the counted firing published");
+    let (_, final_power) = powers_program(IterModel::Exponential, k);
+    assert_eq!(handle.snapshot().get(&final_power).unwrap(), incr.result());
+
+    // And they were real firings.
     let mut expected = a;
-    warm_up.apply_to(&mut expected).unwrap();
-    measured.apply_to(&mut expected).unwrap();
+    for upd in [&warm_up, &measured].into_iter().chain(&served) {
+        upd.apply_to(&mut expected).unwrap();
+    }
     let expected = compute_power(&expected, IterModel::Exponential, k).unwrap();
     assert!(incr.result().approx_eq(&expected, 1e-9));
 }

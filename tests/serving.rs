@@ -376,3 +376,117 @@ fn app_handles_publish_their_views() {
     pr.add_edge(0, 4).unwrap();
     assert_eq!(handle.epoch(), epoch1);
 }
+
+/// The live state after every firing of an `A`-only stream, deep-copied
+/// from an engine that has no serving layer at all: the sequential replay
+/// the shared snapshots below are held to.
+fn replay_without_serving(events: usize) -> BTreeMap<u64, BTreeMap<String, Matrix>> {
+    let (program, cat, inputs) = serve_program();
+    let view = IncrementalView::build(&program, &inputs, &cat).unwrap();
+    let mut engine = MaintenanceEngine::new(view, FlushPolicy::Count(BATCH));
+    let state = |engine: &MaintenanceEngine| -> BTreeMap<String, Matrix> {
+        ["A", "B", "C", "D"]
+            .iter()
+            .map(|n| (n.to_string(), engine.get(n).unwrap().clone()))
+            .collect()
+    };
+    let mut by_epoch = BTreeMap::new();
+    by_epoch.insert(0, state(&engine));
+    let mut stream = UpdateStream::new(N, N, 0.01, SEED);
+    for _ in 0..events {
+        engine.ingest("A", stream.next_rank_one()).unwrap();
+        by_epoch
+            .entry(engine.stats().firings)
+            .or_insert_with(|| state(&engine));
+    }
+    by_epoch
+}
+
+fn assert_snapshot_is_replay_state(
+    snap: &ViewSnapshot,
+    replay: &BTreeMap<u64, BTreeMap<String, Matrix>>,
+    what: &str,
+) {
+    let expected = &replay[&snap.epoch()];
+    assert_eq!(snap.names(), vec!["A", "B", "C", "D"]);
+    for (name, m) in expected {
+        assert_eq!(
+            snap.get(name).unwrap(),
+            m,
+            "{what}: {name} at epoch {} is not the replay state",
+            snap.epoch()
+        );
+    }
+}
+
+/// Snapshots share the environment's matrices instead of copying them, so
+/// the maintainer must never write one a reader still holds: a reader pins
+/// epoch `PIN_AT` while the engine fires on, and the pinned snapshot — like
+/// every epoch published after it — must still be the replay state. The
+/// sharing itself is visible too: `B`, which an `A`-only stream never
+/// touches, is one allocation in every snapshot.
+fn pinned_epoch_survives_later_rounds<B: ExecBackend>(view: IncrementalView<B>, what: &str) {
+    const ROUNDS: usize = 8;
+    const PIN_AT: u64 = 2;
+    let replay = replay_without_serving(ROUNDS * BATCH);
+
+    let mut engine = MaintenanceEngine::new(view, FlushPolicy::Count(BATCH));
+    let handle = engine.enable_serving(1);
+    let mut stream = UpdateStream::new(N, N, 0.01, SEED);
+    let mut pinned: Option<Arc<ViewSnapshot>> = None;
+    let mut rounds_after_pin = 0;
+    let mut previous = handle.snapshot();
+    assert_snapshot_is_replay_state(&previous, &replay, what);
+    for _ in 0..ROUNDS * BATCH {
+        engine.ingest("A", stream.next_rank_one()).unwrap();
+        let snap = handle.snapshot();
+        if snap.epoch() == previous.epoch() {
+            continue;
+        }
+        assert_snapshot_is_replay_state(&snap, &replay, what);
+        assert!(
+            std::ptr::eq(snap.get("B").unwrap(), previous.get("B").unwrap()),
+            "{what}: untouched input B was copied between epochs {} and {}",
+            previous.epoch(),
+            snap.epoch()
+        );
+        for touched in ["A", "C", "D"] {
+            assert!(
+                !std::ptr::eq(snap.get(touched).unwrap(), previous.get(touched).unwrap()),
+                "{what}: {touched} was written in place under epoch {}",
+                previous.epoch()
+            );
+        }
+        if snap.epoch() == PIN_AT {
+            pinned = Some(Arc::clone(&snap));
+        } else if pinned.is_some() {
+            rounds_after_pin += 1;
+        }
+        // Releasing the epoch before last hands its buffers back to the
+        // maintainer as copy-on-write spares; only the pinned one is kept.
+        previous = snap;
+    }
+    assert!(
+        rounds_after_pin >= 4,
+        "{what}: only {rounds_after_pin} rounds"
+    );
+    let pinned = pinned.expect("the pinned epoch was published");
+    assert_eq!(pinned.epoch(), PIN_AT);
+    assert_snapshot_is_replay_state(&pinned, &replay, what);
+    assert_eq!(engine.get("D").unwrap(), &replay[&handle.epoch()]["D"]);
+}
+
+#[test]
+fn a_pinned_epoch_survives_later_rounds_and_untouched_inputs_stay_shared() {
+    let (program, cat, inputs) = serve_program();
+    let local = IncrementalView::build(&program, &inputs, &cat).unwrap();
+    pinned_epoch_survives_later_rounds(local, "local");
+    let threaded = IncrementalView::build_on(
+        ThreadedBackend::with_cluster(Cluster::with_grid(2, 2)),
+        &program,
+        &inputs,
+        &cat,
+    )
+    .unwrap();
+    pinned_epoch_survives_later_rounds(threaded, "threaded");
+}
