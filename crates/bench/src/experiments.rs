@@ -825,6 +825,114 @@ pub fn gemm(cfg: &Config) -> Table {
     t
 }
 
+/// The sorted wall times of `samples` invocations of `f`, after one
+/// untimed warm-up call.
+fn sorted_times(samples: usize, mut f: impl FnMut()) -> Vec<Duration> {
+    f();
+    let mut times: Vec<Duration> = (0..samples.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        })
+        .collect();
+    times.sort();
+    times
+}
+
+/// Firing kernels — the three streaming passes a trigger firing is made
+/// of (`P·U`, `Pᵀ·V`, `X += U·Vᵀ`) at the benchmark's n = 512, per
+/// rendering (portable forced vs the host's best exact one) and at one and
+/// two GEMM threads: median time, GFLOP/s, and the effective bandwidth of
+/// the n×n view traffic (one read for the products, a read and a write for
+/// the fold) — the per-k roofline. The last row is what a fork-join costs
+/// with nothing to do, i.e. what the two-thread columns have to amortize.
+pub fn firing_kernels(cfg: &Config) -> Table {
+    let n = 512;
+    let samples = cfg.updates * cfg.updates;
+    let mut t = Table::new(
+        format!("Firing kernels at n = {n} - p50 of {samples} runs, by rendering and GEMM threads"),
+        &[
+            "kernel",
+            "k",
+            "rendering",
+            "1 thread",
+            "GFLOP/s",
+            "GB/s",
+            "2 threads",
+            "GFLOP/s",
+            "GB/s",
+        ],
+    );
+    let p = Matrix::random_uniform(n, n, 97);
+    let mut x = Matrix::random_uniform(n, n, 98);
+    let view_bytes = (8 * n * n) as f64;
+    for (kernel, passes) in [("P*U", 1.0), ("P'*V", 1.0), ("X += U*V'", 2.0)] {
+        for k in [1usize, 4, 16] {
+            let u = Matrix::random_uniform(n, k, 99);
+            let v = Matrix::random_uniform(n, k, 100);
+            let mut block = Matrix::zeros(n, k);
+            let ops = (2 * n * n * k) as u64;
+            for portable in [true, false] {
+                linview_matrix::force_portable_microkernel(portable);
+                let mut cells = vec![
+                    kernel.to_string(),
+                    k.to_string(),
+                    if portable { "portable" } else { "host" }.to_string(),
+                ];
+                for threads in [1, 2] {
+                    linview_matrix::set_gemm_threads(Some(threads));
+                    let times = sorted_times(samples, || match kernel {
+                        "P*U" => p.matmul_into(&u, &mut block, 0).expect("shapes conform"),
+                        "P'*V" => p.matmul_tn_into(&v, &mut block, 0).expect("shapes conform"),
+                        _ => {
+                            linview_matrix::fold_low_rank(&mut x, &u, &v, false)
+                                .expect("shapes conform");
+                        }
+                    });
+                    let p50 = times[times.len() / 2];
+                    cells.push(fmt_duration(p50));
+                    cells.push(format!("{:.2}", flops::gflops(ops, p50)));
+                    cells.push(format!(
+                        "{:.1}",
+                        passes * view_bytes / p50.as_secs_f64() / 1e9
+                    ));
+                }
+                t.row(cells);
+            }
+        }
+    }
+    linview_matrix::force_portable_microkernel(false);
+    linview_matrix::set_gemm_threads(None);
+    let times = sorted_times(200 * cfg.updates, || {
+        linview_matrix::gemm::fork_join_probe(2, 4)
+    });
+    let dash = || "-".to_string();
+    t.row(vec![
+        "empty fork-join".into(),
+        dash(),
+        "2 workers, 4 chunks".into(),
+        dash(),
+        dash(),
+        dash(),
+        format!(
+            "{} / {}",
+            fmt_duration(times[times.len() / 2]),
+            fmt_duration(times[times.len() * 9 / 10])
+        ),
+        "p50 / p90".into(),
+        dash(),
+    ]);
+    t.note(
+        "host = the widest exact rendering this CPU runs (AVX2 where detected), bit-identical to \
+         portable; GB/s counts the 8n^2-byte view once for the products and twice (read + write) \
+         for the fold; before PR 20 (SSE2 only, both fork-join hand-offs on condvars) the \
+         2-thread column read P*U 80/142/351 us, P'*V 83/196/386, fold 102/278/552 (k = 1/4/16) \
+         and the empty fork-join 39 us p50",
+    );
+    t
+}
+
 /// Sparsity — sparse-aware delta execution and rank-compressed broadcasts
 /// vs forced-dense execution, across density × n × backend. Each row
 /// drives the same seeded batches through two views of the same backend —
@@ -1388,7 +1496,7 @@ pub const REGISTRY: &[(&str, Driver)] = &[
     ("table4", |cfg| vec![table4(cfg)]),
     ("engine", |cfg| vec![engine_batching(cfg)]),
     ("scheduler", |cfg| vec![scheduler(cfg)]),
-    ("gemm", |cfg| vec![gemm(cfg)]),
+    ("gemm", |cfg| vec![gemm(cfg), firing_kernels(cfg)]),
     ("sparsity", |cfg| vec![sparsity(cfg)]),
     ("serving", |cfg| vec![serving(cfg)]),
     ("ablations", ablations),

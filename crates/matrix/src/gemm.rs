@@ -9,9 +9,10 @@
 //!    `MC`-tall row panels (packed `A` panel stays L2-resident);
 //! 2. the `pack` module rewrites both operands into zero-padded
 //!    micro-panels so the inner loop is branch-free and unit-stride;
-//! 3. an `MR×NR` register-tile microkernel does the arithmetic — on AVX2
-//!    hosts a hand-written intrinsics rendering holds the 6×8 f64 tile in
-//!    twelve ymm accumulators, bit-identical to the portable body that
+//! 3. an `MR×NR` register-tile microkernel does the arithmetic — one
+//!    generic body whose 6×8 f64 tile LLVM keeps in twelve ymm
+//!    accumulators when it is instantiated under AVX2 (the in-crate
+//!    `Isa` trait), bit-identical to the baseline instantiation that
 //!    remains the fallback and the reference;
 //! 4. skinny `n×k · k×n` products (`k ≤ 16` — the shape every low-rank
 //!    delta fold emits) skip the packed nest entirely and run the
@@ -36,9 +37,16 @@
 //! [`env_kernel_error`] and otherwise ignored); thread count follows
 //! [`set_gemm_threads`] / `LINVIEW_THREADS`.
 //!
+//! Every kernel of the family — the microkernel sweep here, the rank-k
+//! tiles in `rankk`, the skinny tiles in `skinny` — is written once as a
+//! `Kernel` body and compiled per instruction set; `dispatch` is the
+//! one place that picks the rendering (once per row chunk or packed
+//! block, never per tile) and the crate's only call into
+//! `#[target_feature]` code.
+//!
 //! The opt-in [`GemmKernel::PackedFma`] mode (`LINVIEW_GEMM=packed-fma` /
-//! `--gemm packed-fma`) swaps the microkernels for fused multiply-add
-//! renderings: one rounding instead of two per multiply-add, so it is
+//! `--gemm packed-fma`) instantiates the same bodies with fused
+//! multiply-adds: one rounding instead of two per multiply-add, so it is
 //! faster and at least as accurate, but **not bit-comparable** to the
 //! exact kernels — the differential suite holds it to ≤ 1e-10 relative
 //! error against a Kahan-compensated oracle instead. Hosts without FMA
@@ -62,8 +70,15 @@ const KC: usize = 256;
 /// Columns of `B` packed per outer slab.
 const NC: usize = 2048;
 
-/// Products with at least this many multiply-adds fan out across the
-/// worker pool; below it, thread handoff costs more than it saves.
+/// GEMM-shaped products (the packed nest, the blocked kernel) with at
+/// least this many multiply-adds fan out across the worker pool. The pool
+/// is persistent and a fork-join costs 2–4 µs, but the parallel nest pays
+/// two of them per `KC×NC` slab (cooperative `B` packing, then the row
+/// chunks) and shrinks its chunks to `m/(4·threads)` rows, which halves
+/// what each packed `A` panel amortizes; below ≈ 96³ (≈ 75 µs of work on
+/// one core of the bench host) the serial nest is as fast. The streaming
+/// kernels, which pack nothing, gate much lower — see
+/// `pool::run_row_chunks`.
 pub(crate) const PARALLEL_THRESHOLD: usize = 96 * 96 * 96;
 
 /// Below this many multiply-adds the packing passes cost more than they
@@ -302,19 +317,29 @@ pub fn set_gemm_threads(threads: Option<usize>) {
 
 static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 
-/// Ablation/testing knob: forces the portable (non-intrinsics) microkernel
-/// renderings even on hosts with AVX2/FMA.
+/// Ablation/testing knob: forces the portable rendering of **every**
+/// kernel — the packed microkernel, the rank-k tiles and the skinny
+/// products — even on hosts with AVX2/FMA.
 ///
 /// The exact renderings are bit-identical either way — this knob is how
-/// that claim is tested. Forcing portable under [`GemmKernel::PackedFma`]
-/// also disables fusion (the portable body never fuses), which is the same
-/// fallback hosts without FMA take.
+/// that claim is tested (and how CI keeps the baseline path executed on
+/// AVX2 runners). Forcing portable under [`GemmKernel::PackedFma`] also
+/// disables fusion (the portable rendering never fuses), which is the
+/// same fallback hosts without FMA take.
 pub fn force_portable_microkernel(on: bool) {
     FORCE_PORTABLE.store(on, Ordering::Relaxed);
 }
 
-pub(crate) fn portable_forced() -> bool {
+fn portable_forced() -> bool {
     FORCE_PORTABLE.load(Ordering::Relaxed)
+}
+
+/// Runs an empty `chunks`-chunk batch across `threads` pool threads and
+/// returns when it has joined: the fixed cost every parallel kernel pays
+/// on top of its arithmetic. Measurement probe for the bench harness,
+/// which prints it beside the kernels that have to amortize it.
+pub fn fork_join_probe(threads: usize, chunks: usize) {
+    pool::run_stealing(threads, chunks, &|_, _| {});
 }
 
 static DISABLE_RANK_K: AtomicBool = AtomicBool::new(false);
@@ -356,37 +381,23 @@ impl Fuse {
     }
 }
 
-/// True when the host can run the AVX2 microkernel renderings.
-pub(crate) fn avx2_available() -> bool {
+/// True when the host can run the AVX2 renderings (std caches the
+/// detection; this is one atomic load).
+fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
-    {
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
+    return std::arch::is_x86_feature_detected!("avx2");
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    false
 }
 
-/// True when the host can run the fused (AVX2 + FMA) renderings.
-pub(crate) fn fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static FMA: OnceLock<bool> = OnceLock::new();
-        *FMA.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+/// True when the host can run the fused renderings on top of AVX2.
+#[cfg(target_arch = "x86_64")]
+fn fma_available() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
 }
 
 /// Serializes unit tests that mutate process-wide kernel state (the
-/// kernel/thread overrides and the microkernel/rank-k knobs), so they
+/// kernel/thread overrides and the rendering/rank-k knobs), so they
 /// cannot race each other under the default parallel test runner. Exact
 /// FLOP-counter assertions need a process of their own instead: they live
 /// in `tests/flop_accounting.rs`.
@@ -396,127 +407,183 @@ pub(crate) fn test_config_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Runs `check(label)` under every exact configuration the kernels promise
+/// identical bits for — renderings {portable forced, host's best} ×
+/// thread budgets {1, 2, 3} — holding [`test_config_lock`] throughout.
+#[cfg(test)]
+pub(crate) fn for_each_rendering_and_thread_count(mut check: impl FnMut(&str)) {
+    let _guard = test_config_lock();
+    for portable in [true, false] {
+        force_portable_microkernel(portable);
+        for threads in 1..=3 {
+            set_gemm_threads(Some(threads));
+            check(&format!("portable forced: {portable}, threads: {threads}"));
+        }
+    }
+    force_portable_microkernel(false);
+    set_gemm_threads(None);
+}
+
+/// An instruction set a kernel body is compiled for. Every kernel is
+/// *one* generic body ([`Kernel::run`]); a rendering is that body
+/// instantiated for an `Isa` inside a function that enables the matching
+/// `#[target_feature]`s, so renderings differ in vector width and (for
+/// [`Avx2Fma`] only) in fusing, never in the order of operations.
+pub(crate) trait Isa {
+    /// Fuse each multiply-add into one rounding ([`GemmKernel::PackedFma`]
+    /// only — it breaks bit-identity with the exact renderings).
+    const FUSE: bool;
+    /// f64 lanes per vector register: what tile shapes are sized by. Tile
+    /// shapes regroup *independent* accumulator chains, so they never
+    /// change bits.
+    const LANES: usize;
+}
+
+/// Baseline codegen (SSE2 on x86-64, NEON on aarch64): the fallback and
+/// the reference the others are differenced against.
+pub(crate) struct Portable;
+/// 256-bit lanes, plain mul-then-add: bit-identical to [`Portable`].
+pub(crate) struct Avx2;
+/// 256-bit lanes with `vfmadd`.
+pub(crate) struct Avx2Fma;
+
+impl Isa for Portable {
+    const FUSE: bool = false;
+    const LANES: usize = 2;
+}
+impl Isa for Avx2 {
+    const FUSE: bool = false;
+    const LANES: usize = 4;
+}
+impl Isa for Avx2Fma {
+    const FUSE: bool = true;
+    const LANES: usize = 4;
+}
+
+/// A compute kernel with one body for every [`Isa`].
+pub(crate) trait Kernel {
+    /// The body: straight-line arithmetic over borrowed slices, combining
+    /// products only through [`madd`]. It — and every hot function it
+    /// calls — must be `#[inline(always)]`: [`dispatch`] instantiates it
+    /// inside a feature-enabled function, and only inlined code is
+    /// compiled with that function's features. It must not hand work to
+    /// another thread (a closure run elsewhere is compiled portable), so
+    /// parallel kernels dispatch inside each chunk.
+    fn run<I: Isa>(self);
+}
+
+/// `acc + a·b`: two roundings (`*` then `+`) when exact, one
+/// (`f64::mul_add`) under a fusing [`Isa`]. Rust never contracts the exact
+/// form, so it is the same chain link under every target feature.
+#[inline(always)]
+pub(crate) fn madd<I: Isa>(acc: f64, a: f64, b: f64) -> f64 {
+    if I::FUSE {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// The single entry to feature-enabled code: runs `kernel` under the
+/// fastest rendering compatible with `fuse` that the host supports and
+/// [`force_portable_microkernel`] allows (`Fused` falls back to the exact
+/// renderings on hosts without FMA). Callers hoist this above their tile
+/// loops — one branch per row chunk or packed block, none per tile.
+pub(crate) fn dispatch<K: Kernel>(kernel: K, fuse: Fuse) {
+    if portable_forced() || !avx2_available() {
+        return kernel.run::<Portable>();
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = fuse;
+    #[cfg(target_arch = "x86_64")]
+    if fuse == Fuse::Fused && fma_available() {
+        // SAFETY: `avx2_available` and `fma_available` held, i.e.
+        // `is_x86_feature_detected!` found AVX2 (which implies AVX) and
+        // FMA on this host — the features `run_fma` enables.
+        unsafe { run_fma(kernel) }
+    } else {
+        // SAFETY: `avx2_available` held, i.e. `is_x86_feature_detected!`
+        // found AVX2 (which implies AVX) on this host — the features
+        // `run_avx2` enables.
+        unsafe { run_avx2(kernel) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,avx2")]
+fn run_avx2<K: Kernel>(kernel: K) {
+    kernel.run::<Avx2>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,avx2,fma")]
+fn run_fma<K: Kernel>(kernel: K) {
+    kernel.run::<Avx2Fma>()
+}
+
 /// The `MR×NR` register-tile loop: a full-depth dot-product block over
 /// one packed `A` micro-panel (`kc·MR` values) and one packed `B`
 /// micro-panel (`kc·NR` values). Fixed trip counts let LLVM fully unroll
-/// the tile and keep `acc` in vector registers; the arithmetic is plain
-/// mul-then-add (never fused), so every instruction-set rendering of this
-/// body computes bit-identical results. This portable body is the
-/// reference the intrinsics renderings are differenced against.
+/// the tile and keep `acc` in vector registers — twelve ymm accumulators
+/// under AVX2, one broadcast and two mul/add pairs per `A` lane per `k`
+/// step. Each element is one ascending-`k` [`madd`] chain in every
+/// rendering.
 #[inline(always)]
-fn microkernel_portable(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
+fn microkernel<I: Isa>(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
     let mut acc = [[0.0f64; NR]; MR];
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         for (arow, &ai) in acc.iter_mut().zip(a) {
             for (o, &bv) in arow.iter_mut().zip(b) {
-                *o += ai * bv;
+                *o = madd::<I>(*o, ai, bv);
             }
         }
     }
     acc
 }
 
-/// Loads `s[0..4]` into one ymm register (unaligned load).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-fn load4(s: &[f64]) -> std::arch::x86_64::__m256d {
-    debug_assert!(s.len() >= 4);
-    let p = s.as_ptr();
-    // SAFETY: `s` is a borrowed slice of at least 4 f64s (asserted above;
-    // every caller passes an exact 4-wide subslice), so `p` points at 16
-    // readable, initialized bytes ×2. `loadu` has no alignment demand.
-    unsafe { std::arch::x86_64::_mm256_loadu_pd(p) }
+/// The microkernel sweep of one packed block: every `MR×NR` tile of the
+/// `mc × nc` block `abuf · bbuf`, added into `out_rows` (full-width rows
+/// of length `n`) at columns `jc..jc+nc`.
+struct PackedTiles<'a> {
+    abuf: &'a [f64],
+    bbuf: &'a [f64],
+    out_rows: &'a mut [f64],
+    mc: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+    n: usize,
 }
 
-/// Stores one ymm register into `d[0..4]` (unaligned store).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-fn store4(d: &mut [f64], v: std::arch::x86_64::__m256d) {
-    debug_assert!(d.len() >= 4);
-    let p = d.as_mut_ptr();
-    // SAFETY: `d` is a uniquely borrowed slice of at least 4 f64s
-    // (asserted above; every caller passes an exact 4-wide subslice), so
-    // `p` points at 32 writable bytes. `storeu` has no alignment demand.
-    unsafe { std::arch::x86_64::_mm256_storeu_pd(p, v) }
-}
-
-/// Spills the twelve-ymm accumulator tile back to a scalar `MR×NR` array.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-fn spill(acc: &[[std::arch::x86_64::__m256d; 2]; MR]) -> [[f64; NR]; MR] {
-    let mut out = [[0.0f64; NR]; MR];
-    for (orow, arow) in out.iter_mut().zip(acc) {
-        store4(&mut orow[..4], arow[0]);
-        store4(&mut orow[4..], arow[1]);
-    }
-    out
-}
-
-/// [`microkernel_portable`] hand-rendered in AVX2 intrinsics: the 6×8 f64
-/// tile lives in twelve ymm accumulators (two per `A` lane), with one
-/// broadcast and two mul/add pairs per lane per `k` step. The arithmetic
-/// is the same plain mul-then-add chain in the same order as the portable
-/// body — FMA is *not* used — so this rendering is bit-identical to it
-/// (asserted by the differential suite via [`force_portable_microkernel`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx,avx2")]
-fn microkernel_avx2(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
-    use std::arch::x86_64::{_mm256_add_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd};
-    let mut acc = [[_mm256_setzero_pd(); 2]; MR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        let b0 = load4(&b[..4]);
-        let b1 = load4(&b[4..]);
-        for (arow, &ai) in acc.iter_mut().zip(a) {
-            let av = _mm256_set1_pd(ai);
-            arow[0] = _mm256_add_pd(arow[0], _mm256_mul_pd(av, b0));
-            arow[1] = _mm256_add_pd(arow[1], _mm256_mul_pd(av, b1));
+impl Kernel for PackedTiles<'_> {
+    #[inline(always)]
+    fn run<I: Isa>(self) {
+        let Self {
+            abuf,
+            bbuf,
+            out_rows,
+            mc,
+            kc,
+            jc,
+            nc,
+            n,
+        } = self;
+        for jr in (0..nc).step_by(NR) {
+            let nr = NR.min(nc - jr);
+            let bp = &bbuf[(jr / NR) * kc * NR..][..kc * NR];
+            for ir in (0..mc).step_by(MR) {
+                let mr = MR.min(mc - ir);
+                let ap = &abuf[(ir / MR) * kc * MR..][..kc * MR];
+                let acc = microkernel::<I>(ap, bp);
+                for (i, arow) in acc.iter().enumerate().take(mr) {
+                    let row = &mut out_rows[(ir + i) * n + jc + jr..][..nr];
+                    for (o, &v) in row.iter_mut().zip(arow) {
+                        *o += v;
+                    }
+                }
+            }
         }
     }
-    spill(&acc)
-}
-
-/// [`microkernel_avx2`] with the mul/add pairs fused into `vfmadd`: one
-/// rounding per multiply-add and half the arithmetic µops. Only reachable
-/// through [`GemmKernel::PackedFma`] — fusing changes low-order bits, so
-/// this rendering is differential-tested against the Kahan oracle rather
-/// than asserted bit-identical.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx,avx2,fma")]
-fn microkernel_fma(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
-    use std::arch::x86_64::{_mm256_fmadd_pd, _mm256_set1_pd, _mm256_setzero_pd};
-    let mut acc = [[_mm256_setzero_pd(); 2]; MR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        let b0 = load4(&b[..4]);
-        let b1 = load4(&b[4..]);
-        for (arow, &ai) in acc.iter_mut().zip(a) {
-            let av = _mm256_set1_pd(ai);
-            arow[0] = _mm256_fmadd_pd(av, b0, arow[0]);
-            arow[1] = _mm256_fmadd_pd(av, b1, arow[1]);
-        }
-    }
-    spill(&acc)
-}
-
-/// Picks the fastest microkernel rendering compatible with `fuse` that the
-/// host supports (decided once per process). `Exact` renderings are
-/// mutually bit-identical; `Fused` takes the FMA rendering when the host
-/// has it and falls back to the exact rendering otherwise.
-#[inline]
-fn microkernel(ap: &[f64], bp: &[f64], fuse: Fuse) -> [[f64; NR]; MR] {
-    #[cfg(target_arch = "x86_64")]
-    if !portable_forced() {
-        if fuse == Fuse::Fused && fma_available() {
-            // SAFETY: `fma_available` verified AVX2+FMA on this host.
-            return unsafe { microkernel_fma(ap, bp) };
-        }
-        if avx2_available() {
-            // SAFETY: `avx2_available` verified AVX2 on this host.
-            return unsafe { microkernel_avx2(ap, bp) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = fuse;
-    microkernel_portable(ap, bp)
 }
 
 /// The left operand of the packed nest: `a` itself, or `aᵀ` read in place
@@ -564,21 +631,17 @@ fn packed_block(
     } else {
         pack_a(a.a, r0, mc, pc, kc, MR, abuf);
     }
-    for jr in (0..nc).step_by(NR) {
-        let nr = NR.min(nc - jr);
-        let bp = &bbuf[(jr / NR) * kc * NR..][..kc * NR];
-        for ir in (0..mc).step_by(MR) {
-            let mr = MR.min(mc - ir);
-            let ap = &abuf[(ir / MR) * kc * MR..][..kc * MR];
-            let acc = microkernel(ap, bp, fuse);
-            for (i, arow) in acc.iter().enumerate().take(mr) {
-                let row = &mut out_rows[(ir + i) * n + jc + jr..][..nr];
-                for (o, &v) in row.iter_mut().zip(arow) {
-                    *o += v;
-                }
-            }
-        }
-    }
+    let tiles = PackedTiles {
+        abuf,
+        bbuf,
+        out_rows,
+        mc,
+        kc,
+        jc,
+        nc,
+        n,
+    };
+    dispatch(tiles, fuse);
 }
 
 /// The serial packed loop nest over one row band: computes
@@ -938,11 +1001,11 @@ mod tests {
     }
 
     #[test]
-    fn intrinsics_and_portable_renderings_agree_bitwise() {
+    fn simd_and_portable_renderings_agree_bitwise() {
         let _guard = test_config_lock();
         // Shapes straddling the register tiles and the KC blocking, plus a
         // parallel-threshold-crossing square; k > 16 keeps the nest (the
-        // rank-k path has its own portable-vs-intrinsics test in-module).
+        // rank-k and skinny kernels difference their renderings in-module).
         for (m, k, n, seed) in [
             (MR + 1, 37, NR + 3, 1),
             (64, 300, 40, 2),

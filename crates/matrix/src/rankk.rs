@@ -28,20 +28,31 @@
 //!   zero-skip, because genuinely sparse factors never reach this kernel
 //!   — the density gate in `sparsity::fold_low_rank` routes them to the
 //!   row-replay fold first;
-//! * **work stealing** — above the parallel threshold, row chunks are
-//!   scheduled on the pool's stealing queue; chunks own disjoint output
-//!   rows, so every schedule is bit-identical.
+//! * **work stealing** — above the streaming gate
+//!   (`pool::run_row_chunks`), row chunks are scheduled on the pool's
+//!   stealing queue; chunks own disjoint output rows, so every schedule
+//!   is bit-identical.
 //!
-//! **Bit-identity.** The exact variant accumulates each output element
-//! over `p = 0..k` in ascending order with plain mul-then-add into a
-//! zero-initialized register, then stores it (matmul) or adds it onto the
-//! target once (fold) — the same per-element chain as the naive, blocked
-//! and packed kernels followed by an elementwise add, so the fast path is
-//! `==`-identical to the nest (and to GEMM-then-add) it replaces
-//! (asserted by the differential suite via [`force_general_nest`]). The
-//! fused variant (`PackedFma`) replaces mul-then-add with `f64::mul_add`,
-//! matching the FMA microkernel's contract: not bit-comparable, ≤ 1e-10
-//! of the Kahan oracle.
+//! **One body, three renderings.** The tile loop is a single
+//! [`Kernel`] body: baseline, AVX2 and AVX2+FMA are instantiations of it
+//! (see [`crate::gemm::Isa`]), and [`madd`] is the only place a product
+//! meets its accumulator. Under the baseline rendering the multiply-add
+//! ports bind from `k ≈ 4` up; AVX2 doubles the lanes (fold at n = 512,
+//! `k = 8`, one thread: ≈ 390 → 215 µs) until, at `k ≤ 2`, the fold is
+//! back on the memory floor of reading and writing the view once.
+//!
+//! **Bit-identity.** Each output element is accumulated over `p = 0..k`
+//! in ascending order into a zero-initialized register, then stored
+//! (matmul) or added onto the target once (fold). With an exact `Isa`
+//! every link of that chain is plain mul-then-add — the same per-element
+//! chain as the naive, blocked and packed kernels followed by an
+//! elementwise add, so the fast path is `==`-identical to the nest (and
+//! to GEMM-then-add) it replaces, under either exact rendering and any
+//! thread count (asserted by the differential suite via
+//! [`force_general_nest`] and `force_portable_microkernel`). The fusing
+//! `Isa` (`PackedFma`) replaces each link with `f64::mul_add`, matching
+//! the FMA microkernel's contract: not bit-comparable, ≤ 1e-10 of the
+//! Kahan oracle.
 //!
 //! Shape eligibility lives in [`eligible`]; dispatch happens inside the
 //! packed kernel family (`gemm::packed_matmul`) and the dense fold
@@ -50,9 +61,7 @@
 //!
 //! [`force_general_nest`]: crate::gemm::force_general_nest
 
-use std::sync::Mutex;
-
-use crate::gemm::{self, Fuse};
+use crate::gemm::{dispatch, madd, Fuse, Isa, Kernel};
 use crate::{pool, Matrix};
 
 /// Largest inner dimension the fast path claims. Matches the engine's
@@ -64,14 +73,13 @@ pub const RANK_K_MAX_K: usize = 16;
 /// two f64 ymm registers.
 const JB: usize = 8;
 
-/// Output rows per register tile: `IR · JB/4 = 12` ymm accumulators (the
-/// same register budget as the packed microkernel), enough independent
-/// add chains to hide FP latency, and each `B` block load is amortized
-/// over `IR` rows.
-const IR: usize = 6;
-
-/// Output rows per work-stealing chunk in the parallel path.
-const ROWS_PER_CHUNK: usize = 128;
+/// Output rows per register tile: `IR · JB/4 = 8` ymm accumulators —
+/// eight independent add chains cover the FP latency on two ports — plus
+/// `IR` broadcasts and the `B` block, inside sixteen registers however the
+/// scheduler orders them (at `IR = 6` LLVM kept all six broadcasts live
+/// and spilled four accumulators on every `k` step). Each `B` block load
+/// is amortized over `IR` rows.
+const IR: usize = 4;
 
 /// Shape heuristic: true when `m×k · k×n` should take the rank-k fast
 /// path — a genuinely skinny inner dimension (`1 ≤ k ≤ 16`) that is also
@@ -83,14 +91,14 @@ pub(crate) fn eligible(m: usize, k: usize, n: usize) -> bool {
 
 /// The rank-k product `a · b` for `a: m×k`, `b: k×n` (shapes already
 /// validated, FLOPs already counted by the caller). Serial below the
-/// parallel threshold, work-stealing row chunks above it; bit-identical
+/// streaming gate, work-stealing row chunks above it; bit-identical
 /// across thread counts, and with `Fuse::Exact` bit-identical to the
 /// general packed nest.
 pub(crate) fn rank_k_matmul(a: &Matrix, b: &Matrix, fuse: Fuse) -> Matrix {
     let (m, _) = a.shape();
     let n = b.cols();
     let mut out = Matrix::zeros(m, n);
-    drive::<false>(a, b, out.as_mut_slice(), n, fuse);
+    drive::<false>(a, b, out.as_mut_slice(), fuse);
     out
 }
 
@@ -100,46 +108,80 @@ pub(crate) fn rank_k_matmul(a: &Matrix, b: &Matrix, fuse: Fuse) -> Matrix {
 /// per-element chain as GEMM-then-add, so the fold is `==`-identical to
 /// `out.add_assign_from(&a.matmul(b))` under `Fuse::Exact`.
 pub(crate) fn rank_k_fold(out: &mut Matrix, a: &Matrix, b: &Matrix, fuse: Fuse) {
-    let n = b.cols();
-    drive::<true>(a, b, out.as_mut_slice(), n, fuse);
+    drive::<true>(a, b, out.as_mut_slice(), fuse);
 }
 
-/// Shared scheduling for both entry points: serial below the parallel
-/// threshold, disjoint row chunks behind uncontended mutexes on the
-/// stealing queue above it — each chunk is locked exactly once, by
-/// whichever worker runs (or steals) it.
-fn drive<const ACC: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], n: usize, fuse: Fuse) {
+/// Shared scheduling for both entry points: row chunks (parallel when
+/// [`pool::run_row_chunks`] says so), each under the rendering `fuse` and
+/// the host allow.
+fn drive<const ACC: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], fuse: Fuse) {
     let (m, k) = a.shape();
+    let n = b.cols();
     if n == 0 || m == 0 {
         return;
     }
-    let chunks = m.div_ceil(ROWS_PER_CHUNK).max(1);
-    let threads = gemm::gemm_threads().min(chunks);
-    if threads <= 1 || m * k * n < gemm::PARALLEL_THRESHOLD {
-        rank_k_rows::<ACC>(a, b, out, 0, fuse);
-        return;
-    }
-    let cells: Vec<Mutex<&mut [f64]>> =
-        out.chunks_mut(ROWS_PER_CHUNK * n).map(Mutex::new).collect();
-    pool::run_stealing(threads, cells.len(), &|_, c| {
-        let mut rows = cells[c].lock().expect("rank-k chunk poisoned");
-        rank_k_rows::<ACC>(a, b, &mut rows[..], c * ROWS_PER_CHUNK, fuse);
+    pool::run_row_chunks(out, n, m * k * n, false, &|r0, out| {
+        dispatch(Rows::<ACC> { a, b, out, r0 }, fuse);
     });
 }
 
-/// Computes `out (=|+=) a[r0..r0+h] · b` where `out` holds `h` full-width
-/// rows (`h` inferred from the slice), picking the fused rendering only
-/// when the mode asks for it and the host can run it.
-fn rank_k_rows<const ACC: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], r0: usize, fuse: Fuse) {
-    #[cfg(target_arch = "x86_64")]
-    if fuse == Fuse::Fused && gemm::fma_available() && !gemm::portable_forced() {
-        // SAFETY: `fma_available` verified AVX2+FMA on this host.
-        unsafe { rank_k_rows_fused::<ACC>(a, b, out, r0) };
-        return;
+/// `out (=|+=) a[r0..r0+h] · b`, where `out` holds `h` full-width rows
+/// (`h` inferred from the slice).
+struct Rows<'a, const ACC: bool> {
+    a: &'a Matrix,
+    b: &'a Matrix,
+    out: &'a mut [f64],
+    r0: usize,
+}
+
+impl<const ACC: bool> Kernel for Rows<'_, ACC> {
+    /// `IR`-row register tiles over the full `JB`-wide blocks, then a
+    /// scalar sweep over the ragged right edge and the tail rows; see the
+    /// module docs for the bit-identity argument.
+    #[inline(always)]
+    fn run<I: Isa>(self) {
+        let Self { a, b, out, r0 } = self;
+        let (k, n) = b.shape();
+        let bs = b.as_slice();
+        let mut blocks = out.chunks_exact_mut(IR * n);
+        let mut i0 = 0;
+        for block in blocks.by_ref() {
+            let arows: [&[f64]; IR] = std::array::from_fn(|t| &a.row(r0 + i0 + t)[..k]);
+            let mut j0 = 0;
+            while j0 + JB <= n {
+                let mut acc = [[0.0f64; JB]; IR];
+                for p in 0..k {
+                    let brow: &[f64; JB] =
+                        bs[p * n + j0..][..JB].try_into().expect("a JB-wide slice");
+                    let avs: [f64; IR] = std::array::from_fn(|t| arows[t][p]);
+                    for (accrow, av) in acc.iter_mut().zip(avs) {
+                        for (o, &bv) in accrow.iter_mut().zip(brow) {
+                            *o = madd::<I>(*o, av, bv);
+                        }
+                    }
+                }
+                for (t, accrow) in acc.iter().enumerate() {
+                    finish::<ACC>(&mut block[t * n + j0..t * n + j0 + JB], accrow);
+                }
+                j0 += JB;
+            }
+            if j0 < n {
+                for (t, arow) in arows.iter().enumerate() {
+                    edge_cols::<ACC, I>(arow, bs, n, j0, &mut block[t * n + j0..(t + 1) * n]);
+                }
+            }
+            i0 += IR;
+        }
+        for (t, orow) in blocks.into_remainder().chunks_exact_mut(n).enumerate() {
+            let arow = a.row(r0 + i0 + t);
+            let mut j0 = 0;
+            while j0 < n {
+                let w = JB.min(n - j0);
+                edge_cols::<ACC, I>(arow, bs, n, j0, &mut orow[j0..j0 + w]);
+                j0 += w;
+            }
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = fuse;
-    rank_k_rows_exact::<ACC>(a, b, out, r0);
 }
 
 /// Finishes one `JB`-or-narrower accumulator block into the output row
@@ -155,62 +197,10 @@ fn finish<const ACC: bool>(orow: &mut [f64], acc: &[f64]) {
     }
 }
 
-/// The exact (mul-then-add) rank-k loop; see the module docs for the
-/// bit-identity argument. `IR`-row register tiles over the full `JB`-wide
-/// blocks, then a scalar sweep over the ragged right edge and the tail
-/// rows.
-fn rank_k_rows_exact<const ACC: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], r0: usize) {
-    let n = b.cols();
-    if n == 0 {
-        return;
-    }
-    let bs = b.as_slice();
-    let mut blocks = out.chunks_exact_mut(IR * n);
-    let mut i0 = 0;
-    for block in blocks.by_ref() {
-        let k = a.cols();
-        let arows: [&[f64]; IR] = std::array::from_fn(|t| &a.row(r0 + i0 + t)[..k]);
-        let mut j0 = 0;
-        while j0 + JB <= n {
-            let mut acc = [[0.0f64; JB]; IR];
-            for p in 0..k {
-                let brow = &bs[p * n + j0..p * n + j0 + JB];
-                for (t, arow) in arows.iter().enumerate() {
-                    let av = arow[p];
-                    for (o, &bv) in acc[t].iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            for (t, accrow) in acc.iter().enumerate() {
-                finish::<ACC>(&mut block[t * n + j0..t * n + j0 + JB], accrow);
-            }
-            j0 += JB;
-        }
-        if j0 < n {
-            for (t, arow) in arows.iter().enumerate() {
-                edge_cols::<ACC, false>(arow, bs, n, j0, &mut block[t * n + j0..(t + 1) * n]);
-            }
-        }
-        i0 += IR;
-    }
-    for (t, orow) in blocks.into_remainder().chunks_exact_mut(n).enumerate() {
-        let arow = a.row(r0 + i0 + t);
-        let mut j0 = 0;
-        while j0 < n {
-            let w = JB.min(n - j0);
-            edge_cols::<ACC, false>(arow, bs, n, j0, &mut orow[j0..j0 + w]);
-            j0 += w;
-        }
-    }
-}
-
-/// One ragged (`< JB`-wide or single-row) accumulator block, shared by the
-/// exact and fused renderings: `FUSE` selects plain mul-then-add vs
-/// `f64::mul_add` (which compiles to a fused lane only when inlined into
-/// the FMA-enabled caller — from the exact caller it is never reached).
+/// One ragged (`< JB`-wide or single-row) accumulator block. Keeps the
+/// zero-skip the main tiles drop.
 #[inline(always)]
-fn edge_cols<const ACC: bool, const FUSE: bool>(
+fn edge_cols<const ACC: bool, I: Isa>(
     arow: &[f64],
     bs: &[f64],
     n: usize,
@@ -225,72 +215,16 @@ fn edge_cols<const ACC: bool, const FUSE: bool>(
         }
         let brow = &bs[p * n + j0..p * n + j0 + w];
         for (o, &bv) in acc[..w].iter_mut().zip(brow) {
-            if FUSE {
-                *o = av.mul_add(bv, *o);
-            } else {
-                *o += av * bv;
-            }
+            *o = madd::<I>(*o, av, bv);
         }
     }
     finish::<ACC>(orow, &acc[..w]);
 }
 
-/// [`rank_k_rows_exact`] with the multiply-adds fused: `f64::mul_add`
-/// under an FMA-enabled target feature compiles to `vfmadd` and lets LLVM
-/// vectorize the `JB`-wide blocks into fused lanes. Reached only through
-/// [`GemmKernel::PackedFma`](crate::GemmKernel::PackedFma).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx,avx2,fma")]
-fn rank_k_rows_fused<const ACC: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], r0: usize) {
-    let n = b.cols();
-    if n == 0 {
-        return;
-    }
-    let bs = b.as_slice();
-    let mut blocks = out.chunks_exact_mut(IR * n);
-    let mut i0 = 0;
-    for block in blocks.by_ref() {
-        let k = a.cols();
-        let arows: [&[f64]; IR] = std::array::from_fn(|t| &a.row(r0 + i0 + t)[..k]);
-        let mut j0 = 0;
-        while j0 + JB <= n {
-            let mut acc = [[0.0f64; JB]; IR];
-            for p in 0..k {
-                let brow = &bs[p * n + j0..p * n + j0 + JB];
-                for (t, arow) in arows.iter().enumerate() {
-                    let av = arow[p];
-                    for (o, &bv) in acc[t].iter_mut().zip(brow) {
-                        *o = av.mul_add(bv, *o);
-                    }
-                }
-            }
-            for (t, accrow) in acc.iter().enumerate() {
-                finish::<ACC>(&mut block[t * n + j0..t * n + j0 + JB], accrow);
-            }
-            j0 += JB;
-        }
-        if j0 < n {
-            for (t, arow) in arows.iter().enumerate() {
-                edge_cols::<ACC, true>(arow, bs, n, j0, &mut block[t * n + j0..(t + 1) * n]);
-            }
-        }
-        i0 += IR;
-    }
-    for (t, orow) in blocks.into_remainder().chunks_exact_mut(n).enumerate() {
-        let arow = a.row(r0 + i0 + t);
-        let mut j0 = 0;
-        while j0 < n {
-            let w = JB.min(n - j0);
-            edge_cols::<ACC, true>(arow, bs, n, j0, &mut orow[j0..j0 + w]);
-            j0 += w;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{naive_matmul, set_gemm_threads, test_config_lock};
+    use crate::gemm::{for_each_rendering_and_thread_count, naive_matmul, test_config_lock};
     use crate::ApproxEq;
 
     #[test]
@@ -306,25 +240,25 @@ mod tests {
     }
 
     #[test]
-    fn exact_path_is_bit_identical_to_naive() {
-        for (m, k, n, seed) in [(40, 1, 50, 1), (33, 5, 77, 2), (130, 16, 120, 3)] {
-            let a = Matrix::random_uniform(m, k, seed);
-            let b = Matrix::random_uniform(k, n, seed + 10);
-            let fast = rank_k_matmul(&a, &b, Fuse::Exact);
-            assert_eq!(fast, naive_matmul(&a, &b), "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn fold_is_bit_identical_to_gemm_then_add() {
-        for (m, k, n, seed) in [(40, 1, 50, 21), (33, 5, 77, 22), (130, 16, 120, 23)] {
-            let a = Matrix::random_uniform(m, k, seed);
-            let b = Matrix::random_uniform(k, n, seed + 10);
-            let mut fused = Matrix::random_uniform(m, n, seed + 20);
-            let mut two_step = fused.clone();
-            rank_k_fold(&mut fused, &a, &b, Fuse::Exact);
-            two_step.add_assign_from(&naive_matmul(&a, &b)).unwrap();
-            assert_eq!(fused, two_step, "{m}x{k}x{n}");
+    fn every_depth_rendering_and_thread_count_is_bit_identical_to_naive() {
+        // 397×331 output: ragged against IR, JB and the 128-row chunks,
+        // and past the parallel gate even at k = 1. The fold is checked
+        // against GEMM-then-add through the naive kernel.
+        let (m, n) = (397, 331);
+        let base = Matrix::random_uniform(m, n, 20);
+        for k in 1..=RANK_K_MAX_K {
+            let a = Matrix::random_uniform(m, k, k as u64);
+            let b = Matrix::random_uniform(k, n, 10 + k as u64);
+            let product = naive_matmul(&a, &b);
+            let mut two_step = base.clone();
+            two_step.add_assign_from(&product).unwrap();
+            for_each_rendering_and_thread_count(|config| {
+                let fast = rank_k_matmul(&a, &b, Fuse::Exact);
+                assert_eq!(fast, product, "matmul, k = {k}, {config}");
+                let mut folded = base.clone();
+                rank_k_fold(&mut folded, &a, &b, Fuse::Exact);
+                assert_eq!(folded, two_step, "fold, k = {k}, {config}");
+            });
         }
     }
 
@@ -340,31 +274,6 @@ mod tests {
         }
         let b = Matrix::random_uniform(8, 60, 5);
         assert_eq!(rank_k_matmul(&a, &b, Fuse::Exact), naive_matmul(&a, &b));
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_serial_for_any_thread_count() {
-        let _guard = test_config_lock();
-        // 300·8·400 = 960k ≥ the parallel threshold, 3 row chunks.
-        let a = Matrix::random_uniform(300, 8, 6);
-        let b = Matrix::random_uniform(8, 400, 7);
-        set_gemm_threads(Some(1));
-        let serial = rank_k_matmul(&a, &b, Fuse::Exact);
-        let mut serial_fold = Matrix::random_uniform(300, 400, 8);
-        let fold_base = serial_fold.clone();
-        rank_k_fold(&mut serial_fold, &a, &b, Fuse::Exact);
-        for threads in [2usize, 3, 8] {
-            set_gemm_threads(Some(threads));
-            assert_eq!(
-                rank_k_matmul(&a, &b, Fuse::Exact),
-                serial,
-                "threads = {threads}"
-            );
-            let mut fold = fold_base.clone();
-            rank_k_fold(&mut fold, &a, &b, Fuse::Exact);
-            assert_eq!(fold, serial_fold, "fold, threads = {threads}");
-        }
-        set_gemm_threads(None);
     }
 
     #[test]

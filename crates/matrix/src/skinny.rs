@@ -3,87 +3,147 @@
 //! A factored delta is propagated by multiplying an `n×n` view `P` with an
 //! `n×k` block (`k ≤ 16`): `P·U` for the left factor and `Pᵀ·V` for the
 //! right one. Both stream the 8n² bytes of `P` once to produce 8nk bytes
-//! of output, so they are bound by how fast `P` can be read — and the
-//! general entry points waste that: `Pᵀ·V` used to *materialize* `Pᵀ`
-//! (a second full pass plus an n×n allocation), and `P·U` with fewer
-//! than `NR` columns fell to the scalar `i-k-j` kernel, one latency-bound
-//! accumulator chain per row.
+//! of output, and the general entry points waste that: `Pᵀ·V` used to
+//! *materialize* `Pᵀ` (a second full pass plus an n×n allocation), and
+//! `P·U` with fewer than `NR` columns fell to the scalar `i-k-j` kernel,
+//! one latency-bound accumulator chain per row.
 //!
 //! * [`tall_skinny_into`] — `A·B` for `B` with `k ≤ 16` columns. Each
 //!   register tile holds the accumulators of several rows of `A` at
 //!   once, so the adders always have independent chains in flight, and
 //!   every row of `B` is loaded once per tile instead of once per row.
 //! * [`tn_skinny_into`] — `Aᵀ·B` without forming `Aᵀ`: rows of `A` are
-//!   streamed in ascending order, four at a time, and each contributes
-//!   `A[i][j] · B[i][..]` to output row `j`.
+//!   streamed in ascending order, [`TN_ROWS`] at a time, and each
+//!   contributes `A[i][j] · B[i][..]` to the accumulators of output row
+//!   `j`, which live in a local contiguous array until the last row.
 //!
 //! Both write straight into a column block of a wider row-major matrix
 //! (`out[.., c0..c0+k]`, row stride `ld`), which is how the runtime fills
 //! the parts of a stacked block `[U | P·U + …]` in place.
 //!
+//! **Roofline.** Which resource binds depends on `k`. One thread reads a
+//! 2 MiB view at ≈ 20–26 GB/s on the bench host (80–100 µs), and that is
+//! the floor for `k ≤ 2`: no instruction set changes it, a second thread
+//! does (each core brings its own bandwidth). The arithmetic grows with
+//! `k` while the traffic does not: by `k = 8` the baseline (SSE2)
+//! rendering is multiply-add bound — 2 lanes × 2 ports, mul and add
+//! separate, ≈ 14–15 GFLOP/s per core, 560–590 µs at `k = 16` — and reads
+//! `P` at a seventh of what the core can pull. That is what the AVX2
+//! rendering of the same body buys (4 lanes: 1.4–1.8× from `k = 8` up),
+//! and why tile heights are sized per lane count. `harness gemm` prints
+//! the per-`k` table (µs, GFLOP/s, GB/s of view traffic) for both
+//! renderings at one and two threads.
+//!
 //! **Bit-identity.** Every output element is one accumulator that starts
 //! at `+0.0` and adds the products of its inner index in ascending order
 //! with plain mul-then-add — the chain of the naive, blocked and rank-k
 //! kernels — under every [`GemmKernel`](crate::GemmKernel), including
-//! `packed-fma` (these kernels never fuse). Row and column chunks own
-//! disjoint output, so any thread count gives the same bits.
+//! `packed-fma` (these kernels never fuse), and under every rendering
+//! (see [`crate::gemm::Isa`]): vector width and tile shape only regroup
+//! independent chains. Row and column chunks own disjoint output, so any
+//! thread count gives the same bits.
 
-use std::sync::Mutex;
-
-use crate::{gemm, pool, Matrix};
+use crate::gemm::{dispatch, Fuse, Isa, Kernel};
+use crate::{pool, Matrix};
 
 /// Widest right-hand block the skinny kernels claim.
 pub(crate) const SKINNY_MAX_COLS: usize = crate::RANK_K_MAX_K;
 
-/// Output rows per work-stealing chunk (a multiple of every tile height).
-const ROWS_PER_CHUNK: usize = 128;
+/// Rows of `A` folded into the accumulators per pass of
+/// [`tn_skinny_into`]: each is loaded and stored once per `TN_ROWS`
+/// products.
+const TN_ROWS: usize = 8;
 
-/// Rows of `A` folded into the output per pass of [`tn_skinny_into`]:
-/// each output element is loaded and stored once per `TN_ROWS` products.
-const TN_ROWS: usize = 4;
+/// Output rows whose accumulators [`tn_skinny_into`] keeps in one local
+/// contiguous array (`TN_BAND × k` f64s, ≤ 64 KiB, cache-resident beside
+/// the rows of `A` streaming past) instead of in the strided output block.
+const TN_BAND: usize = 512;
 
-/// Calls `$f::<K, R>` for the runtime width `$k`, where `R` (tile height)
-/// keeps `R·⌈K/2⌉` at eight two-lane accumulators.
-macro_rules! for_width {
-    ($k:expr, $f:ident($($arg:expr),*)) => {
+/// Dispatches the [`Band`] of the runtime width `$k`: `Band::<TN, K, R2,
+/// R4>` per row below (`K: R2 R4`). `R` is the tile height of
+/// [`tall_skinny_into`] for two- and four-lane renderings:
+/// `R·⌈K/LANES⌉ ≈ 8` accumulator registers — eight independent add chains
+/// hide the FP latency, and the `B` row and the broadcasts still fit the
+/// other half of the register file.
+macro_rules! dispatch_width {
+    ($TN:ident, $k:expr, $args:tt) => {
+        dispatch_width!(@rows $TN, $k, $args;
+            1: 8 8, 2: 8 8, 3: 4 8, 4: 4 8, 5: 2 4, 6: 2 4, 7: 2 4, 8: 2 4,
+            9: 1 2, 10: 1 2, 11: 1 2, 12: 1 2, 13: 1 2, 14: 1 2, 15: 1 2, 16: 1 2)
+    };
+    (@rows $TN:ident, $k:expr, $args:tt; $($w:literal: $two:literal $four:literal),*) => {
         match $k {
-            1 => $f::<1, 8>($($arg),*),
-            2 => $f::<2, 8>($($arg),*),
-            3 => $f::<3, 4>($($arg),*),
-            4 => $f::<4, 4>($($arg),*),
-            5 => $f::<5, 2>($($arg),*),
-            6 => $f::<6, 2>($($arg),*),
-            7 => $f::<7, 2>($($arg),*),
-            8 => $f::<8, 2>($($arg),*),
-            9 => $f::<9, 1>($($arg),*),
-            10 => $f::<10, 1>($($arg),*),
-            11 => $f::<11, 1>($($arg),*),
-            12 => $f::<12, 1>($($arg),*),
-            13 => $f::<13, 1>($($arg),*),
-            14 => $f::<14, 1>($($arg),*),
-            15 => $f::<15, 1>($($arg),*),
-            16 => $f::<16, 1>($($arg),*),
+            $($w => dispatch_band::<$TN, $w, $two, $four> $args,)*
             k => unreachable!("skinny kernel called with {k} columns"),
         }
     };
 }
 
-/// Runs `run(first_row, rows)` over `out` split into bands of whole
-/// `ld`-wide rows: inline when the product is light or one thread is
-/// budgeted, on the pool's stealing queue otherwise.
-fn drive(out: &mut [f64], ld: usize, work: usize, run: &(dyn Fn(usize, &mut [f64]) + Sync)) {
-    let chunks = (out.len() / ld).div_ceil(ROWS_PER_CHUNK);
-    let threads = gemm::gemm_threads().min(chunks);
-    if threads <= 1 || work < gemm::PARALLEL_THRESHOLD {
-        return run(0, out);
+/// One band of a `K`-column skinny product: the output rows in `out`
+/// (stride `ld`, columns `c0..c0+K`), which start at row (`P·U`) or column
+/// (`Pᵀ·V`, `TN`) `first` of `a`. `b` is the row-major `·×K` block. Each
+/// width is a kernel of its own, so a rendering's stack frame holds one
+/// width's accumulators, not all sixteen.
+struct Band<'a, const TN: bool, const K: usize, const R2: usize, const R4: usize> {
+    a: &'a Matrix,
+    b: &'a [f64],
+    first: usize,
+    out: &'a mut [f64],
+    ld: usize,
+    c0: usize,
+}
+
+impl<const TN: bool, const K: usize, const R2: usize, const R4: usize> Kernel
+    for Band<'_, TN, K, R2, R4>
+{
+    /// Plain `*` then `+` under every `Isa`: these kernels never fuse.
+    #[inline(always)]
+    fn run<I: Isa>(self) {
+        let Self {
+            a,
+            b,
+            first,
+            out,
+            ld,
+            c0,
+        } = self;
+        if TN {
+            tn_skinny_cols::<K>(a, b, first, out, ld, c0)
+        } else if I::LANES >= 4 {
+            tall_skinny_rows::<K, R4>(a, b, first, out, ld, c0)
+        } else {
+            tall_skinny_rows::<K, R2>(a, b, first, out, ld, c0)
+        }
     }
-    let cells: Vec<Mutex<&mut [f64]>> = out
-        .chunks_mut(ROWS_PER_CHUNK * ld)
-        .map(Mutex::new)
-        .collect();
-    pool::run_stealing(threads, cells.len(), &|_, c| {
-        let mut rows = cells[c].lock().expect("skinny chunk poisoned");
-        run(c * ROWS_PER_CHUNK, &mut rows[..]);
+}
+
+fn dispatch_band<const TN: bool, const K: usize, const R2: usize, const R4: usize>(
+    a: &Matrix,
+    b: &[f64],
+    first: usize,
+    out: &mut [f64],
+    ld: usize,
+    c0: usize,
+) {
+    let band = Band::<TN, K, R2, R4> {
+        a,
+        b,
+        first,
+        out,
+        ld,
+        c0,
+    };
+    dispatch(band, Fuse::Exact);
+}
+
+/// Runs the skinny product over `out` in row bands (parallel when
+/// [`pool::run_row_chunks`] says so), each under the host's exact
+/// rendering.
+fn drive<const TN: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], ld: usize, c0: usize) {
+    let (rows, cols) = a.shape();
+    let (b, k) = (b.as_slice(), b.cols());
+    pool::run_row_chunks(out, ld, rows * cols * k, TN, &|first, out| {
+        dispatch_width!(TN, k, (a, b, first, out, ld, c0))
     });
 }
 
@@ -91,15 +151,12 @@ fn drive(out: &mut [f64], ld: usize, work: usize, run: &(dyn Fn(usize, &mut [f64
 /// `1 ≤ k ≤ 16`; `out` is `m` rows of stride `ld` (shapes validated and
 /// FLOPs counted by the caller).
 pub(crate) fn tall_skinny_into(a: &Matrix, b: &Matrix, out: &mut [f64], ld: usize, c0: usize) {
-    let (m, p) = a.shape();
-    let k = b.cols();
-    drive(out, ld, m * p * k, &|r0, rows| {
-        for_width!(k, tall_skinny_rows(a, b.as_slice(), r0, rows, ld, c0))
-    });
+    drive::<false>(a, b, out, ld, c0);
 }
 
 /// [`tall_skinny_into`] over the output rows in `out`, which start at row
 /// `r0` of `a`: `R`-row tiles, then the tail one row at a time.
+#[inline(always)]
 fn tall_skinny_rows<const K: usize, const R: usize>(
     a: &Matrix,
     b: &[f64],
@@ -150,17 +207,15 @@ fn tall_skinny_tile<const K: usize, const R: usize>(
 /// FLOPs counted by the caller). Parallel bands own disjoint columns of
 /// `a` (= rows of the output) and each walks all `m` rows in order.
 pub(crate) fn tn_skinny_into(a: &Matrix, b: &Matrix, out: &mut [f64], ld: usize, c0: usize) {
-    let (m, n) = a.shape();
-    let k = b.cols();
-    drive(out, ld, m * n * k, &|j0, rows| {
-        for_width!(k, tn_skinny_cols(a, b.as_slice(), j0, rows, ld, c0))
-    });
+    drive::<true>(a, b, out, ld, c0);
 }
 
 /// [`tn_skinny_into`] over the output rows in `out`, which correspond to
-/// columns `j0..` of `a`. (`_R` is unused: the tile is `TN_ROWS` deep for
-/// every width; the parameter only lets [`for_width!`] serve both kernels.)
-fn tn_skinny_cols<const K: usize, const _R: usize>(
+/// columns `j0..` of `a`, in bands of [`TN_BAND`] rows: a band's
+/// accumulators live in a local contiguous array for all `m` rows of `a`
+/// and are written to the strided output once.
+#[inline(always)]
+fn tn_skinny_cols<const K: usize>(
     a: &Matrix,
     b: &[f64],
     j0: usize,
@@ -168,58 +223,59 @@ fn tn_skinny_cols<const K: usize, const _R: usize>(
     ld: usize,
     c0: usize,
 ) {
-    for orow in out.chunks_exact_mut(ld) {
-        orow[c0..c0 + K].fill(0.0);
-    }
-    let m = a.rows();
-    let mut i = 0;
-    while i + TN_ROWS <= m {
-        tn_skinny_pass::<K, TN_ROWS>(a, b, i, j0, out, ld, c0);
-        i += TN_ROWS;
-    }
-    while i < m {
-        tn_skinny_pass::<K, 1>(a, b, i, j0, out, ld, c0);
-        i += 1;
+    for (band, orows) in out.chunks_mut(TN_BAND * ld).enumerate() {
+        let mut acc = [[0.0f64; K]; TN_BAND];
+        let acc = &mut acc[..orows.len() / ld];
+        let jb = j0 + band * TN_BAND;
+        let m = a.rows();
+        let mut i = 0;
+        while i + TN_ROWS <= m {
+            tn_skinny_pass::<K, TN_ROWS>(a, b, i, jb, acc);
+            i += TN_ROWS;
+        }
+        while i < m {
+            tn_skinny_pass::<K, 1>(a, b, i, jb, acc);
+            i += 1;
+        }
+        for (orow, accrow) in orows.chunks_exact_mut(ld).zip(acc.iter()) {
+            orow[c0..c0 + K].copy_from_slice(accrow);
+        }
     }
 }
 
-/// Adds rows `i..i+IB` of `a` into the output, in that order: output row
-/// `j` is loaded once, extended by `IB` products, and stored once.
+/// Adds rows `i..i+IB` of `a` into the band's accumulators, in that
+/// order: accumulator row `j` (column `j0 + j` of `a`) is loaded once,
+/// extended by `IB` products, and stored once.
 #[inline(always)]
 fn tn_skinny_pass<const K: usize, const IB: usize>(
     a: &Matrix,
     b: &[f64],
     i: usize,
     j0: usize,
-    out: &mut [f64],
-    ld: usize,
-    c0: usize,
+    acc: &mut [[f64; K]],
 ) {
-    let w = out.len() / ld;
-    let arows: [&[f64]; IB] = std::array::from_fn(|t| &a.row(i + t)[j0..j0 + w]);
+    let arows: [&[f64]; IB] = std::array::from_fn(|t| &a.row(i + t)[j0..j0 + acc.len()]);
     let brows: [[f64; K]; IB] = std::array::from_fn(|t| {
         let mut row = [0.0; K];
         row.copy_from_slice(&b[(i + t) * K..(i + t + 1) * K]);
         row
     });
-    for (j, orow) in out.chunks_exact_mut(ld).enumerate() {
-        let o = &mut orow[c0..c0 + K];
-        let mut acc = [0.0f64; K];
-        acc.copy_from_slice(o);
+    for (j, o) in acc.iter_mut().enumerate() {
+        let mut x = *o;
         for (arow, brow) in arows.iter().zip(&brows) {
             let av = arow[j];
-            for (x, &bv) in acc.iter_mut().zip(brow) {
+            for (x, &bv) in x.iter_mut().zip(brow) {
                 *x += av * bv;
             }
         }
-        o.copy_from_slice(&acc);
+        *o = x;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{naive_matmul, set_gemm_threads, test_config_lock};
+    use crate::gemm::{for_each_rendering_and_thread_count, naive_matmul};
 
     fn tall(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -234,61 +290,55 @@ mod tests {
     }
 
     #[test]
-    fn every_width_is_bit_identical_to_naive() {
-        for k in 1..=SKINNY_MAX_COLS {
-            let a = Matrix::random_uniform(37, 29, k as u64);
-            let b = Matrix::random_uniform(29, k, 100 + k as u64);
-            assert_eq!(tall(&a, &b), naive_matmul(&a, &b), "tall, k = {k}");
-            let bt = Matrix::random_uniform(37, k, 200 + k as u64);
-            assert_eq!(
-                tn(&a, &bt),
-                naive_matmul(&a.transpose(), &bt),
-                "tn, k = {k}"
-            );
+    fn every_width_rendering_and_thread_count_is_bit_identical_to_naive() {
+        // 397 rows: ragged against every tile height (8, 4, 2), TN_ROWS
+        // and the 128-row chunks; 397·331 multiply-adds per column cross
+        // the parallel gate even at k = 1. The second shape has more
+        // columns than TN_BAND, so `Pᵀ·V` runs two accumulator bands.
+        for (m, n) in [(397, 331), (261, TN_BAND + 11)] {
+            let a = Matrix::random_uniform(m, n, (m + n) as u64);
+            let at = a.transpose();
+            for k in 1..=SKINNY_MAX_COLS {
+                let b = Matrix::random_uniform(n, k, 100 + k as u64);
+                let bt = Matrix::random_uniform(m, k, 200 + k as u64);
+                let (want, want_tn) = (naive_matmul(&a, &b), naive_matmul(&at, &bt));
+                for_each_rendering_and_thread_count(|config| {
+                    assert_eq!(tall(&a, &b), want, "tall {m}x{n}, k = {k}, {config}");
+                    assert_eq!(tn(&a, &bt), want_tn, "tn {m}x{n}, k = {k}, {config}");
+                });
+            }
         }
     }
 
     #[test]
     fn writes_only_its_column_block() {
-        let a = Matrix::random_uniform(11, 9, 1);
-        let b = Matrix::random_uniform(9, 3, 2);
-        let mut out = Matrix::filled(11, 8, 7.0);
-        tall_skinny_into(&a, &b, out.as_mut_slice(), 8, 2);
+        // Past the parallel gate, so the offset/stride form is also split
+        // into chunks.
+        let (m, n, k) = (261, 523, 3);
+        let a = Matrix::random_uniform(m, n, 1);
+        let b = Matrix::random_uniform(n, k, 2);
+        let bt = Matrix::random_uniform(m, k, 3);
         let want = naive_matmul(&a, &b);
-        let bt = Matrix::random_uniform(11, 3, 3);
-        let mut out_tn = Matrix::filled(9, 8, 7.0);
-        tn_skinny_into(&a, &bt, out_tn.as_mut_slice(), 8, 5);
         let want_tn = naive_matmul(&a.transpose(), &bt);
-        for c in 0..8 {
-            for r in 0..11 {
-                let expect = if (2..5).contains(&c) {
-                    want.get(r, c - 2)
-                } else {
-                    7.0
-                };
-                assert_eq!(out.get(r, c), expect, "tall ({r}, {c})");
+        for_each_rendering_and_thread_count(|config| {
+            let mut out = Matrix::filled(m, 8, 7.0);
+            tall_skinny_into(&a, &b, out.as_mut_slice(), 8, 2);
+            let mut out_tn = Matrix::filled(n, 8, 7.0);
+            tn_skinny_into(&a, &bt, out_tn.as_mut_slice(), 8, 5);
+            for c in 0..8 {
+                for r in 0..m {
+                    let expect = if (2..5).contains(&c) {
+                        want.get(r, c - 2)
+                    } else {
+                        7.0
+                    };
+                    assert_eq!(out.get(r, c), expect, "tall ({r}, {c}), {config}");
+                }
+                for r in 0..n {
+                    let expect = if c >= 5 { want_tn.get(r, c - 5) } else { 7.0 };
+                    assert_eq!(out_tn.get(r, c), expect, "tn ({r}, {c}), {config}");
+                }
             }
-            for r in 0..9 {
-                let expect = if c >= 5 { want_tn.get(r, c - 5) } else { 7.0 };
-                assert_eq!(out_tn.get(r, c), expect, "tn ({r}, {c})");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        let _guard = test_config_lock();
-        // 300·400·8 multiply-adds: past the parallel threshold, 3 chunks.
-        let a = Matrix::random_uniform(300, 400, 4);
-        let b = Matrix::random_uniform(400, 8, 5);
-        let bt = Matrix::random_uniform(300, 8, 6);
-        set_gemm_threads(Some(1));
-        let (serial, serial_tn) = (tall(&a, &b), tn(&a, &bt));
-        for threads in [2usize, 3] {
-            set_gemm_threads(Some(threads));
-            assert_eq!(tall(&a, &b), serial, "tall, threads = {threads}");
-            assert_eq!(tn(&a, &bt), serial_tn, "tn, threads = {threads}");
-        }
-        set_gemm_threads(None);
+        });
     }
 }

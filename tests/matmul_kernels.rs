@@ -15,12 +15,13 @@
 //! 3. **Determinism** — the packed kernel is bit-identical across thread
 //!    counts and run-to-run; every kernel is repeatable on identical
 //!    inputs.
-//! 4. **Rendering equivalence** — the default packed kernel is bitwise
-//!    identical whether the register tile runs through the hand-written
-//!    AVX2 intrinsics or the portable scalar loop, and whether a skinny
-//!    product takes the rank-k fast path or the general nest. Only the
-//!    opt-in `packed-fma` kernel may differ, and it is held to the same
-//!    1e-10 Kahan budget as everything else.
+//! 4. **Rendering equivalence** — every kernel (the packed register
+//!    tile, the rank-k tiles, the skinny `P·U` / `Pᵀ·V` products) is
+//!    bitwise identical whether its body is compiled for AVX2 or forced
+//!    to the portable rendering, at every thread count, and whether a
+//!    skinny product takes the rank-k fast path or the general nest. Only
+//!    the opt-in `packed-fma` kernel may differ, and it is held to the
+//!    same 1e-10 Kahan budget as everything else.
 //!
 //! 5. **Transpose-free and skinny entry points** — `try_matmul_tn` (and
 //!    the `n×n · n×k` products `try_matmul` hands to the tall-skinny
@@ -29,8 +30,13 @@
 //!    at one and two threads, into a fresh matrix or a column block.
 //!
 //! Tests mutate process-wide kernel state (thread budget, default
-//! kernel), so each takes the `SUITE` lock — the binary is internally
-//! serialized and safe under any `RUST_TEST_THREADS`.
+//! kernel, forced rendering), so each takes the `SUITE` lock — the binary
+//! is internally serialized and safe under any `RUST_TEST_THREADS`.
+//!
+//! `tests/matmul_kernels_portable.rs` compiles this file a second time as
+//! a module; there every test runs with the portable rendering forced, so
+//! a host with AVX2 still differences the baseline code path against the
+//! oracles.
 
 use linview::matrix::gemm::{MR, NR};
 use linview::matrix::{
@@ -43,7 +49,13 @@ use std::sync::Mutex;
 static SUITE: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SUITE.lock().unwrap_or_else(|e| e.into_inner())
+    let guard = SUITE.lock().unwrap_or_else(|e| e.into_inner());
+    // At the root of its own test crate the suite runs on the host's best
+    // rendering; as a module of `matmul_kernels_portable` on the portable
+    // one. Tests that flip the knob themselves leave it off, so it is set
+    // again for each test.
+    force_portable_microkernel(module_path!() != "matmul_kernels");
+    guard
 }
 
 /// Textbook f64 oracle: `i-j-p`, one sequential sum per output entry.
@@ -281,12 +293,12 @@ fn every_kernel_is_repeatable_run_to_run() {
     set_gemm_threads(None);
 }
 
-/// The hand-written AVX2 microkernel is an alternate *rendering* of the
-/// portable register tile, not an alternate algorithm: the default packed
-/// kernel must produce bitwise-identical outputs with intrinsics enabled
-/// and with the portable scalar tile forced, across thread budgets.
+/// The AVX2 instantiation of the register tile is an alternate
+/// *rendering* of the portable one, not an alternate algorithm: the
+/// default packed kernel must produce bitwise-identical outputs with it
+/// enabled and with the portable rendering forced, across thread budgets.
 #[test]
-fn intrinsics_rendering_is_bit_identical_to_portable() {
+fn simd_rendering_is_bit_identical_to_portable() {
     let _guard = lock();
     let shapes = [
         (MR + 1, 37, NR + 3),
@@ -306,6 +318,70 @@ fn intrinsics_rendering_is_bit_identical_to_portable() {
             assert_eq!(simd, portable, "{m}x{k}x{n} with threads {threads:?}");
         }
     }
+    set_gemm_threads(None);
+}
+
+/// The three streaming kernels of a firing, through the public entry
+/// points, for every width `k = 1..=16`, under both exact renderings and
+/// at one, two and three threads: `P·U` (`try_matmul` / `matmul_into`),
+/// `Pᵀ·V` (`try_matmul_tn` / `matmul_tn_into`, also into the middle of a
+/// wider matrix), the rank-k product (`matmul_packed` on an `m×k · k×n`
+/// shape) and the rank-k fold (`fold_low_rank`) are `==` to the naive
+/// oracle (followed by an elementwise add for the fold). 397×331 is ragged
+/// against every tile height, the 8-row `Pᵀ·V` passes and the 128-row
+/// chunks, and large enough that even `k = 1` is split across threads.
+#[test]
+fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
+    let _guard = lock();
+    let (m, n) = (397, 331);
+    let p = Matrix::random_uniform(m, n, 71);
+    let pt = p.transpose();
+    let target = Matrix::random_uniform(m, n, 72);
+    let fused = linview::matrix::default_kernel().fuses();
+    for k in 1..=RANK_K_MAX_K {
+        let u = Matrix::random_uniform(n, k, 73 + k as u64);
+        let v = Matrix::random_uniform(m, k, 93 + k as u64);
+        let w = Matrix::random_uniform(n, k, 113 + k as u64);
+        let pu = naive_oracle(&p, &u);
+        let ptv = naive_oracle(&pt, &v);
+        let vwt = naive_oracle(&v, &w.transpose());
+        let mut folded = target.clone();
+        folded.add_assign_from(&vwt).unwrap();
+        for portable in [true, false] {
+            force_portable_microkernel(portable);
+            for threads in 1..=3 {
+                set_gemm_threads(Some(threads));
+                let label = format!("k = {k}, portable forced: {portable}, {threads} thread(s)");
+                assert_eq!(p.try_matmul(&u).unwrap(), pu, "P·U, {label}");
+                assert_eq!(p.try_matmul_tn(&v).unwrap(), ptv, "Pᵀ·V, {label}");
+                let mut wide = Matrix::filled(n, 2 * k + 1, 9.0);
+                p.matmul_tn_into(&v, &mut wide, k).unwrap();
+                let mut tall = Matrix::filled(m, 2 * k + 1, 9.0);
+                p.matmul_into(&u, &mut tall, 1).unwrap();
+                for (block, c0, whole) in [(&wide, k, &ptv), (&tall, 1, &pu)] {
+                    for r in 0..block.rows() {
+                        let row = block.row(r);
+                        assert_eq!(&row[c0..c0 + k], whole.row(r), "block, {label}");
+                        assert!(row[..c0].iter().chain(&row[c0 + k..]).all(|&x| x == 9.0));
+                    }
+                }
+                assert_eq!(
+                    v.matmul_packed(&w.transpose()).unwrap(),
+                    vwt,
+                    "rank-k product, {label}"
+                );
+                let mut x = target.clone();
+                fold_low_rank(&mut x, &v, &w, false).unwrap();
+                if fused {
+                    // The fold follows the default kernel; only it fuses.
+                    assert!(x.rel_diff(&folded) <= 1e-10, "rank-k fold, {label}");
+                } else {
+                    assert_eq!(x, folded, "rank-k fold, {label}");
+                }
+            }
+        }
+    }
+    force_portable_microkernel(false);
     set_gemm_threads(None);
 }
 
