@@ -711,43 +711,88 @@ pub fn scheduler(cfg: &Config) -> Table {
     t
 }
 
-/// GEMM — the tuned dense hot path in isolation: every [`GemmKernel`] at
-/// several square sizes, GFLOP/s, and speedup over the serial blocked
-/// kernel that used to be the hot path.
+/// GEMM — the dense kernels in isolation. Square rows time every
+/// [`GemmKernel`] at three sizes against `packed`, the default, and assert
+/// that each exact kernel's product is bitwise the naive one. `try_matmul`
+/// rows set the serial small-product kernel the default routes tiny
+/// products to against the packed nest, on both sides of the size gate;
+/// then the rank-k fast path and the fused fold against the general nest.
 pub fn gemm(cfg: &Config) -> Table {
     let mut t = Table::new(
         format!(
             "GEMM kernels - GFLOP/s by kernel and size (threads = {})",
             linview_matrix::gemm_threads()
         ),
-        &["n", "kernel", "time", "GFLOP/s", "vs blocked-serial"],
+        &["n", "kernel", "time", "GFLOP/s", "vs packed"],
     );
     for &n in &[cfg.n / 2, cfg.n, cfg.n * 2] {
         let a = Matrix::random_uniform(n, n, 91);
         let b = Matrix::random_uniform(n, n, 92);
         let ops = 2 * (n as u64).pow(3);
-        let serial = avg_time(cfg.updates, || {
-            a.matmul_serial(&b).expect("shapes conform");
-        });
-        t.row(vec![
-            n.to_string(),
-            "blocked-serial".into(),
-            fmt_duration(serial),
-            format!("{:.2}", flops::gflops(ops, serial)),
-            "1.00x".into(),
-        ]);
-        for kernel in GemmKernel::ALL {
-            let d = avg_time(cfg.updates, || {
-                a.matmul_with(&b, kernel).expect("shapes conform");
-            });
+        // The product checked against naive is computed untimed; it also
+        // wakes the pool workers the serial naive run let park.
+        let runs: Vec<(GemmKernel, Duration, Matrix)> = GemmKernel::ALL
+            .into_iter()
+            .map(|kernel| {
+                let c = a.matmul_with(&b, kernel).expect("shapes conform");
+                let d = avg_time(cfg.updates, || {
+                    a.matmul_with(&b, kernel).expect("shapes conform");
+                });
+                (kernel, d, c)
+            })
+            .collect();
+        let (naive, packed) = (&runs[0].2, runs[1].1);
+        for (kernel, d, c) in &runs {
+            assert!(
+                kernel.fuses() || c == naive,
+                "{kernel} is not bit-identical to naive at n = {n}"
+            );
             t.row(vec![
                 n.to_string(),
                 kernel.label().into(),
-                fmt_duration(d),
-                format!("{:.2}", flops::gflops(ops, d)),
-                fmt_speedup(serial, d),
+                fmt_duration(*d),
+                format!("{:.2}", flops::gflops(ops, *d)),
+                fmt_speedup(packed, *d),
             ]);
         }
+    }
+    // `try_matmul` around the small-product gate (48^3 multiply-adds):
+    // every shape but the last is below it and runs the serial i-k-j
+    // kernel; each is set against the packed nest `matmul_packed` pins.
+    for (m, k, n) in [
+        (1, 256, 256),
+        (2, 256, 17),
+        (17, 17, 17),
+        (32, 32, 32),
+        (47, 47, 47),
+        (64, 64, 64),
+    ] {
+        let a = Matrix::random_uniform(m, k, 97);
+        let b = Matrix::random_uniform(k, n, 98);
+        let ops = 2 * (m * k * n) as u64;
+        let samples = 100 * cfg.updates;
+        let p50 = |f: &dyn Fn()| sorted_times(samples, f)[samples / 2];
+        let nest = p50(&|| {
+            a.matmul_packed(&b).expect("shapes conform");
+        });
+        let routed = p50(&|| {
+            a.try_matmul(&b).expect("shapes conform");
+        });
+        let shape = format!("{m}x{k}x{n}");
+        t.row(vec![
+            shape.clone(),
+            "packed-nest".into(),
+            fmt_duration(nest),
+            format!("{:.2}", flops::gflops(ops, nest)),
+            "1.00x".into(),
+        ]);
+        t.row(vec![
+            shape,
+            "try_matmul".into(),
+            fmt_duration(routed),
+            format!("{:.2}", flops::gflops(ops, routed)),
+            fmt_speedup(nest, routed),
+        ]);
     }
     // Skinny rank-k rows — the `n×k · k×n` shapes every ApplyDelta fold
     // produces. Each shape is measured twice: through the dedicated
@@ -818,9 +863,10 @@ pub fn gemm(cfg: &Config) -> Table {
         ]);
     }
     t.note(
-        "packed is the default try_matmul path; square rows run n = cfg.n/2, cfg.n, 2*cfg.n \
-         against blocked-serial; the skinny and fold rows (fixed n = 512 and 2048, k <= 16) set \
-         the rank-k fast path against the general packed nest and gemm-then-add",
+        "square rows (n = cfg.n/2, cfg.n, 2*cfg.n) are checked packed == naive bitwise; \
+         try_matmul rows are p50s, small-product kernel below 48^3 multiply-adds, packed nest \
+         from it on; the skinny and fold rows (fixed n = 512 and 2048, k <= 16) set the rank-k \
+         fast path against the general packed nest and gemm-then-add",
     );
     t
 }

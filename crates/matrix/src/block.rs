@@ -121,61 +121,6 @@ impl Matrix {
     }
 }
 
-/// Incremental builder for horizontal block concatenation.
-///
-/// Trigger compilation appends delta blocks one monomial at a time; this
-/// builder avoids materializing intermediate stacks.
-#[derive(Debug, Default)]
-pub struct BlockBuilder {
-    parts: Vec<Matrix>,
-    rows: Option<usize>,
-}
-
-impl BlockBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a block; all blocks must share a row count.
-    pub fn push(&mut self, block: Matrix) -> Result<()> {
-        match self.rows {
-            None => self.rows = Some(block.rows()),
-            Some(r) if r != block.rows() => {
-                return Err(MatrixError::DimMismatch {
-                    op: "block_builder",
-                    lhs: (r, 0),
-                    rhs: block.shape(),
-                })
-            }
-            _ => {}
-        }
-        self.parts.push(block);
-        Ok(())
-    }
-
-    /// Number of blocks pushed so far.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// True when no blocks have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
-    }
-
-    /// Total column count of the assembled matrix.
-    pub fn total_cols(&self) -> usize {
-        self.parts.iter().map(|p| p.cols()).sum()
-    }
-
-    /// Assembles the blocks into one matrix.
-    pub fn build(self) -> Result<Matrix> {
-        let refs: Vec<&Matrix> = self.parts.iter().collect();
-        Matrix::hstack(&refs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,18 +166,5 @@ mod tests {
     fn grid_split_requires_divisibility() {
         assert!(Matrix::zeros(10, 10).grid_split(3).is_err());
         assert!(Matrix::zeros(10, 10).grid_split(0).is_err());
-    }
-
-    #[test]
-    fn block_builder_accumulates() {
-        let mut b = BlockBuilder::new();
-        assert!(b.is_empty());
-        b.push(Matrix::col_vector(&[1.0, 2.0])).unwrap();
-        b.push(Matrix::zeros(2, 3)).unwrap();
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.total_cols(), 4);
-        assert!(b.push(Matrix::zeros(5, 1)).is_err());
-        let m = b.build().unwrap();
-        assert_eq!(m.shape(), (2, 4));
     }
 }

@@ -87,10 +87,11 @@ impl fmt::Display for MatrixError {
                 write!(f, "iteration did not converge after {sweeps} sweeps")
             }
             MatrixError::UnknownKernel { name } => {
+                let valid = crate::GemmKernel::ALL.map(crate::GemmKernel::label);
                 write!(
                     f,
-                    "unknown GEMM kernel {name:?} (valid: naive, blocked, packed, \
-                     packed-fma, strassen)"
+                    "unknown GEMM kernel {name:?} (valid: {})",
+                    valid.join(", ")
                 )
             }
             MatrixError::InvalidThreadBudget { value } => {

@@ -1,8 +1,9 @@
-//! Packed, register-blocked GEMM — the tuned dense hot path.
+//! Packed, register-blocked GEMM — the tuned dense hot path — and the one
+//! place that decides which kernel multiplies a product.
 //!
 //! Every cost the paper compares — `O(nᵞ)` re-evaluation, `O(kn²)` rank-k
-//! view folds, Strassen's base case — bottoms out in this multiply. The
-//! kernel follows the BLIS/GotoBLAS design:
+//! view folds — bottoms out in this multiply. The kernel follows the
+//! BLIS/GotoBLAS design:
 //!
 //! 1. a three-level loop nest walks `C` in `NC`-wide column slabs (L3),
 //!    `KC`-deep rank updates (packed `B` slab stays L2/L3-resident) and
@@ -13,14 +14,19 @@
 //!    generic body whose 6×8 f64 tile LLVM keeps in twelve ymm
 //!    accumulators when it is instantiated under AVX2 (the in-crate
 //!    `Isa` trait), bit-identical to the baseline instantiation that
-//!    remains the fallback and the reference;
-//! 4. skinny `n×k · k×n` products (`k ≤ 16` — the shape every low-rank
-//!    delta fold emits) skip the packed nest entirely and run the
-//!    dedicated rank-k fast path (the in-crate `rankk` module), and
-//!    products with a skinny *output* — `P·U` and `Pᵀ·V` for an `n×k`
-//!    block, the shapes delta-block evaluation emits — run the in-crate
-//!    `skinny` kernels; wider `AᵀB` products run this nest with the `A`
-//!    panels packed straight from the transposed operand.
+//!    remains the fallback and the reference. The tile's accumulators
+//!    start from the `C` tile and are stored back, so the `KC`-deep
+//!    blocks of a long inner dimension extend one ascending chain per
+//!    element instead of adding per-block partial sums.
+//!
+//! Not every product runs the nest. `route` is the single decision
+//! point: skinny `n×k · k×n` products (`k ≤ 16` — the shape every
+//! low-rank delta fold emits) run the rank-k fast path (the in-crate
+//! `rankk` module), products with a skinny *output* — `P·U` and `Pᵀ·V`
+//! for an `n×k` block, the shapes delta-block evaluation emits — run the
+//! in-crate `skinny` kernels, products too small to amortize packing run
+//! a serial `i-k-j` loop, and wider `AᵀB` products run this nest with the
+//! `A` panels packed straight from the transposed operand.
 //!
 //! Parallelism comes from `MC`-row output chunks scheduled onto the
 //! work-stealing queue of the persistent `pool` module, with the shared
@@ -30,8 +36,9 @@
 //! thread count and every steal schedule, and results are reproducible
 //! run-to-run by construction.
 //!
-//! [`GemmKernel`] names the whole kernel family; the process-wide default
-//! (used by [`Matrix::try_matmul`]) is `Packed` and can be overridden
+//! [`GemmKernel`] names the three kernels a caller can pin — `Naive`, the
+//! oracle; `Packed`, the default; `PackedFma`, opt-in. The process-wide
+//! default (used by [`Matrix::try_matmul`]) can be overridden
 //! programmatically ([`set_default_kernel`]) or with the `LINVIEW_GEMM`
 //! environment variable (an unrecognized value is surfaced through
 //! [`env_kernel_error`] and otherwise ignored); thread count follows
@@ -56,7 +63,8 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::pack::{pack_a, pack_a_transposed, pack_b, pack_b_panels};
-use crate::{flops, pool, rankk, Matrix, MatrixError, Result};
+use crate::skinny::SKINNY_MAX_COLS;
+use crate::{pool, rankk, Matrix, MatrixError, Result};
 
 /// Microkernel tile height (rows of `C` held in registers).
 pub const MR: usize = 6;
@@ -70,40 +78,36 @@ const KC: usize = 256;
 /// Columns of `B` packed per outer slab.
 const NC: usize = 2048;
 
-/// GEMM-shaped products (the packed nest, the blocked kernel) with at
-/// least this many multiply-adds fan out across the worker pool. The pool
-/// is persistent and a fork-join costs 2–4 µs, but the parallel nest pays
-/// two of them per `KC×NC` slab (cooperative `B` packing, then the row
-/// chunks) and shrinks its chunks to `m/(4·threads)` rows, which halves
-/// what each packed `A` panel amortizes; below ≈ 96³ (≈ 75 µs of work on
-/// one core of the bench host) the serial nest is as fast. The streaming
-/// kernels, which pack nothing, gate much lower — see
-/// `pool::run_row_chunks`.
+/// Packed-nest products with at least this many multiply-adds fan out
+/// across the worker pool. The pool is persistent and a fork-join costs
+/// 2–4 µs, but the parallel nest pays two of them per `KC×NC` slab
+/// (cooperative `B` packing, then the row chunks) and shrinks its chunks
+/// to `m/(4·threads)` rows, which halves what each packed `A` panel
+/// amortizes; below ≈ 96³ (≈ 75 µs of work on one core of the bench host)
+/// the serial nest is as fast. The streaming kernels, which pack nothing,
+/// gate much lower — see `pool::run_row_chunks`.
 pub(crate) const PARALLEL_THRESHOLD: usize = 96 * 96 * 96;
 
 /// Below this many multiply-adds the packing passes cost more than they
-/// save and the dispatcher falls back to the plain blocked kernel
-/// (measured crossover on the bench host: ~48³).
-pub(crate) const PACKED_MIN_WORK: usize = 48 * 48 * 48;
+/// save and [`route`] sends a product to the serial `i-k-j` small-product
+/// kernel (measured crossover on the bench host: ~48³).
+const PACKED_MIN_WORK: usize = 48 * 48 * 48;
 
 /// The dense multiplication kernels selectable at runtime.
 ///
-/// All variants compute the same product. `Naive`, `Blocked` and `Packed`
-/// differ only in constants and loop structure, never in floating-point
-/// accumulation *grouping*: every one sums `k` in increasing index order
-/// with plain mul-then-add, so they are mutually bit-identical (asserted
-/// by the differential suite). `PackedFma` deliberately breaks that
-/// contract — it fuses each multiply-add into a single rounding — and is
-/// therefore opt-in; `Strassen` regroups the arithmetic algebraically and
-/// agrees to roundoff rather than bitwise.
+/// All variants compute the same product. `Naive` and `Packed` — and every
+/// kernel the crate's router may pick for them — differ only in constants
+/// and loop structure, never in floating-point accumulation *grouping*:
+/// each output element is one chain that starts at `+0.0` and adds its
+/// products in increasing inner index with plain mul-then-add, so they are
+/// mutually bit-identical (asserted by the differential suite). `PackedFma`
+/// deliberately breaks that contract — it fuses each multiply-add into a
+/// single rounding — and is therefore opt-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmKernel {
     /// Textbook `i-j-p` triple loop; the oracle the others are tested
     /// against.
     Naive,
-    /// Cache-blocked `i-k-j` kernel (row bands on the pool above the
-    /// parallel threshold) — the pre-packing hot path, kept for ablation.
-    Blocked,
     /// Packed register-blocked microkernel (this module); the default.
     #[default]
     Packed,
@@ -111,30 +115,18 @@ pub enum GemmKernel {
     /// at least as accurate, but not bit-identical to the exact kernels.
     /// Opt-in via `LINVIEW_GEMM=packed-fma` / `--gemm packed-fma`.
     PackedFma,
-    /// Strassen recursion (`γ = log₂ 7`) for square operands, its base
-    /// case routed through the packed kernel; non-square shapes fall back
-    /// to `Packed`.
-    Strassen,
 }
 
 impl GemmKernel {
     /// Every kernel, in oracle-to-fastest order (as benched and tested).
-    pub const ALL: [GemmKernel; 5] = [
-        GemmKernel::Naive,
-        GemmKernel::Blocked,
-        GemmKernel::Packed,
-        GemmKernel::PackedFma,
-        GemmKernel::Strassen,
-    ];
+    pub const ALL: [GemmKernel; 3] = [GemmKernel::Naive, GemmKernel::Packed, GemmKernel::PackedFma];
 
     /// Lower-case kernel name (CLI flag / `LINVIEW_GEMM` spelling).
     pub fn label(self) -> &'static str {
         match self {
             GemmKernel::Naive => "naive",
-            GemmKernel::Blocked => "blocked",
             GemmKernel::Packed => "packed",
             GemmKernel::PackedFma => "packed-fma",
-            GemmKernel::Strassen => "strassen",
         }
     }
 
@@ -144,10 +136,8 @@ impl GemmKernel {
     pub fn from_name(name: &str) -> Result<GemmKernel> {
         let k = match name.trim().to_ascii_lowercase().as_str() {
             "naive" => GemmKernel::Naive,
-            "blocked" => GemmKernel::Blocked,
             "packed" => GemmKernel::Packed,
             "packed-fma" | "packed_fma" => GemmKernel::PackedFma,
-            "strassen" => GemmKernel::Strassen,
             _ => {
                 return Err(MatrixError::UnknownKernel {
                     name: name.trim().to_string(),
@@ -191,17 +181,11 @@ static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static ENV_THREADS: OnceLock<Option<std::result::Result<usize, String>>> = OnceLock::new();
 
 fn encode(k: GemmKernel) -> u8 {
-    match k {
-        GemmKernel::Naive => 0,
-        GemmKernel::Blocked => 1,
-        GemmKernel::Packed => 2,
-        GemmKernel::Strassen => 3,
-        GemmKernel::PackedFma => 4,
-    }
+    k as u8
 }
 
 fn decode(v: u8) -> Option<GemmKernel> {
-    GemmKernel::ALL.into_iter().find(|&k| encode(k) == v)
+    GemmKernel::ALL.get(usize::from(v)).copied()
 }
 
 fn env_kernel() -> &'static Option<std::result::Result<GemmKernel, String>> {
@@ -354,7 +338,7 @@ pub fn force_general_nest(on: bool) {
     DISABLE_RANK_K.store(on, Ordering::Relaxed);
 }
 
-pub(crate) fn rank_k_disabled() -> bool {
+fn rank_k_disabled() -> bool {
     DISABLE_RANK_K.load(Ordering::Relaxed)
 }
 
@@ -370,14 +354,76 @@ pub(crate) enum Fuse {
     Fused,
 }
 
-impl Fuse {
-    /// The rendering `kernel` asks of the packed family.
-    pub(crate) fn of(kernel: GemmKernel) -> Fuse {
-        if kernel.fuses() {
-            Fuse::Fused
-        } else {
-            Fuse::Exact
+/// The entry point a product arrives through: it decides which gates of
+/// [`route`] apply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    /// `matmul_with(kernel)`: exactly the named kernel, no size gates.
+    Pinned,
+    /// `try_matmul` / `matmul_into`: `A·B` through the default kernel.
+    Matmul,
+    /// `try_matmul_tn` / `matmul_tn_into`: `Aᵀ·B` through the default
+    /// kernel.
+    MatmulTn,
+    /// The dense fold `X += U·Vᵀ` of `fold_low_rank`.
+    Fold,
+}
+
+/// The kernel that multiplies one product.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// The textbook `i-j-p` oracle.
+    Naive,
+    /// The serial `i-k-j` loop for products too small to amortize packing.
+    Small,
+    /// The streaming kernels for at most `SKINNY_MAX_COLS` output columns
+    /// (`P·U`, or `Pᵀ·V` without forming `Pᵀ`); they never fuse.
+    Skinny,
+    /// The rank-k fast path: the product, or for [`Op::Fold`] the fused
+    /// fold without an `m×n` temporary.
+    RankK(Fuse),
+    /// The packed nest of this module.
+    Nest(Fuse),
+}
+
+/// Which kernel multiplies the `m×k · k×n` product `op` asks for under
+/// `kernel` — the one place the choice is made. (For [`Op::MatmulTn`] the
+/// left operand is the `k×m` matrix read transposed.)
+///
+/// `Naive` always means the oracle, except that a transposed product with
+/// a skinny output streams through [`Route::Skinny`] under every kernel.
+/// Under the packed family, the default entry points first send outputs
+/// of at most `SKINNY_MAX_COLS` columns to [`Route::Skinny`] and products
+/// under `PACKED_MIN_WORK` multiply-adds to [`Route::Small`]; a fold takes
+/// the fused rank-k fold at every size once its target is a register tile
+/// wide, and otherwise routes its product like [`Op::Matmul`]. Whatever is
+/// left runs the rank-k fast path when the shape is a low-rank update (and
+/// [`force_general_nest`] allows it) and the packed nest otherwise. Every
+/// route but a `Fused` one is `==` to the oracle.
+pub(crate) fn route(op: Op, kernel: GemmKernel, m: usize, k: usize, n: usize) -> Route {
+    let skinny = (1..=SKINNY_MAX_COLS).contains(&n);
+    let fuse = match kernel {
+        GemmKernel::Naive if op == Op::MatmulTn && skinny => return Route::Skinny,
+        GemmKernel::Naive => return Route::Naive,
+        GemmKernel::Packed => Fuse::Exact,
+        GemmKernel::PackedFma => Fuse::Fused,
+    };
+    let rank_k = rankk::eligible(m, k, n) && !rank_k_disabled();
+    if op == Op::Fold && rank_k && n >= NR {
+        return Route::RankK(fuse);
+    }
+    if op != Op::Pinned {
+        if skinny {
+            return Route::Skinny;
         }
+        if m * k * n < PACKED_MIN_WORK {
+            return Route::Small;
+        }
+    }
+    if rank_k {
+        Route::RankK(fuse)
+    } else {
+        Route::Nest(fuse)
     }
 }
 
@@ -526,11 +572,10 @@ fn run_fma<K: Kernel>(kernel: K) {
 /// micro-panel (`kc·NR` values). Fixed trip counts let LLVM fully unroll
 /// the tile and keep `acc` in vector registers — twelve ymm accumulators
 /// under AVX2, one broadcast and two mul/add pairs per `A` lane per `k`
-/// step. Each element is one ascending-`k` [`madd`] chain in every
-/// rendering.
+/// step. Each element continues the ascending-`k` [`madd`] chain it
+/// enters with in `acc`, in every rendering.
 #[inline(always)]
-fn microkernel<I: Isa>(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
-    let mut acc = [[0.0f64; NR]; MR];
+fn microkernel<I: Isa>(ap: &[f64], bp: &[f64], mut acc: [[f64; NR]; MR]) -> [[f64; NR]; MR] {
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         for (arow, &ai) in acc.iter_mut().zip(a) {
             for (o, &bv) in arow.iter_mut().zip(b) {
@@ -542,8 +587,11 @@ fn microkernel<I: Isa>(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
 }
 
 /// The microkernel sweep of one packed block: every `MR×NR` tile of the
-/// `mc × nc` block `abuf · bbuf`, added into `out_rows` (full-width rows
-/// of length `n`) at columns `jc..jc+nc`.
+/// `mc × nc` block `abuf · bbuf`, accumulated into `out_rows` (full-width
+/// rows of length `n`) at columns `jc..jc+nc`. Each tile's accumulators
+/// are seeded from `out_rows` (zero-padded at ragged edges) and stored
+/// back, so successive `KC` blocks extend one chain per element — the
+/// naive kernel's — rather than adding a fresh partial sum per block.
 struct PackedTiles<'a> {
     abuf: &'a [f64],
     bbuf: &'a [f64],
@@ -574,12 +622,26 @@ impl Kernel for PackedTiles<'_> {
             for ir in (0..mc).step_by(MR) {
                 let mr = MR.min(mc - ir);
                 let ap = &abuf[(ir / MR) * kc * MR..][..kc * MR];
-                let acc = microkernel::<I>(ap, bp);
-                for (i, arow) in acc.iter().enumerate().take(mr) {
-                    let row = &mut out_rows[(ir + i) * n + jc + jr..][..nr];
-                    for (o, &v) in row.iter_mut().zip(arow) {
-                        *o += v;
+                let tile = ir * n + jc + jr;
+                // Full tiles seed with fixed-size row loads: 1–2 % faster
+                // at n = 192–384 on one thread than the zero-padded copy
+                // the ragged edge tiles take.
+                let acc = if mr == MR && nr == NR {
+                    let seed = std::array::from_fn(|i| {
+                        out_rows[tile + i * n..][..NR]
+                            .try_into()
+                            .expect("an NR-wide row")
+                    });
+                    microkernel::<I>(ap, bp, seed)
+                } else {
+                    let mut seed = [[0.0f64; NR]; MR];
+                    for (i, arow) in seed.iter_mut().enumerate().take(mr) {
+                        arow[..nr].copy_from_slice(&out_rows[tile + i * n..][..nr]);
                     }
+                    microkernel::<I>(ap, bp, seed)
+                };
+                for (i, arow) in acc.iter().enumerate().take(mr) {
+                    out_rows[tile + i * n..][..nr].copy_from_slice(&arow[..nr]);
                 }
             }
         }
@@ -747,19 +809,12 @@ fn packed_parallel(a: Lhs, b: &Matrix, out: &mut [f64], threads: usize, fuse: Fu
     }
 }
 
-/// The packed product `a · b` (shapes already validated, FLOPs already
-/// counted by the caller). Skinny `k ≤ 16` products take the dedicated
-/// rank-k fast path; everything else runs the packed nest, fanning
-/// `MC`-row chunks out across the work-stealing pool when the product is
-/// heavy and more than one thread is budgeted. With `Fuse::Exact` the
-/// result is bit-identical for every thread count and to every other exact
-/// kernel.
+/// The packed nest `a · b` (shapes already validated, FLOPs already
+/// counted by the caller), fanning `MC`-row chunks out across the
+/// work-stealing pool when the product is heavy and more than one thread
+/// is budgeted. With `Fuse::Exact` the result is bit-identical for every
+/// thread count and to the naive kernel.
 pub(crate) fn packed_matmul(a: &Matrix, b: &Matrix, fuse: Fuse) -> Matrix {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    if rankk::eligible(m, k, n) && !rank_k_disabled() {
-        return rankk::rank_k_matmul(a, b, fuse);
-    }
     packed_nest(
         Lhs {
             a,
@@ -773,8 +828,7 @@ pub(crate) fn packed_matmul(a: &Matrix, b: &Matrix, fuse: Fuse) -> Matrix {
 /// The packed product `aᵀ · b` without forming `aᵀ` (shapes already
 /// validated, FLOPs already counted by the caller): the same nest as
 /// [`packed_matmul`] with the `A` panels packed from the transposed
-/// operand, so it is bit-identical to `packed_matmul(&a.transpose(), b)`
-/// whenever that call runs the nest.
+/// operand, so it is bit-identical to `packed_matmul(&a.transpose(), b)`.
 pub(crate) fn packed_matmul_tn(a: &Matrix, b: &Matrix, fuse: Fuse) -> Matrix {
     packed_nest(
         Lhs {
@@ -817,54 +871,6 @@ fn packed_nest_into(a: Lhs, b: &Matrix, out: &mut [f64], fuse: Fuse) {
     }
 }
 
-impl Matrix {
-    /// General matrix product through an explicit [`GemmKernel`].
-    ///
-    /// `Naive`, `Blocked`, `Packed` and `PackedFma` run exactly the named
-    /// kernel (no size-based dispatch — this is the differential-testing
-    /// entry point; the packed kernels still route eligible skinny shapes
-    /// to their rank-k fast path, which is part of the kernel, not a
-    /// fallback) and count `2·m·k·n` FLOPs. `Strassen` requires square,
-    /// equally-shaped operands to recurse (counting its own, fewer, FLOPs)
-    /// and otherwise falls back to the packed kernel.
-    pub fn matmul_with(&self, rhs: &Matrix, kernel: GemmKernel) -> Result<Matrix> {
-        if self.cols() != rhs.rows() {
-            return Err(MatrixError::DimMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        match kernel {
-            GemmKernel::Strassen if self.is_square() && self.shape() == rhs.shape() => {
-                self.matmul_strassen(rhs)
-            }
-            GemmKernel::Naive => {
-                flops::add((2 * self.rows() * self.cols() * rhs.cols()) as u64);
-                Ok(naive_matmul(self, rhs))
-            }
-            GemmKernel::Blocked => {
-                flops::add((2 * self.rows() * self.cols() * rhs.cols()) as u64);
-                Ok(self.blocked_matmul_auto(rhs))
-            }
-            GemmKernel::Packed | GemmKernel::Strassen => {
-                flops::add((2 * self.rows() * self.cols() * rhs.cols()) as u64);
-                Ok(packed_matmul(self, rhs, Fuse::Exact))
-            }
-            GemmKernel::PackedFma => {
-                flops::add((2 * self.rows() * self.cols() * rhs.cols()) as u64);
-                Ok(packed_matmul(self, rhs, Fuse::Fused))
-            }
-        }
-    }
-
-    /// The packed register-blocked product (counts `2·m·k·n` FLOPs).
-    /// Equivalent to [`Matrix::matmul_with`] with [`GemmKernel::Packed`].
-    pub fn matmul_packed(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_with(rhs, GemmKernel::Packed)
-    }
-}
-
 /// Textbook `i-j-p` product — the f64 oracle.
 pub(crate) fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
@@ -893,7 +899,9 @@ mod tests {
             assert_eq!(GemmKernel::parse(k.label()), Some(k));
             assert_eq!(GemmKernel::parse(&k.label().to_uppercase()), Some(k));
         }
-        assert_eq!(GemmKernel::parse("turbo"), None);
+        for removed in ["turbo", "blocked", "strassen"] {
+            assert_eq!(GemmKernel::parse(removed), None, "{removed}");
+        }
         assert_eq!(format!("{}", GemmKernel::Packed), "packed");
         assert_eq!(format!("{}", GemmKernel::PackedFma), "packed-fma");
     }
@@ -928,8 +936,10 @@ mod tests {
     fn default_kernel_override_wins_and_resets() {
         let _guard = test_config_lock();
         let before = default_kernel();
-        set_default_kernel(Some(GemmKernel::Naive));
-        assert_eq!(default_kernel(), GemmKernel::Naive);
+        for k in GemmKernel::ALL {
+            set_default_kernel(Some(k));
+            assert_eq!(default_kernel(), k);
+        }
         set_default_kernel(None);
         assert_eq!(default_kernel(), before);
     }
@@ -947,18 +957,72 @@ mod tests {
 
     #[test]
     fn packed_matches_naive_on_rectangular_shapes() {
+        // (20, 300, 20) spans two KC blocks: each element must stay one
+        // chain across the block boundary.
         for (m, k, n, seed) in [
             (17, 33, 9, 1),
             (64, 64, 64, 2),
             (5, 200, 3, 3),
             (1, 1, 1, 4),
+            (20, 300, 20, 5),
         ] {
             let a = Matrix::random_uniform(m, k, seed);
             let b = Matrix::random_uniform(k, n, seed + 100);
-            let packed = a.matmul_packed(&b).unwrap();
-            let oracle = naive_matmul(&a, &b);
-            assert!(packed.approx_eq(&oracle, 1e-10), "{m}x{k}x{n}");
+            assert_eq!(
+                a.matmul_packed(&b).unwrap(),
+                naive_matmul(&a, &b),
+                "{m}x{k}x{n}"
+            );
         }
+    }
+
+    #[test]
+    fn route_picks_one_kernel_per_shape() {
+        use GemmKernel::{Naive, Packed, PackedFma};
+        let _guard = test_config_lock();
+        let exact = Fuse::Exact;
+        for (op, kernel, (m, k, n), want) in [
+            // The oracle stays the oracle, but a transposed skinny product
+            // streams under every kernel.
+            (Op::Matmul, Naive, (512, 512, 4), Route::Naive),
+            (Op::Fold, Naive, (512, 4, 512), Route::Naive),
+            (Op::MatmulTn, Naive, (512, 512, 4), Route::Skinny),
+            (Op::MatmulTn, Naive, (512, 512, 17), Route::Naive),
+            // Pinned packed: the rank-k path or the nest, at any size.
+            (Op::Pinned, Packed, (4, 4, 4), Route::Nest(exact)),
+            (Op::Pinned, Packed, (64, 2, 64), Route::RankK(exact)),
+            (
+                Op::Pinned,
+                PackedFma,
+                (64, 64, 64),
+                Route::Nest(Fuse::Fused),
+            ),
+            // Default entry points: skinny outputs, then the size gate.
+            (Op::Matmul, Packed, (512, 512, 16), Route::Skinny),
+            (Op::Matmul, PackedFma, (512, 512, 1), Route::Skinny),
+            (Op::Matmul, Packed, (1, 256, 256), Route::Small),
+            (Op::Matmul, Packed, (47, 47, 47), Route::Small),
+            (Op::Matmul, Packed, (48, 48, 48), Route::Nest(exact)),
+            (Op::Matmul, Packed, (512, 4, 512), Route::RankK(exact)),
+            (Op::MatmulTn, Packed, (64, 72, 40), Route::Nest(exact)),
+            (Op::MatmulTn, Packed, (90, 12, 30), Route::Small),
+            // Folds take the fused rank-k fold at any size once the
+            // target is a register tile wide.
+            (Op::Fold, Packed, (9, 1, 8), Route::RankK(exact)),
+            (Op::Fold, PackedFma, (24, 3, 24), Route::RankK(Fuse::Fused)),
+            (Op::Fold, Packed, (9, 1, 7), Route::Skinny),
+            (Op::Fold, Packed, (128, 20, 128), Route::Nest(exact)),
+        ] {
+            assert_eq!(
+                route(op, kernel, m, k, n),
+                want,
+                "{op:?} {kernel} {m}x{k}x{n}"
+            );
+        }
+        force_general_nest(true);
+        assert_eq!(route(Op::Fold, Packed, 512, 4, 512), Route::Nest(exact));
+        assert_eq!(route(Op::Pinned, Packed, 64, 2, 64), Route::Nest(exact));
+        force_general_nest(false);
     }
 
     #[test]
@@ -1033,14 +1097,6 @@ mod tests {
             force_general_nest(false);
             assert_eq!(fast, nest, "{m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn strassen_kernel_falls_back_to_packed_on_rectangular() {
-        let a = Matrix::random_uniform(12, 20, 11);
-        let b = Matrix::random_uniform(20, 6, 12);
-        let via_strassen = a.matmul_with(&b, GemmKernel::Strassen).unwrap();
-        assert!(via_strassen.approx_eq(&naive_matmul(&a, &b), 1e-10));
     }
 
     #[test]

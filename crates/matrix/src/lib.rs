@@ -7,15 +7,16 @@
 //! the from-scratch replacement substrate. It provides exactly the primitives
 //! the paper's computational model needs:
 //!
-//! * `O(n^γ)` dense matrix multiplication — a packed, register-blocked
-//!   GEMM microkernel with a pluggable kernel family ([`GemmKernel`]) and a
-//!   persistent worker pool — the cost that re-evaluation pays per
-//!   iteration;
+//! * `O(n^γ)` dense matrix multiplication — one packed, register-blocked
+//!   GEMM microkernel on a persistent worker pool, with the naive oracle
+//!   and an opt-in fused rendering beside it ([`GemmKernel`]) — the cost
+//!   that re-evaluation pays per iteration;
 //! * `O(n^γ)` LU-based inversion — the cost OLS re-evaluation pays;
 //! * `O(kn^2)` skinny products (matvec, outer products, `(n×k)·(k×n)` block
-//!   products) — the cost incremental maintenance pays;
+//!   products, rank-k folds) — the cost incremental maintenance pays;
 //! * block stacking (`hstack`/`vstack`) used to build the factored deltas
 //!   `Δ = U Vᵀ` of §4.2–4.3;
+//! * SVD recompression of those factors, and LU / Cholesky factorizations;
 //! * global FLOP accounting so benchmarks can verify the asymptotic claims of
 //!   Table 2 independently of wall-clock noise.
 //!
@@ -47,15 +48,12 @@ mod norms;
 mod ops;
 mod pack;
 mod pool;
-mod qr;
 mod random;
 mod rankk;
 mod skinny;
 mod sparsity;
-mod strassen;
 mod svd;
 
-pub use block::BlockBuilder;
 pub use cholesky::{random_spd, Cholesky};
 pub use compress::{keeps_full_rank, recompress, Recompressed};
 pub use decomp::Lu;
@@ -66,13 +64,11 @@ pub use gemm::{
     force_portable_microkernel, gemm_threads, set_default_kernel, set_gemm_threads, GemmKernel,
 };
 pub use norms::ApproxEq;
-pub use qr::Qr;
 pub use rankk::RANK_K_MAX_K;
 pub use sparsity::{
     factor_nnz, fold_low_rank, set_sparse_folds, sparse_folds_enabled, FoldPath,
     SPARSE_FOLD_CROSSOVER,
 };
-pub use strassen::STRASSEN_GAMMA;
 pub use svd::{numerical_rank, Svd};
 
 /// Crate-wide result alias.

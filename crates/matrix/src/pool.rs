@@ -35,21 +35,22 @@
 //! so the degraded case costs what the single-threaded kernel costs. The
 //! same holds when tests or a host application oversubscribe the machine.
 //!
-//! [`run_scoped`] is the batch entry point: it takes a batch of closures
-//! that may borrow local data, runs one on the calling thread and the rest
-//! on the pool, and **blocks until every closure has finished** — that
-//! barrier is what makes handing non-`'static` borrows to long-lived
-//! workers sound. Panics inside a task are caught on the worker and
-//! re-raised on the caller after the barrier, so a poisoned product cannot
-//! leave a detached thread writing into a freed buffer.
+//! Kernels enter through [`run_stealing`]: a range of chunk indices is
+//! dealt into per-worker deques (contiguous blocks, for locality), each
+//! worker drains its own deque front-to-back, and a worker whose deque runs
+//! dry steals single chunks from the *back* of its siblings' deques, so a
+//! ragged tail or a descheduled worker is robbed instead of stalling the
+//! barrier. The packed GEMM nest calls it directly (row chunks and the
+//! cooperative `B` packing); [`run_row_chunks`] is the streaming kernels'
+//! front end to it, with their own parallel gate.
 //!
-//! [`run_stealing`] layers chunked work-stealing on top: a range of chunk
-//! indices is dealt into per-worker deques (contiguous blocks, for
-//! locality), each worker drains its own deque front-to-back, and a worker
-//! whose deque runs dry steals single chunks from the *back* of its
-//! siblings' deques, so a ragged tail or a descheduled worker is robbed
-//! instead of stalling the barrier. [`run_row_chunks`] is the streaming
-//! kernels' front end to it, with their own parallel gate.
+//! Underneath, [`Pool::run_scoped`] runs a batch of closures that may
+//! borrow local data — one on the calling thread, the rest on the pool —
+//! and **blocks until every closure has finished**: that barrier is what
+//! makes handing non-`'static` borrows to long-lived workers sound. Panics
+//! inside a task are caught on the worker and re-raised on the caller
+//! after the barrier, so a poisoned product cannot leave a detached thread
+//! writing into a freed buffer.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -249,15 +250,11 @@ impl Batch {
     }
 }
 
-/// Runs every task to completion, the first on the calling thread and the
-/// rest on the persistent pool, then returns. Tasks may borrow from the
-/// caller's stack: the function does not return (or unwind) until all of
-/// them have finished, and a panic in any task is re-raised here.
-pub(crate) fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-    pool().run_scoped(tasks);
-}
-
 impl Pool {
+    /// Runs every task to completion, the last on the calling thread and
+    /// the rest on the pool, then returns. Tasks may borrow from the
+    /// caller's stack: the function does not return (or unwind) until all
+    /// of them have finished, and a panic in any task is re-raised here.
     fn run_scoped<'scope>(self: &Arc<Self>, mut tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         let Some(local) = tasks.pop() else { return };
         if tasks.is_empty() {
@@ -411,7 +408,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        run_scoped(Vec::new());
+        pool().run_scoped(Vec::new());
     }
 
     #[test]
@@ -419,7 +416,7 @@ mod tests {
         // A single task executes on the calling thread (observable via a
         // plain &mut borrow that a detached worker could never have).
         let mut hit = false;
-        run_scoped(vec![Box::new(|| hit = true)]);
+        pool().run_scoped(vec![Box::new(|| hit = true)]);
         assert!(hit);
     }
 
@@ -435,7 +432,7 @@ mod tests {
                     }
                 }));
             }
-            run_scoped(tasks);
+            pool().run_scoped(tasks);
         }
         for (i, chunk) in data.chunks(16).enumerate() {
             assert!(chunk.iter().all(|&x| x == i + 1));
@@ -447,7 +444,7 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(|| {
             let tasks: Vec<Box<dyn FnOnce() + Send>> =
                 vec![Box::new(|| panic!("boom")), Box::new(|| {})];
-            run_scoped(tasks);
+            pool().run_scoped(tasks);
         }));
         assert!(result.is_err());
     }
@@ -515,7 +512,7 @@ mod tests {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            run_scoped(tasks);
+            pool().run_scoped(tasks);
             assert_eq!(counter.load(Ordering::Relaxed), 4, "round {round}");
         }
     }

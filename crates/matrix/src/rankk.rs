@@ -45,7 +45,7 @@
 //! in ascending order into a zero-initialized register, then stored
 //! (matmul) or added onto the target once (fold). With an exact `Isa`
 //! every link of that chain is plain mul-then-add — the same per-element
-//! chain as the naive, blocked and packed kernels followed by an
+//! chain as the naive and packed kernels followed by an
 //! elementwise add, so the fast path is `==`-identical to the nest (and
 //! to GEMM-then-add) it replaces, under either exact rendering and any
 //! thread count (asserted by the differential suite via
@@ -54,10 +54,10 @@
 //! the FMA microkernel's contract: not bit-comparable, ≤ 1e-10 of the
 //! Kahan oracle.
 //!
-//! Shape eligibility lives in [`eligible`]; dispatch happens inside the
-//! packed kernel family (`gemm::packed_matmul`) and the dense fold
-//! (`sparsity::fold_low_rank`), so `matmul_with`, `try_matmul` and the
-//! backends' `ApplyDelta` folds all inherit the fast path automatically.
+//! Shape eligibility lives in [`eligible`]; `gemm::route`, the crate's one
+//! kernel router, consults it for every product and dense fold, so
+//! `matmul_with`, `try_matmul` and the backends' `ApplyDelta` folds all
+//! inherit the fast path automatically.
 //!
 //! [`force_general_nest`]: crate::gemm::force_general_nest
 

@@ -19,7 +19,9 @@
 //!
 //! Both write straight into a column block of a wider row-major matrix
 //! (`out[.., c0..c0+k]`, row stride `ld`), which is how the runtime fills
-//! the parts of a stacked block `[U | P·U + …]` in place.
+//! the parts of a stacked block `[U | P·U + …]` in place. `gemm::route`
+//! sends them every product of at most [`SKINNY_MAX_COLS`] output columns
+//! under the packed kernels, and every such `Aᵀ·B` under any kernel.
 //!
 //! **Roofline.** Which resource binds depends on `k`. One thread reads a
 //! 2 MiB view at ≈ 20–26 GB/s on the bench host (80–100 µs), and that is
@@ -36,7 +38,7 @@
 //!
 //! **Bit-identity.** Every output element is one accumulator that starts
 //! at `+0.0` and adds the products of its inner index in ascending order
-//! with plain mul-then-add — the chain of the naive, blocked and rank-k
+//! with plain mul-then-add — the chain of the naive, packed and rank-k
 //! kernels — under every [`GemmKernel`](crate::GemmKernel), including
 //! `packed-fma` (these kernels never fuse), and under every rendering
 //! (see [`crate::gemm::Isa`]): vector width and tile shape only regroup

@@ -12,7 +12,9 @@
 //! **Bit-identity.** The dense path computes
 //! `delta[r][j] = Σₖ u[r,k]·v[j,k]` with `k` ascending (the documented
 //! [`GemmKernel`](crate::GemmKernel) contract — plain mul-then-add, never
-//! fused) and then performs one elementwise `X += delta`. The sparse path
+//! fused) and then performs one elementwise `X += delta` — or, when the
+//! crate's kernel router picks the rank-k fold, the same chain added
+//! straight into `X`. The sparse path
 //! replays exactly that per-element order, skipping only terms where
 //! `u[r,k]` is exactly `0.0` and rows of `U` that are entirely zero.
 //! Skipped terms contribute `±0.0`; under IEEE-754 round-to-nearest,
@@ -35,6 +37,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use crate::gemm::{self, Op, Route};
 use crate::{flops, Matrix, MatrixError, Result};
 
 /// Density of the left factor below which the sparse row-replay fold beats
@@ -140,28 +143,19 @@ pub fn fold_low_rank(
     // its multiply-adds, which the scalar replay cannot reproduce — and a
     // sparse/dense decision must never change fold values, or mirrored
     // backends would drift apart. Fall back to all-dense in that mode.
-    if allow_sparse && n * k > 0 && !crate::gemm::default_kernel().fuses() {
+    if allow_sparse && n * k > 0 && !gemm::default_kernel().fuses() {
         let nnz = factor_nnz(u);
         if (nnz as f64) <= SPARSE_FOLD_CROSSOVER * (n * k) as f64 {
             return sparse_fold(target, u, v, nnz, m);
         }
     }
-    // Fused rank-k fold: skip the n×m delta temporary whenever the shape
-    // is skinny enough for the packed family's rank-k path — at every
-    // size, so a firing never allocates a view-sized matrix to fold a
-    // block pair. The per-element chain (ascending-k accumulate, one add
-    // into the target) is that of the GEMM-then-add fold this replaces,
-    // under whichever exact kernel the product would have taken.
-    let kernel = crate::gemm::default_kernel();
-    if crate::rankk::eligible(n, k, m)
-        && !crate::gemm::rank_k_disabled()
-        && matches!(
-            kernel,
-            crate::GemmKernel::Packed | crate::GemmKernel::PackedFma
-        )
-        && m >= crate::gemm::NR
-    {
-        let fuse = crate::gemm::Fuse::of(kernel);
+    // Fused rank-k fold: skip the n×m delta temporary whenever the router
+    // says so — at every size, so a firing never allocates a view-sized
+    // matrix to fold a block pair. The per-element chain (ascending-k
+    // accumulate, one add into the target) is that of the GEMM-then-add
+    // fold this replaces, under whichever exact kernel the product would
+    // have taken.
+    if let Route::RankK(fuse) = gemm::route(Op::Fold, gemm::default_kernel(), n, k, m) {
         crate::rankk::rank_k_fold(target, u, &v.transpose(), fuse);
         // Same meter charge as the two-step: 2nkm for the product, nm for
         // the fold into the target.

@@ -61,11 +61,11 @@ OPTIONS:
   --density D        expected nonzero fraction of incoming delta factors
                      (0 < D <= 1): refines --emit analysis with nnz-aware
                      fold FLOPs and compressed-frame wire bytes
-  --gemm KERNEL      dense GEMM kernel: naive | blocked | packed |
-                     packed-fma | strassen (default: packed; also settable
-                     via LINVIEW_GEMM; packed-fma fuses multiply-adds —
-                     fastest and differential-tested to 1e-10, but not
-                     bit-identical to the exact kernels)
+  --gemm KERNEL      dense GEMM kernel: {GEMM_KERNELS}
+                     (default: packed; also settable via LINVIEW_GEMM;
+                     packed-fma fuses multiply-adds — fastest and
+                     differential-tested to 1e-10, but not bit-identical
+                     to the exact kernels)
   --threads N        GEMM thread budget (default: all cores; also settable
                      via LINVIEW_THREADS — results are bit-identical for
                      every value)
@@ -155,6 +155,13 @@ SERVE-CLUSTER OPTIONS (spawn a local worker fleet in one process):
   --dir DIR          directory for the Unix socket files (default: the
                      system temp dir)
 ";
+
+/// [`USAGE`] with the `--gemm` kernel list filled in from
+/// [`GemmKernel::ALL`], so the help text cannot drift from the parser.
+fn usage() -> String {
+    let kernels = GemmKernel::ALL.map(GemmKernel::label).join(" | ");
+    USAGE.replace("{GEMM_KERNELS}", &kernels)
+}
 
 /// Pins the process-wide GEMM kernel from a `--gemm` flag value.
 fn apply_gemm_flag(value: &str) -> Result<(), String> {
@@ -1454,7 +1461,7 @@ fn main() -> ExitCode {
         return match parse_worker_args(&argv[1..]).and_then(|a| run_worker(&a)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) if msg.is_empty() => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 ExitCode::SUCCESS
             }
             Err(msg) => {
@@ -1467,7 +1474,7 @@ fn main() -> ExitCode {
         return match run_serve_cluster(&argv[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) if msg.is_empty() => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 ExitCode::SUCCESS
             }
             Err(msg) => {
@@ -1487,7 +1494,7 @@ fn main() -> ExitCode {
                 }
             }
             Err(msg) if msg.is_empty() => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 ExitCode::SUCCESS
             }
             Err(msg) => {
@@ -1503,7 +1510,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             Err(msg) if msg.is_empty() => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 ExitCode::SUCCESS
             }
             Err(msg) => {
@@ -1519,7 +1526,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             Err(msg) if msg.is_empty() => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 ExitCode::SUCCESS
             }
             Err(msg) => {
@@ -1530,11 +1537,11 @@ fn main() -> ExitCode {
     }
     match parse_args(&argv) {
         Err(msg) if msg.is_empty() => {
-            print!("{USAGE}");
+            print!("{}", usage());
             ExitCode::SUCCESS
         }
         Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}\n\n{}", usage());
             ExitCode::from(2)
         }
         Ok(args) => match run(&args) {

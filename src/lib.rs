@@ -14,8 +14,8 @@
 //!
 //! ## Crate map
 //!
-//! * [`matrix`] — dense kernels (blocked parallel matmul, LU inverse, block
-//!   stacking, FLOP accounting).
+//! * [`matrix`] — dense kernels (packed parallel GEMM with rank-k and
+//!   skinny fast paths, LU inverse, block stacking, FLOP accounting).
 //! * [`expr`] — symbolic expressions, the delta rules of §4.1, factored
 //!   deltas with common-factor extraction (§4.2–4.3), cost model, chain DP.
 //! * [`compiler`] — Algorithm 1: programs → update triggers; optimizer;

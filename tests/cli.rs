@@ -107,6 +107,11 @@ fn help_prints_usage() {
     let (ok, stdout, _) = linview(&["--help"]);
     assert!(ok);
     assert!(stdout.contains("USAGE:"));
+    // The --gemm line is built from the kernel list the parser accepts.
+    assert!(
+        stdout.contains("dense GEMM kernel: naive | packed | packed-fma\n"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -343,11 +348,11 @@ fn engine_gemm_flags_pin_kernel_and_threads() {
 fn gemm_env_overrides_select_kernel_and_threads() {
     let (ok, stdout, stderr) = linview_env(
         &["engine", "--n", "16", "--events", "4", "--backend", "local"],
-        &[("LINVIEW_GEMM", "blocked"), ("LINVIEW_THREADS", "2")],
+        &[("LINVIEW_GEMM", "naive"), ("LINVIEW_THREADS", "2")],
     );
     assert!(ok, "engine under env overrides failed: {stderr}");
     assert!(
-        stdout.contains("gemm: kernel blocked, 2 thread budget"),
+        stdout.contains("gemm: kernel naive, 2 thread budget"),
         "env overrides not honored: {stdout}"
     );
     // The CLI flag outranks the environment.
@@ -403,6 +408,18 @@ fn rejects_bad_gemm_flags() {
         stderr.contains("unknown GEMM kernel") && stderr.contains("packed-fma"),
         "error must name the kernel list: {stderr}"
     );
+    // Kernels that no longer exist are typed errors listing exactly the
+    // three that do.
+    for removed in ["blocked", "strassen"] {
+        let (ok, _, stderr) = linview(&["engine", "--gemm", removed]);
+        assert!(!ok, "--gemm {removed} was accepted");
+        assert!(
+            stderr.contains("bad --gemm")
+                && stderr.contains(&format!("unknown GEMM kernel \"{removed}\""))
+                && stderr.contains("(valid: naive, packed, packed-fma)"),
+            "--gemm {removed}: {stderr}"
+        );
+    }
     let (ok, _, stderr) = linview(&["engine", "--threads", "0"]);
     assert!(!ok);
     assert!(stderr.contains("--threads"));
@@ -435,6 +452,17 @@ fn bad_env_kernel_warns_at_startup_and_falls_back() {
         stdout.contains("gemm: kernel packed"),
         "must fall back to the default kernel: {stdout}"
     );
+    // So does a kernel that no longer exists.
+    let (ok, stdout, stderr) = linview_env(
+        &["engine", "--n", "16", "--events", "4", "--backend", "local"],
+        &[("LINVIEW_GEMM", "strassen")],
+    );
+    assert!(ok, "engine under LINVIEW_GEMM=strassen failed: {stderr}");
+    assert!(
+        stderr.contains("warning: ignoring LINVIEW_GEMM") && stderr.contains("strassen"),
+        "missing startup warning: {stderr}"
+    );
+    assert!(stdout.contains("gemm: kernel packed"), "{stdout}");
     // A valid value warns nothing.
     let (ok, _, stderr) = linview_env(
         &["engine", "--n", "16", "--events", "4", "--backend", "local"],
@@ -481,7 +509,7 @@ fn compile_mode_accepts_gemm_flags() {
         "--program",
         "B := A * A;",
         "--gemm",
-        "strassen",
+        "packed-fma",
         "--threads",
         "2",
     ]);

@@ -9,9 +9,10 @@
 //!    oracle *and* a Kahan-compensated oracle, over proptest-randomized
 //!    adversarial shapes (0/1-sized dims, skinny/tall, odd sizes,
 //!    non-multiples of the `MR`/`NR` register tiles and `KC`/`MC` cache
-//!    blocks), to ≤ 1e-10 relative error.
-//! 2. **Exact accounting** — output shapes always `(m, n)`, and the cubic
-//!    kernels add exactly `2·m·k·n` to the FLOP counter.
+//!    blocks, inner dimensions past `2·KC`), to ≤ 1e-10 relative error —
+//!    and the exact kernels `==` the plain oracle.
+//! 2. **Exact accounting** — output shapes always `(m, n)`, and every
+//!    kernel adds exactly `2·m·k·n` to the FLOP counter.
 //! 3. **Determinism** — the packed kernel is bit-identical across thread
 //!    counts and run-to-run; every kernel is repeatable on identical
 //!    inputs.
@@ -108,6 +109,7 @@ fn dim() -> impl Strategy<Value = usize> {
         2 => (1usize..4).prop_map(|x| x * NR - 1),     // off the NR grid
         2 => 120usize..140,      // straddles MC = 128
         1 => 250usize..260,      // straddles KC = 256
+        1 => 513usize..530,      // past 2·KC: three KC blocks
         2 => 30usize..70,        // generic mid-size
     ]
 }
@@ -143,7 +145,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Property 1: every kernel within 1e-10 relative error of both
-    /// oracles, with exact output shapes, on adversarial shapes.
+    /// oracles, with exact output shapes, on adversarial shapes; the exact
+    /// kernels `==` the plain oracle.
     #[test]
     fn every_kernel_matches_both_oracles((a, b) in operands()) {
         let _guard = lock();
@@ -155,6 +158,12 @@ proptest! {
         for kernel in GemmKernel::ALL {
             let c = a.matmul_with(&b, kernel).unwrap();
             prop_assert_eq!(c.shape(), (a.rows(), b.cols()));
+            if !kernel.fuses() {
+                prop_assert!(
+                    c == plain,
+                    "{} != naive oracle on {}x{}x{}", kernel, a.rows(), a.cols(), b.cols()
+                );
+            }
             prop_assert!(
                 c.rel_diff(&plain) <= 1e-10,
                 "{} vs naive oracle: {:e} on {}x{}x{}",
@@ -168,19 +177,13 @@ proptest! {
         }
     }
 
-    /// Property 2: the cubic kernels account exactly 2·m·k·n FLOPs per
-    /// product (Strassen asserts its own sub-cubic count in-crate).
+    /// Property 2: every kernel accounts exactly 2·m·k·n FLOPs per
+    /// product.
     #[test]
     fn cubic_kernels_count_exact_flops((a, b) in operands()) {
         let _guard = lock();
         let expected = (2 * a.rows() * a.cols() * b.cols()) as u64;
-        let cubic = [
-            GemmKernel::Naive,
-            GemmKernel::Blocked,
-            GemmKernel::Packed,
-            GemmKernel::PackedFma,
-        ];
-        for kernel in cubic {
+        for kernel in GemmKernel::ALL {
             let before = flops::read();
             a.matmul_with(&b, kernel).unwrap();
             prop_assert_eq!(flops::read() - before, expected, "{}", kernel);
@@ -268,6 +271,49 @@ fn pinned_adversarial_shapes_match_the_oracle() {
             );
         }
     }
+}
+
+/// The packed nest past one `KC = 256` block of inner dimension: each
+/// element stays one ascending chain across the block boundaries, so
+/// `matmul_with(Packed)`, a wide `try_matmul_tn` (panels packed from the
+/// transposed operand) and an exact-fit `matmul_into` are `==` to the
+/// naive oracle at k ∈ {258, 300, 513, 600} — on both exact renderings, at
+/// one and two threads — and `packed-fma` stays within the 1e-10 budget.
+/// 130×70 crosses `MC` and the parallel threshold at every k; 6×8 has a
+/// single ragged register tile (its transposed and into products stream
+/// through the skinny kernels instead).
+#[test]
+fn packed_nest_is_exact_across_kc_blocks() {
+    let _guard = lock();
+    set_default_kernel(Some(GemmKernel::Packed));
+    for k in [258, 300, 513, 600] {
+        for (m, n) in [(6, 8), (20, 24), (130, 70)] {
+            let a = Matrix::random_uniform(m, k, (m * k) as u64);
+            let at = Matrix::random_uniform(k, m, (m * k) as u64 + 1);
+            let b = Matrix::random_uniform(k, n, (k * n) as u64 + 2);
+            let ab = naive_oracle(&a, &b);
+            let atb = naive_oracle(&at.transpose(), &b);
+            for portable in [true, false] {
+                force_portable_microkernel(portable);
+                for threads in [1, 2] {
+                    set_gemm_threads(Some(threads));
+                    let label =
+                        format!("{m}x{k}x{n}, portable forced: {portable}, {threads} thread(s)");
+                    let c = a.matmul_with(&b, GemmKernel::Packed).unwrap();
+                    assert_eq!(c, ab, "matmul_with, {label}");
+                    assert_eq!(at.try_matmul_tn(&b).unwrap(), atb, "try_matmul_tn, {label}");
+                    let mut fit = Matrix::filled(m, n, 9.0);
+                    a.matmul_into(&b, &mut fit, 0).unwrap();
+                    assert_eq!(fit, ab, "matmul_into, {label}");
+                    let fused = a.matmul_with(&b, GemmKernel::PackedFma).unwrap();
+                    assert!(fused.rel_diff(&ab) <= 1e-10, "packed-fma, {label}");
+                }
+            }
+        }
+    }
+    force_portable_microkernel(false);
+    set_gemm_threads(None);
+    set_default_kernel(None);
 }
 
 /// Run-to-run repeatability: identical inputs give bitwise-identical
@@ -406,7 +452,7 @@ fn transpose_free_and_skinny_products_match_the_formed_transpose() {
         (2, 9, 5),
         (130, 70, 16),
         (300, 400, 8), // past the parallel threshold
-        (40, 50, 17),  // one past the skinny limit: blocked fallback
+        (40, 50, 17),  // one past the skinny limit: small-product kernel
         (64, 72, 40),  // packed nest, panels packed from Aᵀ
         (300, 64, 40), // … across two KC blocks
         (12, 90, 30),  // rank-k-eligible transposed shape
@@ -469,11 +515,11 @@ fn transpose_free_and_skinny_products_match_the_formed_transpose() {
         .is_err());
 }
 
-/// Small folds and narrow products, below the `48³` work gate that used to
-/// keep them on the unfused blocked kernel: `fold_low_rank` now takes the
-/// fused-capable rank-k fold at every size, and `try_matmul` hands every
-/// product of at most 16 output columns to the never-fusing tall-skinny
-/// kernel. Under the exact kernels both stay `==` to GEMM-then-add through
+/// Small folds and narrow products, below the `48³` work gate that would
+/// otherwise send them to the unfused small-product kernel:
+/// `fold_low_rank` takes the fused-capable rank-k fold at every size, and
+/// `try_matmul` hands every product of at most 16 output columns to the
+/// never-fusing tall-skinny kernel. Under the exact kernels both stay `==` to GEMM-then-add through
 /// the naive kernel; under `packed-fma` the small fold's bits may move
 /// (one rounding per multiply-add) and are held to the 1e-10 budget.
 #[test]
