@@ -914,7 +914,7 @@ pub fn firing_kernels(cfg: &Config) -> Table {
     let mut x = Matrix::random_uniform(n, n, 98);
     let view_bytes = (8 * n * n) as f64;
     for (kernel, passes) in [("P*U", 1.0), ("P'*V", 1.0), ("X += U*V'", 2.0)] {
-        for k in [1usize, 4, 16] {
+        for k in [1usize, 2, 4, 16] {
             let u = Matrix::random_uniform(n, k, 99);
             let v = Matrix::random_uniform(n, k, 100);
             let mut block = Matrix::zeros(n, k);
@@ -970,8 +970,9 @@ pub fn firing_kernels(cfg: &Config) -> Table {
         dash(),
     ]);
     t.note(
-        "host = the widest exact rendering this CPU runs (AVX2 where detected), bit-identical to \
-         portable; GB/s counts the 8n^2-byte view once for the products and twice (read + write) \
+        "host = the widest exact rendering this CPU runs (AVX2 where detected; P*U at k = 1 runs \
+         portable everywhere, its 4-lane tiles measured slower), bit-identical to portable; GB/s \
+         counts the 8n^2-byte view once for the products and twice (read + write) \
          for the fold; before PR 20 (SSE2 only, both fork-join hand-offs on condvars) the \
          2-thread column read P*U 80/142/351 us, P'*V 83/196/386, fold 102/278/552 (k = 1/4/16) \
          and the empty fork-join 39 us p50",

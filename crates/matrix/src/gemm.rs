@@ -508,6 +508,10 @@ impl Isa for Avx2Fma {
 
 /// A compute kernel with one body for every [`Isa`].
 pub(crate) trait Kernel {
+    /// False for a kernel whose wide renderings measured slower than the
+    /// baseline one: [`dispatch`] then runs it [`Portable`] on every host.
+    const WIDE: bool = true;
+
     /// The body: straight-line arithmetic over borrowed slices, combining
     /// products only through [`madd`]. It — and every hot function it
     /// calls — must be `#[inline(always)]`: [`dispatch`] instantiates it
@@ -531,12 +535,13 @@ pub(crate) fn madd<I: Isa>(acc: f64, a: f64, b: f64) -> f64 {
 }
 
 /// The single entry to feature-enabled code: runs `kernel` under the
-/// fastest rendering compatible with `fuse` that the host supports and
-/// [`force_portable_microkernel`] allows (`Fused` falls back to the exact
-/// renderings on hosts without FMA). Callers hoist this above their tile
-/// loops — one branch per row chunk or packed block, none per tile.
+/// fastest rendering compatible with `fuse` that the host supports,
+/// [`force_portable_microkernel`] allows and the kernel wants
+/// ([`Kernel::WIDE`]; `Fused` falls back to the exact renderings on hosts
+/// without FMA). Callers hoist this above their tile loops — one branch per
+/// row chunk or packed block, none per tile.
 pub(crate) fn dispatch<K: Kernel>(kernel: K, fuse: Fuse) {
-    if portable_forced() || !avx2_available() {
+    if !K::WIDE || portable_forced() || !avx2_available() {
         return kernel.run::<Portable>();
     }
     #[cfg(not(target_arch = "x86_64"))]

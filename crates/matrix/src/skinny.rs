@@ -67,10 +67,19 @@ const TN_BAND: usize = 512;
 /// `R·⌈K/LANES⌉ ≈ 8` accumulator registers — eight independent add chains
 /// hide the FP latency, and the `B` row and the broadcasts still fit the
 /// other half of the register file.
+///
+/// `k ≤ 2` were picked by measurement (`P·U` at n = 512, one thread of the
+/// bench host, portable 57–69 µs at `k = 1` and 98–110 µs at `k = 2`). At
+/// `k = 1` a 4-lane tile gathers one scalar per row into each vector, two
+/// rows in four through a load-and-shuffle plus a lane insert, and the
+/// shuffle port binds: 168, 92, 71, 69, 81, 87, 87 and 114 µs at `R` = 1,
+/// 2, 3, 4, 6, 8, 12, 16 — so `R4 = 0`: this width has no 4-lane tile and
+/// runs the 2-lane rendering on every host. At `k = 2`, `R = 4` (66–74 µs)
+/// beats 8 (88–92) and 16 (260–304).
 macro_rules! dispatch_width {
     ($TN:ident, $k:expr, $args:tt) => {
         dispatch_width!(@rows $TN, $k, $args;
-            1: 8 8, 2: 8 8, 3: 4 8, 4: 4 8, 5: 2 4, 6: 2 4, 7: 2 4, 8: 2 4,
+            1: 8 0, 2: 8 4, 3: 4 8, 4: 4 8, 5: 2 4, 6: 2 4, 7: 2 4, 8: 2 4,
             9: 1 2, 10: 1 2, 11: 1 2, 12: 1 2, 13: 1 2, 14: 1 2, 15: 1 2, 16: 1 2)
     };
     (@rows $TN:ident, $k:expr, $args:tt; $($w:literal: $two:literal $four:literal),*) => {
@@ -98,6 +107,8 @@ struct Band<'a, const TN: bool, const K: usize, const R2: usize, const R4: usize
 impl<const TN: bool, const K: usize, const R2: usize, const R4: usize> Kernel
     for Band<'_, TN, K, R2, R4>
 {
+    const WIDE: bool = TN || R4 > 0;
+
     /// Plain `*` then `+` under every `Isa`: these kernels never fuse.
     #[inline(always)]
     fn run<I: Isa>(self) {
@@ -111,7 +122,7 @@ impl<const TN: bool, const K: usize, const R2: usize, const R4: usize> Kernel
         } = self;
         if TN {
             tn_skinny_cols::<K>(a, b, first, out, ld, c0)
-        } else if I::LANES >= 4 {
+        } else if I::LANES >= 4 && R4 > 0 {
             tall_skinny_rows::<K, R4>(a, b, first, out, ld, c0)
         } else {
             tall_skinny_rows::<K, R2>(a, b, first, out, ld, c0)

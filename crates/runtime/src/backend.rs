@@ -26,7 +26,7 @@ use linview_dist::{
     ChannelTransport, Cluster, CommSnapshot, DistMatrix, FramePool, PeerAddr, SocketConfig,
     SocketTransport, Transport, WorkerPool,
 };
-use linview_matrix::{fold_low_rank, Matrix};
+use linview_matrix::Matrix;
 
 use crate::exec::{FiringReport, SparseStats, StageDelta};
 use crate::{Env, Evaluator, ExecOptions, Result, RuntimeError};
@@ -183,40 +183,23 @@ impl ExecBackend for LocalBackend {
         v: &Matrix,
         sparse: bool,
     ) -> Result<SparseStats> {
-        if u.cols() == 0 {
-            env.get(target)?; // target must still exist; `get_mut` would copy a shared view
-            return Ok(SparseStats::default()); // rank-0: uncounted no-op
-        }
-        let path = fold_low_rank(env.get_mut(target)?, u, v, sparse)?;
-        Ok(SparseStats::from_path(path))
+        env.fold(target, u, v, sparse)
     }
 
-    /// A multi-delta stage claims every target up front: the targets are
-    /// pairwise distinct, so [`Env::get_many_mut`] hands out all the views
-    /// at once, and an unknown target aborts the stage before any view is
-    /// touched. Rank-0 members are only checked to exist — claiming them
-    /// for writing would copy a shared view to fold nothing into it. The
-    /// folds then run in statement order — each one already
-    /// spreads over the GEMM pool inside the rank-k kernel, and a thread per
-    /// fold on top of that measured slower (see the `exec` module docs).
+    /// A multi-delta stage is one [`Env::fold_stage`]: every target is
+    /// checked up front, so an unknown target or a misfit factor aborts
+    /// the stage before any view is touched, and rank-0 members are only
+    /// checked to exist. The folds then run in statement order — each one
+    /// already spreads over the GEMM pool inside the rank-k kernel, and a
+    /// thread per fold on top of that measured slower (see the `exec`
+    /// module docs).
     fn apply_stage(
         &mut self,
         env: &mut Env,
         deltas: &[StageDelta],
         sparse: bool,
     ) -> Result<SparseStats> {
-        for d in deltas {
-            env.get(&d.target)?;
-        }
-        let live = || deltas.iter().filter(|d| d.u.cols() > 0);
-        let names: Vec<&str> = live().map(|d| d.target.as_str()).collect();
-        let mut stats = SparseStats::default();
-        for (slot, d) in env.get_many_mut(&names)?.into_iter().zip(live()) {
-            stats.merge(SparseStats::from_path(fold_low_rank(
-                slot, &d.u, &d.v, sparse,
-            )?));
-        }
-        Ok(stats)
+        env.fold_stage(deltas, sparse)
     }
 }
 
@@ -430,8 +413,7 @@ impl<T: Transport> ExecBackend for FrameBackend<T> {
         }
         // Keep the coordinator mirror in sync for subsequent statements;
         // this mirror fold is the apply's one counted fold.
-        let path = fold_low_rank(env.get_mut(target)?, u, v, sparse)?;
-        let mut stats = SparseStats::from_path(path);
+        let mut stats = env.fold(target, u, v, sparse)?;
         if compress {
             // What the same broadcast would have cost dense: the exact
             // TAG_DELTA frame length, computed without serializing it.
@@ -530,10 +512,7 @@ impl<T: Transport> ExecBackend for FrameBackend<T> {
         // mirror to match while they apply their own copies. Shapes were
         // validated above, so the folds cannot fail and leave mirror and
         // workers out of step.
-        for d in &live {
-            let path = fold_low_rank(env.get_mut(&d.target)?, &d.u, &d.v, sparse)?;
-            stats.merge(SparseStats::from_path(path));
-        }
+        stats.merge(env.fold_stage(deltas, sparse)?);
         match send_err {
             Some(e) => Err(e),
             None => Ok(stats),

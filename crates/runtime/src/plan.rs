@@ -12,11 +12,12 @@
 //!
 //! A plan is specialized to the shapes it was lowered against (the rank of
 //! the fired update sets block widths, and with them allocation sizes and
-//! chain associations), so a firing lowers its trigger afresh: ~30 µs for
-//! the 16-statement `A¹⁶` body, about 1 % of the 3 ms that firing costs at
-//! `n = 512`. Keeping plans across firings was tried (a content-keyed
-//! cache on the evaluator) and did not move `refresh_p50_ms` beyond
-//! run-to-run spread, so there is none.
+//! chain associations), so a firing lowers its trigger afresh: 29–32 µs
+//! for the 16-statement `A¹⁶` body, about 2.5 % of the 1.15–1.25 ms that
+//! firing costs at `n = 512` (the benchmark's `powers_point`, 2 vCPUs).
+//! Keeping plans across firings was tried when a firing still cost 3.1 ms
+//! (a content-keyed cache on the evaluator) and did not move
+//! `refresh_p50_ms` beyond run-to-run spread, so there is none.
 
 use linview_compiler::{StmtDag, Trigger, TriggerStmt};
 use linview_expr::delta::input_delta_names;

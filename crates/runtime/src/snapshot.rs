@@ -9,10 +9,17 @@
 //! [`ViewSnapshot`] that *shares* the environment's matrices — one `Arc`
 //! clone per binding, `O(views)` whatever their size — and swaps it in with
 //! a single pointer-width store. The matrices of a published epoch are
-//! never written again: the next firing's folds go through
-//! [`Env`]'s copy-on-write, which copies only the views that firing
-//! touches, into a buffer recycled from the epoch before, so an untouched
-//! input is the same allocation in every snapshot.
+//! never written again. The next firing's folds go through [`Env`]'s
+//! copy-on-write, which gives only the views that firing touches a private
+//! buffer — the one recycled from the epoch before last — so an untouched
+//! input is the same allocation in every snapshot. That buffer held the
+//! view's exact bits one copy-on-write ago, and [`Env::fold`] has logged
+//! the factored folds applied since, so it is brought up to date by
+//! replaying them (bit-identical: the same `fold_low_rank` calls on the
+//! same bits) rather than by copying the whole view. A publish costs the
+//! writer what those folds touch — one row per rank-1 row update — and a
+//! plain copy only after an arbitrary write, or when the log would cost
+//! more than the copy.
 //!
 //! Readers go through a cloneable [`ViewHandle`]: acquiring a snapshot is
 //! one `Arc` clone under a read lock whose critical section contains no
@@ -43,10 +50,10 @@ use crate::{Env, Result, RuntimeError};
 ///
 /// A snapshot holds the environment's matrices by reference (`Arc`), not
 /// copies of them. Nothing writes a matrix a snapshot holds — the live
-/// environment copies a view before its next write to it — so any number of
-/// readers can hold one at zero coordination cost while the engine keeps
-/// firing triggers, and consecutive snapshots share every matrix the rounds
-/// between them did not touch.
+/// environment moves a view to another buffer before its next write to
+/// it — so any number of readers can hold one at zero coordination cost
+/// while the engine keeps firing triggers, and consecutive snapshots share
+/// every matrix the rounds between them did not touch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewSnapshot {
     epoch: u64,
@@ -176,7 +183,8 @@ impl SnapshotPublisher {
     /// into a new snapshot (`O(views)` pointer copies and one small map,
     /// before the lock is taken) and swaps it in; the write lock is held
     /// only for the pointer swap. No matrix is copied here — the next write
-    /// to a published view pays for its own copy inside [`Env`].
+    /// to a published view pays inside [`Env`] for bringing a recycled
+    /// buffer up to date (a replay of the folds it missed, or a copy).
     pub fn publish(&self, env: &Env) {
         let epoch = self.shared.rounds.load(Ordering::Acquire);
         let snap = Arc::new(ViewSnapshot::capture(epoch, env));

@@ -490,3 +490,125 @@ fn a_pinned_epoch_survives_later_rounds_and_untouched_inputs_stay_shared() {
     .unwrap();
     pinned_epoch_survives_later_rounds(threaded, "threaded");
 }
+
+/// Large enough that a row update folds on the sparse path (`1/n` under
+/// the 5 % density gate) and `D`'s dense fold fits the replay budget.
+const CADENCE_N: usize = 32;
+const CADENCE_EVENTS: usize = 24;
+
+fn cadence_program() -> (Program, Catalog, Vec<(&'static str, Matrix)>) {
+    let program = parse_program("C := A * B; D := C * C;").unwrap();
+    let mut cat = Catalog::new();
+    cat.declare("A", CADENCE_N, CADENCE_N);
+    cat.declare("B", CADENCE_N, CADENCE_N);
+    let a = Matrix::random_spectral(CADENCE_N, 7, 0.8);
+    let b = Matrix::random_spectral(CADENCE_N, 8, 0.8);
+    (program, cat, vec![("A", a), ("B", b)])
+}
+
+/// Feeds the alternating `A`/`B` row-update stream one firing per event.
+fn feed_cadence_stream<B: ExecBackend>(
+    engine: &mut MaintenanceEngine<B>,
+    mut after_each: impl FnMut(&MaintenanceEngine<B>),
+) {
+    let mut stream = UpdateStream::new(CADENCE_N, CADENCE_N, 0.01, SEED);
+    for i in 0..CADENCE_EVENTS {
+        let input = if i % 2 == 0 { "A" } else { "B" };
+        engine.ingest(input, stream.next_rank_one()).unwrap();
+        after_each(engine);
+    }
+}
+
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+fn assert_bits_are_replay_state(
+    snap: &ViewSnapshot,
+    replay: &[BTreeMap<String, Matrix>],
+    what: &str,
+) {
+    for (name, m) in &replay[snap.epoch() as usize] {
+        assert!(
+            same_bits(snap.get(name).unwrap(), m),
+            "{what}: {name} at epoch {} is not the replay state bit for bit",
+            snap.epoch()
+        );
+    }
+}
+
+/// A served view whose views are written behind published snapshots
+/// brings each recycled buffer up to date by replaying the folds it missed:
+/// one per view at cadence 1, and the in-place folds between publishes at
+/// cadences 2 and 3. A reader pins epoch `PIN_AT` for the whole run, so
+/// that epoch's buffers never come back as spares. Every epoch published —
+/// the pinned one included, checked again at the end — must be the state
+/// of a serving-free replay of the same stream, bit for bit.
+fn epochs_are_replay_states_at_cadence<B: ExecBackend>(
+    view: IncrementalView<B>,
+    every: u64,
+    what: &str,
+) {
+    const PIN_AT: u64 = 3;
+    let (program, cat, inputs) = cadence_program();
+    let mut unserved = MaintenanceEngine::new(
+        IncrementalView::build(&program, &inputs, &cat).unwrap(),
+        FlushPolicy::Immediate,
+    );
+    let state = |engine: &MaintenanceEngine| -> BTreeMap<String, Matrix> {
+        ["A", "B", "C", "D"]
+            .iter()
+            .map(|n| (n.to_string(), engine.get(n).unwrap().clone()))
+            .collect()
+    };
+    let mut replay = vec![state(&unserved)];
+    feed_cadence_stream(&mut unserved, |engine| replay.push(state(engine)));
+
+    let mut engine = MaintenanceEngine::new(view, FlushPolicy::Immediate);
+    let handle = engine.enable_serving(every);
+    let mut pinned = None;
+    let mut epochs = 0;
+    feed_cadence_stream(&mut engine, |_| {
+        let snap = handle.snapshot();
+        assert_bits_are_replay_state(&snap, &replay, what);
+        if snap.epoch() >= PIN_AT && pinned.is_none() {
+            pinned = Some(snap);
+        }
+        epochs += 1;
+    });
+    assert_eq!(epochs, CADENCE_EVENTS);
+    assert_eq!(
+        handle.rounds() as usize,
+        CADENCE_EVENTS,
+        "{what}: one firing per event"
+    );
+    let pinned = pinned.expect("an epoch past the pin point was published");
+    assert_bits_are_replay_state(&pinned, &replay, what);
+    for (name, m) in &replay[CADENCE_EVENTS] {
+        assert!(
+            same_bits(engine.get(name).unwrap(), m),
+            "{what}: live {name}"
+        );
+    }
+}
+
+#[test]
+fn published_epochs_stay_bit_identical_to_replay_at_cadences_1_2_3_with_a_pinned_reader() {
+    let (program, cat, inputs) = cadence_program();
+    for every in 1..=3 {
+        let local = IncrementalView::build(&program, &inputs, &cat).unwrap();
+        epochs_are_replay_states_at_cadence(local, every, &format!("local, every {every}"));
+        let threaded = IncrementalView::build_on(
+            ThreadedBackend::with_cluster(Cluster::with_grid(2, 2)),
+            &program,
+            &inputs,
+            &cat,
+        )
+        .unwrap();
+        epochs_are_replay_states_at_cadence(threaded, every, &format!("threaded, every {every}"));
+    }
+}
