@@ -34,7 +34,7 @@
 
 use std::collections::BTreeSet;
 
-use linview_expr::cost::CostModel;
+use linview_expr::cost::{low_rank_update_cost, CostModel};
 use linview_expr::{Catalog, Expr, ExprError};
 
 use crate::schedule::{StmtDag, StmtEffects};
@@ -464,9 +464,9 @@ pub fn verify_stages(trigger: &Trigger, dag: &StmtDag) -> Vec<Diagnostic> {
 
 /// Density at or below which the runtime folds a delta factor sparsely.
 /// Mirrors `linview_matrix::SPARSE_FOLD_CROSSOVER` — the compiler crate
-/// deliberately does not depend on the kernel crate, so the two constants
-/// must be kept in sync by hand.
-const SPARSE_FOLD_CROSSOVER: f64 = 0.05;
+/// deliberately does not depend on the kernel crate; a root test pins the
+/// two equal.
+pub const SPARSE_FOLD_CROSSOVER: f64 = 0.05;
 
 /// Per-trigger static cost and broadcast estimate (pass 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -729,14 +729,7 @@ fn analyze_triggers(
         // Cost formulas use the flow-refined catalog so per-trigger delta
         // block ranks (which the shared catalog cannot represent) price
         // correctly.
-        let cost = cost_pass(
-            trigger,
-            &refined,
-            &model,
-            opts.program,
-            opts.density,
-            &mut diagnostics,
-        );
+        let cost = cost_pass(trigger, &refined, &model, inputs, opts, &mut diagnostics);
         facts.push(TriggerAnalysis {
             input: trigger.input.clone(),
             effects: derive_effects(&trigger.stmts),
@@ -941,12 +934,12 @@ fn cost_pass(
     trigger: &Trigger,
     cat: &Catalog,
     model: &CostModel,
-    program: Option<&Program>,
-    density: Option<f64>,
+    inputs: &BTreeSet<String>,
+    opts: &AnalyzeOptions,
     diags: &mut Vec<Diagnostic>,
 ) -> CostEstimate {
     let flops = trigger.cost(cat, model).unwrap_or(0.0);
-    let density = density.filter(|d| *d > 0.0 && *d <= 1.0);
+    let density = opts.density.filter(|d| *d > 0.0 && *d <= 1.0);
 
     // Wire bytes: each factored delta pair a distributed backend broadcasts
     // once per firing, 8 bytes per f64 entry. The density-refined variants
@@ -999,15 +992,19 @@ fn cost_pass(
 
     // Table 2 criterion: price re-evaluating the affected views when the
     // source program is available.
-    let reeval_flops = program.and_then(|p| {
-        let maintained: BTreeSet<&str> = trigger.maintained_views().into_iter().collect();
+    let reeval_flops = opts.program.and_then(|p| {
+        let maintained = trigger.maintained_views();
         let mut total = 0.0;
         for stmt in p.statements() {
-            if maintained.contains(stmt.target.as_str()) {
+            if maintained.contains(&stmt.target.as_str()) {
                 total += model.expr_cost(&stmt.expr, cat).ok()?;
             }
         }
-        // Folding the input update itself is part of both strategies.
+        // Folding the input update itself is part of both strategies: the
+        // firing's flops price it, so re-evaluation must too.
+        for view in maintained.iter().filter(|v| inputs.contains(**v)) {
+            total += low_rank_update_cost(cat.get(view).ok()?, trigger.update_rank);
+        }
         Some(total)
     });
     if let Some(re) = reeval_flops {
@@ -1276,5 +1273,82 @@ mod tests {
             d.to_error(),
             ExprError::Analysis { stmt: Some(3), .. }
         ));
+    }
+
+    /// Pass 4's estimate for `A^(2^squarings)` by repeated squaring over an
+    /// `n×n` input, with the source program supplied so REEVAL is priced.
+    fn priced_powers(n: usize, squarings: usize, model: CostModel) -> AnalyzerReport {
+        let mut cat = Catalog::new();
+        cat.declare("A", n, n);
+        let mut p = Program::new();
+        let mut prev = "A".to_string();
+        for i in 0..squarings {
+            let name = format!("P{i}");
+            p.assign(&name, Expr::var(&prev) * Expr::var(&prev));
+            prev = name;
+        }
+        let tp = compile(&p, &["A"], &cat, &CompileOptions::default()).unwrap();
+        analyze_program(
+            &tp,
+            &AnalyzeOptions {
+                program: Some(&p),
+                model: Some(model),
+                density: None,
+            },
+        )
+    }
+
+    #[test]
+    fn incremental_wins_for_matrix_powers() {
+        // n³-class vs n²k-class: at n = 256 the gap is large (A⁸ here).
+        let report = priced_powers(256, 3, CostModel::cubic());
+        assert!(
+            report.triggers[0].cost.speedup().unwrap() >= 10.0,
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn static_statements_do_not_count_toward_reeval() {
+        let mut cat = Catalog::new();
+        cat.declare("A", 64, 64);
+        cat.declare("M", 64, 64);
+        let mut p = Program::new();
+        p.assign("N", Expr::var("M") * Expr::var("M")); // static
+        p.assign("B", Expr::var("A") * Expr::var("A")); // dynamic
+        let tp = compile(&p, &["A"], &cat, &CompileOptions::default()).unwrap();
+        let report = analyze_program(
+            &tp,
+            &AnalyzeOptions {
+                program: Some(&p),
+                ..Default::default()
+            },
+        );
+        // Only B's product + the input update are re-evaluated.
+        let expected = CostModel::cubic().mul_cost(64, 64, 64) + 2.0 * 64.0 * 64.0;
+        assert_eq!(report.triggers[0].cost.reeval_flops, Some(expected));
+    }
+
+    #[test]
+    fn gamma_controls_the_gap() {
+        // With a smaller γ, re-evaluation gets relatively cheaper and the
+        // predicted speedup shrinks — §3's framing of when IVM pays off.
+        let speedup = |model| priced_powers(256, 2, model).triggers[0].cost.speedup();
+        let cubic = speedup(CostModel::cubic()).unwrap();
+        let strassen = speedup(CostModel::with_gamma(2.807)).unwrap();
+        assert!(strassen < cubic && strassen > 1.0, "{strassen} vs {cubic}");
+    }
+
+    #[test]
+    fn reeval_prices_the_input_fold_and_renders() {
+        // A⁴ at n = 512: two n³ products plus the rank-1 fold into A that
+        // the firing's own estimate also pays.
+        let report = priced_powers(512, 2, CostModel::cubic());
+        let n = 512.0f64;
+        let want = 2.0 * (2.0 * n.powi(3)) + 2.0 * n * n;
+        assert_eq!(report.triggers[0].cost.reeval_flops, Some(want));
+        let text = report.to_string();
+        assert!(text.contains(&format!("reeval {want:.3e} flops")), "{text}");
+        assert!(text.contains("x)"), "{text}");
     }
 }

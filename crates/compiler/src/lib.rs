@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod analyze;
 pub mod codegen;
 pub mod compile;
@@ -43,7 +42,6 @@ mod program;
 pub mod schedule;
 mod trigger;
 
-pub use analysis::{analyze, AnalysisReport};
 pub use analyze::{
     analyze_joint, analyze_program, check_joint, check_program, derive_effects, verify_stages,
     AnalyzeOptions, AnalyzerPass, AnalyzerReport, CostEstimate, Diagnostic, Severity,

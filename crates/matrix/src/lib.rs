@@ -65,10 +65,7 @@ pub use gemm::{
 };
 pub use norms::ApproxEq;
 pub use rankk::RANK_K_MAX_K;
-pub use sparsity::{
-    factor_nnz, fold_low_rank, set_sparse_folds, sparse_folds_enabled, FoldPath,
-    SPARSE_FOLD_CROSSOVER,
-};
+pub use sparsity::{factor_nnz, fold_low_rank, FoldPath, SPARSE_FOLD_CROSSOVER};
 pub use svd::{numerical_rank, Svd};
 
 /// Crate-wide result alias.

@@ -24,18 +24,14 @@
 //! sparse and dense folds agree under `==` for every kernel and thread
 //! count.
 //!
-//! The opt-out knob mirrors `LINVIEW_GEMM`: [`set_sparse_folds`] overrides
-//! programmatically, `LINVIEW_SPARSE=0` (or `off`/`false`) disables via
-//! the environment, default is enabled.
+//! Callers opt out per fold (`allow_sparse = false`); the runtime's
+//! forced-dense reference is `ExecOptions::sparse_folds = Some(false)`.
 //!
 //! **Interaction with `packed-fma`.** The opt-in fused kernel
 //! ([`GemmKernel::PackedFma`](crate::GemmKernel)) breaks the mul-then-add
 //! contract the replay argument above rests on, so while it is the default
 //! kernel every fold runs dense — folds stay mutually consistent (all
 //! fused) and replicated backends keep folding identical values.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::gemm::{self, Op, Route};
 use crate::{flops, Matrix, MatrixError, Result};
@@ -49,46 +45,6 @@ use crate::{flops, Matrix, MatrixError, Result};
 /// sparse path only engages where it wins clearly (basis-vector factors
 /// from row-update streams have density `1/n`, far below it).
 pub const SPARSE_FOLD_CROSSOVER: f64 = 0.05;
-
-/// Sentinel 0 = "no programmatic override".
-static SPARSE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-/// `LINVIEW_SPARSE`, read once per process.
-static ENV_SPARSE: OnceLock<Option<bool>> = OnceLock::new();
-
-/// Whether density-aware folds (and the matching sparse factor frames) are
-/// enabled process-wide.
-///
-/// Precedence: the last [`set_sparse_folds`] call, else `LINVIEW_SPARSE`
-/// (read once per process; `0`/`off`/`false` disable, `1`/`on`/`true`
-/// enable, anything else is ignored), else enabled.
-pub fn sparse_folds_enabled() -> bool {
-    match SPARSE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return false,
-        2 => return true,
-        _ => {}
-    }
-    ENV_SPARSE
-        .get_or_init(|| {
-            let v = std::env::var("LINVIEW_SPARSE").ok()?;
-            match v.trim().to_ascii_lowercase().as_str() {
-                "0" | "off" | "false" | "no" => Some(false),
-                "1" | "on" | "true" | "yes" => Some(true),
-                _ => None,
-            }
-        })
-        .unwrap_or(true)
-}
-
-/// Overrides the process-wide sparse-fold default (`None` restores the
-/// `LINVIEW_SPARSE` / built-in default).
-pub fn set_sparse_folds(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    SPARSE_OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 /// Which execution path [`fold_low_rank`] took, with the work it saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,16 +295,5 @@ mod tests {
         let v = Matrix::zeros(5, 3);
         let mut t = Matrix::zeros(4, 5);
         assert!(fold_low_rank(&mut t, &u, &v, true).is_err());
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        // Only exercises the override layer (the env layer is read once
-        // per process and owned by whichever test process runs first).
-        set_sparse_folds(Some(false));
-        assert!(!sparse_folds_enabled());
-        set_sparse_folds(Some(true));
-        assert!(sparse_folds_enabled());
-        set_sparse_folds(None);
     }
 }

@@ -163,25 +163,22 @@ pub struct ExecOptions {
     /// Opt out of DAG-staged execution: run one statement per stage in
     /// program order (the pre-scheduler interpreter). Results are
     /// bit-identical either way — this exists for ablation benchmarks and
-    /// the `--sequential-exec` CLI flag.
+    /// as the reference the conformance suites check staging against.
     pub sequential: bool,
     /// Density-aware delta execution: route view folds through the sparse
     /// cost model ([`linview_matrix::fold_low_rank`]) and let the
     /// distributed backends compress factor broadcasts whose triplet form
-    /// is shorter. `None` (the default) defers to the process-wide knob
-    /// ([`linview_matrix::sparse_folds_enabled`], i.e. `LINVIEW_SPARSE`);
-    /// `Some(false)` forces every fold dense and every frame uncompressed.
-    /// Results are bit-identical either way — the knob only moves work and
-    /// bytes.
+    /// is shorter. `None` (the default) means on; `Some(false)` forces
+    /// every fold dense and every frame uncompressed — the reference the
+    /// harness and conformance suites compare against. Results are
+    /// bit-identical either way — the option only moves work and bytes.
     pub sparse_folds: Option<bool>,
 }
 
 impl ExecOptions {
-    /// The effective sparse-execution flag: the per-view option if set,
-    /// else the process-wide default.
+    /// The effective sparse-execution flag (on unless opted out).
     pub fn sparse_enabled(&self) -> bool {
-        self.sparse_folds
-            .unwrap_or_else(linview_matrix::sparse_folds_enabled)
+        self.sparse_folds.unwrap_or(true)
     }
 }
 

@@ -75,9 +75,7 @@ pub mod prelude {
     pub use linview_apps::sums::{IncrSums, ReevalSums};
     pub use linview_apps::IterModel;
     pub use linview_compiler::parse::parse_program;
-    pub use linview_compiler::{
-        analyze, compile, AnalysisReport, CompileOptions, Program, StmtDag, TriggerProgram,
-    };
+    pub use linview_compiler::{compile, CompileOptions, Program, StmtDag, TriggerProgram};
     pub use linview_dist::{dist_matmul, Cluster, DistMatrix};
     pub use linview_expr::{Catalog, Expr};
     pub use linview_matrix::{ApproxEq, Cholesky, Matrix};

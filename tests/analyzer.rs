@@ -286,3 +286,13 @@ proptest! {
         prop_assert_eq!(err.unwrap().pass, AnalyzerPass::Shape);
     }
 }
+
+#[test]
+fn analyzer_sparse_crossover_matches_the_kernel_crate() {
+    // The compiler prices sparse folds without depending on the kernel
+    // crate, so it carries its own copy of the crossover density.
+    assert_eq!(
+        linview::compiler::analyze::SPARSE_FOLD_CROSSOVER,
+        linview::matrix::SPARSE_FOLD_CROSSOVER
+    );
+}

@@ -745,3 +745,156 @@ fn serve_recovers_from_a_torn_wal_directory() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Like [`linview`] but returns the exit code and stderr.
+fn linview_code(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_linview"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Every mode word with one flag it takes a value for.
+const MODES: [(&str, &str); 6] = [
+    ("", "--dims"),
+    ("lint", "--app"),
+    ("engine", "--n"),
+    ("serve", "--n"),
+    ("worker", "--listen"),
+    ("serve-cluster", "--workers"),
+];
+
+fn mode_args<'a>(mode: &'a str, rest: &[&'a str]) -> Vec<&'a str> {
+    let mut args: Vec<&str> = if mode.is_empty() { vec![] } else { vec![mode] };
+    args.extend_from_slice(rest);
+    args
+}
+
+#[test]
+fn every_mode_exits_2_on_unknown_flags_and_missing_values() {
+    for (mode, valued) in MODES {
+        let (code, stderr) = linview_code(&mode_args(mode, &["--bogus"]));
+        assert_eq!(code, Some(2), "{mode} --bogus: {stderr}");
+        assert!(
+            stderr.contains("unknown") && stderr.contains("--bogus"),
+            "{stderr}"
+        );
+        let (code, stderr) = linview_code(&mode_args(mode, &[valued]));
+        assert_eq!(code, Some(2), "{mode} {valued} without a value: {stderr}");
+        assert!(
+            stderr.contains(&format!("missing value for {valued}")),
+            "{stderr}"
+        );
+        let (code, _) = linview_code(&mode_args(mode, &["--help"]));
+        assert_eq!(code, Some(0), "{mode} --help");
+    }
+}
+
+#[test]
+fn hostile_numbers_are_usage_errors_not_panics() {
+    for args in [
+        &["engine", "--n", "0"][..],
+        &["serve", "--n", "0"],
+        &["serve", "--publish-every", "0"],
+        &["engine", "--zipf", "-1"],
+        &["serve", "--zipf", "nan"],
+        &[
+            "--dims",
+            "A=8x8",
+            "--program",
+            "B := A * A;",
+            "--gamma",
+            "1.5",
+        ],
+        &["lint", "--app", "powers", "--gamma", "4"],
+        &[
+            "--dims",
+            "A=8x8",
+            "--program",
+            "B := A * A;",
+            "--emit",
+            "bogus",
+        ],
+    ] {
+        let (code, stderr) = linview_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn run_failures_exit_1() {
+    let (code, _) = linview_code(&["--dims", "A=8x8", "--program", "B := A **;"]);
+    assert_eq!(code, Some(1));
+    let (code, _) = linview_code(&["lint", "--dims", "A=4x4,B=5x5", "--program", "C := A + B;"]);
+    assert_eq!(code, Some(1));
+    let (code, _) = linview_code(&["serve-cluster", "--workers", "5"]);
+    assert_eq!(code, Some(1));
+}
+
+/// The `--flag` words of `text`.
+fn flag_words(text: &str) -> Vec<String> {
+    let mut words: Vec<String> = text
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| w.starts_with("--") && w.len() > 2)
+        .map(str::to_string)
+        .collect();
+    words.sort();
+    words.dedup();
+    words
+}
+
+#[test]
+fn help_and_flag_tables_do_not_drift() {
+    let (_, help, _) = linview(&["--help"]);
+    let documented = flag_words(&help);
+    // Each mode's unknown-flag error lists its flag table: every entry is
+    // documented in --help.
+    let mut accepted = Vec::new();
+    for (mode, _) in MODES {
+        let (_, stderr) = linview_code(&mode_args(mode, &["--bogus"]));
+        let table = stderr
+            .lines()
+            .find_map(|l| l.split_once("(accepted: "))
+            .map(|(_, rest)| rest.trim_end_matches(')').to_string())
+            .unwrap_or_else(|| panic!("{mode}: no flag table in {stderr}"));
+        for flag in flag_words(&table) {
+            assert!(
+                documented.contains(&flag),
+                "{mode} {flag} missing from --help"
+            );
+            accepted.push(flag);
+        }
+    }
+    // And every documented flag is accepted by some mode.
+    for flag in &documented {
+        assert!(
+            flag == "--help" || accepted.contains(flag),
+            "--help documents {flag}, which no mode accepts"
+        );
+    }
+}
+
+#[test]
+fn analyze_and_emit_analysis_price_reeval_alike() {
+    let args = [
+        "--dims",
+        "A=512x512",
+        "--program",
+        "B := A * A; C := B * B;",
+    ];
+    let (ok, analyze, _) = linview(&[&args[..], &["--analyze"]].concat());
+    assert!(ok);
+    let (ok, emitted, _) = linview(&[&args[..], &["--emit", "analysis"]].concat());
+    assert!(ok);
+    // 2·(2n³) + 2n² for n = 512.
+    assert!(
+        analyze.contains("REEVAL: 5.374e8 flops/update"),
+        "{analyze}"
+    );
+    assert!(emitted.contains("reeval 5.374e8 flops"), "{emitted}");
+}
