@@ -8,22 +8,33 @@
 //! E = Σ_{i=0}^{k} Aⁱ / i!        (so  x(t=1) = E·x₀  solves  ẋ = A·x)
 //! ```
 //!
-//! Under a rank-1 update `ΔA = u·vᵀ`, every power picks up the factored
-//! delta of the linear model (Appendix A):
+//! [`IncrExpm`] writes it as the straight-line program
 //!
 //! ```text
-//! ΔM₁ = u·vᵀ
-//! ΔMᵢ = [u | A·Uᵢ₋₁ + u·(vᵀUᵢ₋₁)] · [Mᵢ₋₁ᵀ·v | Vᵢ₋₁]ᵀ
-//! ΔE  = Σ ΔMᵢ / i!
+//! M1 := A;   Mi := A Mi-1  (i = 2..k);   E := I + Σ (1/i!) Mi
 //! ```
 //!
-//! so one refresh costs `O(n²k²)` versus the `O(nᵞk)` re-evaluation — the
-//! same trade Table 2 records for matrix powers.
+//! and Algorithm 1 derives the linear model's power deltas (Appendix A) from
+//! it: a rank-1 `ΔA` gives each `ΔMᵢ` rank `i`, so one refresh costs
+//! `O(n²k²)` versus the `O(nᵞk)` re-evaluation — the same trade Table 2
+//! records for matrix powers.
 
+use linview_compiler::Program;
+use linview_expr::{Catalog, Expr};
 use linview_matrix::Matrix;
-use linview_runtime::RankOneUpdate;
+use linview_runtime::{IncrementalView, RankOneUpdate, RuntimeError};
 
 use crate::Result;
+
+/// A truncation order below the linear term is [`RuntimeError::InvalidArgument`].
+fn check_order(k: usize) -> Result<()> {
+    if k == 0 {
+        return Err(RuntimeError::InvalidArgument(
+            "the series needs at least the linear term (k >= 1)".into(),
+        ));
+    }
+    Ok(())
+}
 
 /// Re-evaluation baseline: recomputes the truncated series per update.
 #[derive(Debug, Clone)]
@@ -34,9 +45,10 @@ pub struct ReevalExpm {
 }
 
 impl ReevalExpm {
-    /// Evaluates `Σ_{i≤k} Aⁱ/i!` for a square `a`.
+    /// Evaluates `Σ_{i≤k} Aⁱ/i!` for a square `a`; `k = 0` is
+    /// [`RuntimeError::InvalidArgument`].
     pub fn new(a: Matrix, k: usize) -> Result<Self> {
-        assert!(k >= 1, "need at least the linear term");
+        check_order(k)?;
         let e = Self::evaluate(&a, k)?;
         Ok(ReevalExpm { a, k, e })
     }
@@ -67,99 +79,77 @@ impl ReevalExpm {
     }
 }
 
-/// Incremental maintainer: materializes every power `Mᵢ = Aⁱ` and folds
-/// factored deltas into the series view.
+/// Name of the view holding the power `Mᵢ = Aⁱ`.
+fn m_view(i: usize) -> String {
+    format!("M{i}")
+}
+
+/// The series program over `A : n×n`; the coefficients `1/i!` are the same
+/// `f64` values [`ReevalExpm`] scales by.
+fn expm_program(k: usize, n: usize) -> Program {
+    let mut prog = Program::new();
+    let mut e = Expr::identity(n);
+    let mut fact = 1.0;
+    for i in 1..=k {
+        let m = match i {
+            1 => Expr::var("A"),
+            _ => Expr::var("A") * Expr::var(m_view(i - 1)),
+        };
+        prog.assign(m_view(i), m);
+        fact *= i as f64;
+        e = e + Expr::var(m_view(i)).scale(1.0 / fact);
+    }
+    prog.assign("E", e);
+    prog
+}
+
+/// Incremental maintainer: the compiled view over the series program,
+/// materializing every power `Mᵢ = Aⁱ` and the series `E`.
 #[derive(Debug, Clone)]
 pub struct IncrExpm {
-    a: Matrix,
-    k: usize,
-    /// Materialized powers `M₁ … M_k` (`m[i-1]` holds `Aⁱ`).
-    m: Vec<Matrix>,
-    e: Matrix,
+    view: IncrementalView,
 }
 
 impl IncrExpm {
-    /// Builds the view, materializing all `k` powers.
+    /// Builds the view, materializing all `k` powers; `k = 0` is
+    /// [`RuntimeError::InvalidArgument`].
     pub fn new(a: Matrix, k: usize) -> Result<Self> {
-        assert!(k >= 1, "need at least the linear term");
-        let n = a.rows();
-        let mut m: Vec<Matrix> = Vec::with_capacity(k);
-        let mut e = Matrix::identity(n);
-        let mut fact = 1.0;
-        for i in 1..=k {
-            let next = if i == 1 {
-                a.clone()
-            } else {
-                m[i - 2].try_matmul(&a)?
-            };
-            fact *= i as f64;
-            e.add_assign_from(&next.scale(1.0 / fact))?;
-            m.push(next);
-        }
-        Ok(IncrExpm { a, k, m, e })
+        check_order(k)?;
+        let mut cat = Catalog::new();
+        cat.declare("A", a.rows(), a.cols());
+        let view = IncrementalView::build(&expm_program(k, a.rows()), &[("A", a)], &cat)?;
+        Ok(IncrExpm { view })
     }
 
     /// The maintained truncation of `exp(A)`.
     pub fn value(&self) -> &Matrix {
-        &self.e
+        self.view.get("E").expect("E is a view")
     }
 
     /// The maintained power `Aⁱ` (`1 ≤ i ≤ k`).
     pub fn power(&self, i: usize) -> Option<&Matrix> {
-        (i >= 1).then(|| self.m.get(i - 1)).flatten()
+        self.view.get(&m_view(i)).ok()
     }
 
     /// Solution operator applied to a state: `x(1) = E·x₀`.
     pub fn evolve(&self, x0: &Matrix) -> Result<Matrix> {
-        Ok(self.e.try_matmul(x0)?)
+        Ok(self.value().try_matmul(x0)?)
     }
 
     /// Current system matrix `A`.
     pub fn a(&self) -> &Matrix {
-        &self.a
+        self.view.get("A").expect("A is an input")
     }
 
-    /// Applies `ΔA = u·vᵀ`, propagating factored deltas through all powers
-    /// and the series view.
+    /// Applies `ΔA = u·vᵀ` by firing the compiled trigger.
     pub fn apply(&mut self, upd: &RankOneUpdate) -> Result<()> {
-        // Factored deltas of M₁ … M_k against the *old* state. The linear
-        // recurrence here multiplies A on the LEFT of the delta chain
-        // (Mᵢ = Mᵢ₋₁·A maintained as ΔMᵢ = ΔMᵢ₋₁·A + Mᵢ₋₁·ΔA + ΔMᵢ₋₁·ΔA;
-        // we use the transposed-dual form with Mᵢ = A·Mᵢ₋₁, identical by
-        // symmetry of the power computation).
-        let mut deltas: Vec<(Matrix, Matrix)> = Vec::with_capacity(self.k);
-        deltas.push((upd.u.clone(), upd.v.clone()));
-        for i in 1..self.k {
-            let (prev_u, prev_v) = &deltas[i - 1];
-            let mid = self
-                .a
-                .try_matmul(prev_u)?
-                .try_add(&upd.u.try_matmul(&upd.v.transpose().try_matmul(prev_u)?)?)?;
-            let new_u = Matrix::hstack(&[&upd.u, &mid])?;
-            // deltas[i] is ΔM_{i+1}; the recurrence references M_i.
-            let left = self.m[i - 1].try_matmul_tn(&upd.v)?;
-            let new_v = Matrix::hstack(&[&left, prev_v])?;
-            deltas.push((new_u, new_v));
-        }
-
-        // Fold the deltas: powers first, then the series.
-        let mut fact = 1.0;
-        for (i, (du, dv)) in deltas.iter().enumerate() {
-            let dense = du.try_matmul(&dv.transpose())?;
-            self.m[i].add_assign_from(&dense)?;
-            fact *= (i + 1) as f64;
-            self.e.add_assign_from(&dense.scale(1.0 / fact))?;
-        }
-        upd.apply_to(&mut self.a)?;
-        Ok(())
+        self.view.apply("A", upd)
     }
 
     /// Bytes held by all persistent state (the Table 3-style overhead of
     /// materializing every power).
     pub fn memory_bytes(&self) -> usize {
-        self.a.memory_bytes()
-            + self.e.memory_bytes()
-            + self.m.iter().map(Matrix::memory_bytes).sum::<usize>()
+        self.view.memory_bytes()
     }
 }
 
@@ -264,5 +254,12 @@ mod tests {
         let small = IncrExpm::new(a.clone(), 4).unwrap();
         let large = IncrExpm::new(a, 12).unwrap();
         assert!(large.memory_bytes() > small.memory_bytes());
+    }
+
+    #[test]
+    fn order_zero_is_an_error() {
+        let a = Matrix::random_spectral(4, 17, 0.5);
+        assert!(ReevalExpm::new(a.clone(), 0).is_err());
+        assert!(IncrExpm::new(a, 0).is_err());
     }
 }

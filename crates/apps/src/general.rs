@@ -2,29 +2,34 @@
 //! gradient descent, PageRank, linear solvers, and power iteration all share
 //! this shape.
 //!
-//! Three maintenance strategies are implemented, exactly the ones Table 2
-//! analyzes and Figs. 3g/3h measure:
+//! [`general_program`] writes the form down under an iterative model — the
+//! `Pₕ = Aʰ` and `Sₕ = I + A + … + Aʰ⁻¹` views of the powers and sums apps,
+//! then the chain `Tᵢ := Pₕ·Tₕ + Sₕ·B` of Table 1 — and Algorithm 1 derives
+//! the delta recurrences of Appendices A and B from it. Three maintenance
+//! strategies are implemented, exactly the ones Table 2 analyzes and
+//! Figs. 3g/3h measure:
 //!
 //! * **REEVAL** — update `A`/`B`, recompute with the model's minimal working
-//!   set (`O(pn²k)` for LIN, `O((nᵞ+pn²)·log k)` for EXP, …).
-//! * **INCR** — propagate *factored* deltas `ΔTᵢ = Uᵢ Vᵢᵀ` through the
-//!   iterations, together with factored deltas of the auxiliary power and
-//!   sum views `Pᵢ`, `Sᵢ` (the recurrences of Appendix B, implemented here
-//!   numerically with block stacking).
-//! * **HYBRID** — maintain `Pᵢ`/`Sᵢ` in factored form but represent `ΔTᵢ` as
-//!   a single dense `n×p` matrix: when `p` is small (the `p = 1` PageRank
-//!   regime), the factored form's bookkeeping costs more than the dense
-//!   delta, and hybrid wins (Fig. 3g).
-//!
-//! The incremental path here is deliberately *hand-derived* (it mirrors the
-//! appendix algebra) rather than routed through the compiler; integration
-//! tests cross-validate it against both full re-evaluation and the compiled
-//! triggers of the powers/sums apps.
+//!   set (`O(pn²k)` for LIN, `O((nᵞ+pn²)·log k)` for EXP, …). It is evaluated
+//!   directly, not through the compiler, and is the reference the other two
+//!   are tested against.
+//! * **INCR** — one compiled [`IncrementalView`] over the whole program: a
+//!   `ΔA` fires `A`'s trigger, and a simultaneous `ΔB` then fires `B`'s
+//!   (sequential triggers are exact).
+//! * **HYBRID** — a compiled view maintains only `A`, `Pₕ` and `Sₕ`; the
+//!   `n×p` chain `Tᵢ` is re-evaluated from them after every update, `O(pn²)`
+//!   per step instead of factored `ΔTᵢ` whose rank grows with each step. LIN
+//!   has no `P`/`S` views, so HYBRID-LIN is the REEVAL chain: the `p = 1`
+//!   PageRank regime where it wins (Fig. 3g).
 
+use linview_compiler::Program;
+use linview_expr::{Catalog, Expr};
 use linview_matrix::Matrix;
-use linview_runtime::RankOneUpdate;
+use linview_runtime::{BatchUpdate, IncrementalView, RankOneUpdate, RuntimeError};
 use std::collections::BTreeMap;
 
+use crate::powers::power_view;
+use crate::sums::{sum_view, sums_program};
 use crate::{IterModel, Result};
 
 /// Maintenance strategy for the general form.
@@ -32,9 +37,10 @@ use crate::{IterModel, Result};
 pub enum Strategy {
     /// Full recomputation per update.
     Reeval,
-    /// Factored delta propagation (Appendix B).
+    /// Compiled triggers over the whole program (Appendix B).
     Incremental,
-    /// Factored `P`/`S` deltas, dense `ΔT` (§5.3 "Hybrid evaluation").
+    /// Compiled `P`/`S` views, re-evaluated `T` chain (§5.3 "Hybrid
+    /// evaluation").
     Hybrid,
 }
 
@@ -49,70 +55,154 @@ impl Strategy {
     }
 }
 
-/// A numeric factored delta `Δ = u · vᵀ` (`u : rows_u×r`, `v : rows_v×r`).
-/// Rank 0 (zero delta) is represented by zero-width factors, which lets the
-/// block algebra below treat "no change" uniformly.
-#[derive(Debug, Clone)]
-struct Fd {
-    u: Matrix,
-    v: Matrix,
+/// Name of the view holding iteration `Tᵢ` (`T0` is the starting input).
+fn t_view(i: usize) -> String {
+    format!("T{i}")
 }
 
-impl Fd {
-    fn new(u: Matrix, v: Matrix) -> Self {
-        debug_assert_eq!(u.cols(), v.cols());
-        Fd { u, v }
+/// The largest `h` whose `Pₕ`/`Sₕ` the model reads (`k/2` for EXP, `s` for
+/// SKIP-s); 0 for LIN, which reads `A` itself.
+fn aux_top(model: IterModel, k: usize) -> usize {
+    match model {
+        IterModel::Linear => 0,
+        IterModel::Exponential => k / 2,
+        IterModel::Skip(s) => s,
     }
+}
 
-    fn zero(rows_u: usize, rows_v: usize) -> Self {
-        Fd {
-            u: Matrix::zeros(rows_u, 0),
-            v: Matrix::zeros(rows_v, 0),
+/// The `P`/`S` statements alone (Appendix A's views): the sums app's
+/// exponential program up to `S_top`, plus the `P_top` it leaves out.
+fn aux_program(model: IterModel, k: usize, n: usize) -> Program {
+    let top = aux_top(model, k);
+    if top == 0 {
+        return Program::new();
+    }
+    let (mut prog, _) = sums_program(IterModel::Exponential, top, n);
+    if top > 1 {
+        let half = Expr::var(power_view(top / 2));
+        prog.assign(power_view(top), half.clone() * half);
+    }
+    prog
+}
+
+/// `Tᵢ = P·T_prev + S·B` under `model`: the names of `P` and `S` and the
+/// index `prev`. `S` is `None` where the term is `B` itself, as in
+/// `T₁ = A·T₀ + B` and LIN's `Tᵢ = A·Tᵢ₋₁ + B`.
+fn t_operands(model: IterModel, i: usize) -> (String, Option<String>, usize) {
+    let (h, prev) = match model {
+        _ if i == 1 => return ("A".into(), None, 0),
+        IterModel::Linear => return ("A".into(), None, i - 1),
+        IterModel::Skip(s) if i > s => (s, i - s),
+        _ => (i / 2, i / 2),
+    };
+    (power_view(h), Some(sum_view(h)), prev)
+}
+
+/// Builds the program computing `T_k` under `model` over the inputs
+/// `A : n×n` and `B`, `T0 : n×p` (the "General Form" column of Table 1):
+/// the `Pₕ`/`Sₕ` statements EXP and SKIP read, then the `Tᵢ` chain, e.g.
+/// `T2 := P1 T1 + S1 B`. Returns the program and the name of the final view.
+///
+/// Panics if `k` violates the model (see [`IterModel::validate`]).
+pub fn general_program(model: IterModel, k: usize, n: usize) -> (Program, String) {
+    let mut prog = aux_program(model, k, n);
+    for i in model.iterations(k) {
+        let (p, s, prev) = t_operands(model, i);
+        let sb = match s {
+            Some(s) => Expr::var(s) * Expr::var("B"),
+            None => Expr::var("B"),
+        };
+        prog.assign(t_view(i), Expr::var(p) * Expr::var(t_view(prev)) + sb);
+    }
+    (prog, t_view(k))
+}
+
+/// Evaluates the `Tᵢ` statements of [`general_program`] in order, reading
+/// `A`, `B`, `T0`, `Pₕ` and `Sₕ` through `get`.
+fn chain<'a>(
+    model: IterModel,
+    k: usize,
+    get: impl Fn(&str) -> Result<&'a Matrix>,
+) -> Result<BTreeMap<usize, Matrix>> {
+    let mut t = BTreeMap::new();
+    for i in model.iterations(k) {
+        let (p, s, prev) = t_operands(model, i);
+        let t_prev = if prev == 0 { get("T0")? } else { &t[&prev] };
+        let mut next = get(&p)?.try_matmul(t_prev)?;
+        match s {
+            Some(s) => next.add_assign_from(&get(&s)?.try_matmul(get("B")?)?)?,
+            None => next.add_assign_from(get("B")?)?,
         }
+        t.insert(i, next);
     }
+    Ok(t)
+}
 
-    fn rank(&self) -> usize {
-        self.u.cols()
+/// REEVAL's full evaluation of `T_k`: `Pₕ`/`Sₕ` by repeated squaring, then
+/// the chain.
+fn reevaluate(model: IterModel, k: usize, a: &Matrix, b: &Matrix, t0: &Matrix) -> Result<Matrix> {
+    let mut aux: BTreeMap<String, Matrix> = BTreeMap::new();
+    let mut h = 1;
+    while h <= aux_top(model, k) {
+        let (p, s) = if h == 1 {
+            (a.clone(), Matrix::identity(a.rows()))
+        } else {
+            let (p, s) = (&aux[&power_view(h / 2)], &aux[&sum_view(h / 2)]);
+            (p.try_matmul(p)?, p.try_matmul(s)?.try_add(s)?)
+        };
+        aux.insert(power_view(h), p);
+        aux.insert(sum_view(h), s);
+        h *= 2;
     }
+    let mut t = chain(model, k, |name| match name {
+        "A" => Ok(a),
+        "B" => Ok(b),
+        "T0" => Ok(t0),
+        _ => Ok(&aux[name]),
+    })?;
+    Ok(t.remove(&k).expect("the chain ends at T_k"))
+}
 
-    /// Materializes the dense delta.
-    fn to_dense(&self) -> Result<Matrix> {
-        if self.rank() == 0 {
-            return Ok(Matrix::zeros(self.u.rows(), self.v.rows()));
-        }
-        Ok(self.u.try_matmul(&self.v.transpose())?)
-    }
+/// `target += u vᵀ`.
+fn fold(target: &mut Matrix, u: &Matrix, v: &Matrix) -> Result<()> {
+    target.add_assign_from(&u.try_matmul(&v.transpose())?)?;
+    Ok(())
+}
 
-    /// Applies `target += u vᵀ`.
-    fn apply_to(&self, target: &mut Matrix) -> Result<()> {
-        if self.rank() == 0 {
-            return Ok(());
-        }
-        target.add_assign_from(&self.to_dense()?)?;
-        Ok(())
-    }
+/// What each strategy keeps between updates.
+#[derive(Debug, Clone)]
+enum State {
+    /// The inputs and `T_k` alone (Table 2's space column).
+    Reeval {
+        a: Matrix,
+        b: Matrix,
+        t0: Matrix,
+        t: Matrix,
+    },
+    /// The compiled view over [`aux_program`] (holding `A`), `B`, `T₀` and
+    /// every re-evaluated `Tᵢ`.
+    Hybrid {
+        aux: IncrementalView,
+        b: Matrix,
+        t0: Matrix,
+        t: BTreeMap<usize, Matrix>,
+    },
+    /// The compiled view over [`general_program`].
+    Incremental(IncrementalView),
 }
 
 /// The maintained computation `T_k` with auxiliary views per model.
 #[derive(Debug, Clone)]
 pub struct GeneralForm {
     model: IterModel,
-    strategy: Strategy,
     k: usize,
-    a: Matrix,
-    b: Matrix,
-    t0: Matrix,
-    /// Materialized iterations (INCR/HYBRID: all scheduled; REEVAL: only k).
-    t: BTreeMap<usize, Matrix>,
-    /// Auxiliary matrix powers `Pᵢ` (EXP/SKIP models).
-    p: BTreeMap<usize, Matrix>,
-    /// Auxiliary power sums `Sᵢ` (EXP/SKIP models).
-    s: BTreeMap<usize, Matrix>,
+    state: State,
 }
 
 impl GeneralForm {
     /// Builds the view: evaluates all scheduled iterations (and the
-    /// auxiliary `P`/`S` views the model needs) once.
+    /// auxiliary `P`/`S` views the model needs) once. A `k` the model
+    /// rejects is [`RuntimeError::InvalidArgument`].
     pub fn new(
         a: Matrix,
         b: Matrix,
@@ -121,141 +211,82 @@ impl GeneralForm {
         k: usize,
         strategy: Strategy,
     ) -> Result<Self> {
-        model.validate(k).expect("invalid model parameters");
-        let mut gf = GeneralForm {
-            model,
-            strategy,
-            k,
-            a,
-            b,
-            t0,
-            t: BTreeMap::new(),
-            p: BTreeMap::new(),
-            s: BTreeMap::new(),
+        model.validate(k).map_err(RuntimeError::InvalidArgument)?;
+        let n = a.rows();
+        let state = match strategy {
+            Strategy::Reeval => State::Reeval {
+                t: reevaluate(model, k, &a, &b, &t0)?,
+                a,
+                b,
+                t0,
+            },
+            Strategy::Hybrid => {
+                let mut cat = Catalog::new();
+                cat.declare("A", n, a.cols());
+                let aux = IncrementalView::build(&aux_program(model, k, n), &[("A", a)], &cat)?;
+                let t = chain(model, k, hybrid_lookup(&aux, &b, &t0))?;
+                State::Hybrid { aux, b, t0, t }
+            }
+            Strategy::Incremental => {
+                let inputs = [("A", a), ("B", b), ("T0", t0)];
+                let mut cat = Catalog::new();
+                for (name, m) in &inputs {
+                    cat.declare(*name, m.rows(), m.cols());
+                }
+                let (program, _) = general_program(model, k, n);
+                State::Incremental(IncrementalView::build(&program, &inputs, &cat)?)
+            }
         };
-        gf.evaluate_all()?;
-        if strategy == Strategy::Reeval {
-            gf.drop_intermediates();
-        }
-        Ok(gf)
-    }
-
-    /// The indices of `P`/`S` views this model materializes.
-    fn aux_indices(&self) -> Vec<usize> {
-        match self.model {
-            IterModel::Linear => vec![],
-            IterModel::Exponential => {
-                let mut v = vec![];
-                let mut i = 1;
-                while i <= self.k / 2 {
-                    v.push(i);
-                    i *= 2;
-                }
-                v
-            }
-            IterModel::Skip(s) => {
-                let mut v = vec![];
-                let mut i = 1;
-                while i <= s {
-                    v.push(i);
-                    i *= 2;
-                }
-                v
-            }
-        }
-    }
-
-    /// Full evaluation of every scheduled `Tᵢ` (and `Pᵢ`, `Sᵢ`).
-    fn evaluate_all(&mut self) -> Result<()> {
-        let n = self.a.rows();
-        // Auxiliary views by repeated squaring.
-        self.p.clear();
-        self.s.clear();
-        let aux = self.aux_indices();
-        if !aux.is_empty() {
-            self.p.insert(1, self.a.clone());
-            self.s.insert(1, Matrix::identity(n));
-            let mut prev = 1;
-            for &i in &aux[1..] {
-                let ph = &self.p[&prev];
-                let sh = &self.s[&prev];
-                let s_new = ph.try_matmul(sh)?.try_add(sh)?;
-                let p_new = ph.try_matmul(ph)?;
-                self.p.insert(i, p_new);
-                self.s.insert(i, s_new);
-                prev = i;
-            }
-        }
-        // Scheduled iterations.
-        self.t.clear();
-        let t1 = self.a.try_matmul(&self.t0)?.try_add(&self.b)?;
-        self.t.insert(1, t1);
-        for &i in self.model.iterations(self.k).iter().skip(1) {
-            let next = match self.model {
-                IterModel::Linear => self.a.try_matmul(&self.t[&(i - 1)])?.try_add(&self.b)?,
-                IterModel::Exponential => {
-                    let h = i / 2;
-                    self.p[&h]
-                        .try_matmul(&self.t[&h])?
-                        .try_add(&self.s[&h].try_matmul(&self.b)?)?
-                }
-                IterModel::Skip(s) => {
-                    if i <= s {
-                        let h = i / 2;
-                        self.p[&h]
-                            .try_matmul(&self.t[&h])?
-                            .try_add(&self.s[&h].try_matmul(&self.b)?)?
-                    } else {
-                        self.p[&s]
-                            .try_matmul(&self.t[&(i - s)])?
-                            .try_add(&self.s[&s].try_matmul(&self.b)?)?
-                    }
-                }
-            };
-            self.t.insert(i, next);
-        }
-        Ok(())
-    }
-
-    /// REEVAL keeps only the final iteration (Table 2's space column).
-    fn drop_intermediates(&mut self) {
-        let final_t = self.t.remove(&self.k);
-        self.t.clear();
-        if let Some(t) = final_t {
-            self.t.insert(self.k, t);
-        }
-        self.p.clear();
-        self.s.clear();
+        Ok(GeneralForm { model, k, state })
     }
 
     /// The maintained `T_k`.
     pub fn result(&self) -> &Matrix {
-        &self.t[&self.k]
+        self.iteration(self.k).expect("T_k is always kept")
     }
 
-    /// Reads a scheduled intermediate `Tᵢ` (INCR/HYBRID only).
+    /// Reads a scheduled intermediate `Tᵢ` (INCR/HYBRID only; REEVAL keeps
+    /// `T_k` alone).
     pub fn iteration(&self, i: usize) -> Option<&Matrix> {
-        self.t.get(&i)
+        match &self.state {
+            State::Reeval { t, .. } => (i == self.k).then_some(t),
+            State::Hybrid { t, .. } => t.get(&i),
+            State::Incremental(view) => (i > 0).then(|| view.get(&t_view(i)).ok()).flatten(),
+        }
     }
 
     /// Current `A`.
     pub fn a(&self) -> &Matrix {
-        &self.a
+        match &self.state {
+            State::Reeval { a, .. } => a,
+            State::Hybrid { aux: view, .. } | State::Incremental(view) => {
+                view.get("A").expect("A is an input")
+            }
+        }
     }
 
     /// Current `B`.
     pub fn b(&self) -> &Matrix {
-        &self.b
+        match &self.state {
+            State::Reeval { b, .. } | State::Hybrid { b, .. } => b,
+            State::Incremental(view) => view.get("B").expect("B is an input"),
+        }
     }
 
     /// Bytes held by all persistent state — the Table 2/3 space comparison.
     pub fn memory_bytes(&self) -> usize {
-        self.a.memory_bytes()
-            + self.b.memory_bytes()
-            + self.t0.memory_bytes()
-            + self.t.values().map(Matrix::memory_bytes).sum::<usize>()
-            + self.p.values().map(Matrix::memory_bytes).sum::<usize>()
-            + self.s.values().map(Matrix::memory_bytes).sum::<usize>()
+        match &self.state {
+            State::Reeval { a, b, t0, t } => {
+                a.memory_bytes() + b.memory_bytes() + t0.memory_bytes() + t.memory_bytes()
+            }
+            State::Hybrid { aux, b, t0, t } => {
+                aux.memory_bytes()
+                    + b.memory_bytes()
+                    + t0.memory_bytes()
+                    + t.values().map(Matrix::memory_bytes).sum::<usize>()
+            }
+            State::Incremental(view) => view.memory_bytes(),
+        }
     }
 
     /// Applies a rank-1 update to `A`.
@@ -264,7 +295,7 @@ impl GeneralForm {
     }
 
     /// Applies a batched rank-k update to `A` (Table 4's workload shape).
-    pub fn apply_batch(&mut self, upd: &linview_runtime::BatchUpdate) -> Result<()> {
+    pub fn apply_batch(&mut self, upd: &BatchUpdate) -> Result<()> {
         self.apply_factored(&upd.u, &upd.v, None)
     }
 
@@ -277,199 +308,43 @@ impl GeneralForm {
         dav: &Matrix,
         db: Option<(&Matrix, &Matrix)>,
     ) -> Result<()> {
-        match self.strategy {
-            Strategy::Reeval => {
-                let da = Fd::new(dau.clone(), dav.clone());
-                da.apply_to(&mut self.a)?;
+        let (model, k) = (self.model, self.k);
+        match &mut self.state {
+            State::Reeval { a, b, t0, t } => {
+                fold(a, dau, dav)?;
                 if let Some((bu, bv)) = db {
-                    Fd::new(bu.clone(), bv.clone()).apply_to(&mut self.b)?;
+                    fold(b, bu, bv)?;
                 }
-                self.evaluate_all()?;
-                self.drop_intermediates();
-                Ok(())
+                *t = reevaluate(model, k, a, b, t0)?;
             }
-            Strategy::Incremental => self.apply_incremental(dau, dav, db, false),
-            Strategy::Hybrid => self.apply_incremental(dau, dav, db, true),
-        }
-    }
-
-    /// Shared INCR/HYBRID path; `dense_t` selects the hybrid representation
-    /// for `ΔT`.
-    fn apply_incremental(
-        &mut self,
-        dau: &Matrix,
-        dav: &Matrix,
-        db: Option<(&Matrix, &Matrix)>,
-        dense_t: bool,
-    ) -> Result<()> {
-        let n = self.a.rows();
-        let p_dim = self.b.cols();
-        let da = Fd::new(dau.clone(), dav.clone());
-        let dbf = match db {
-            Some((bu, bv)) => Fd::new(bu.clone(), bv.clone()),
-            None => Fd::zero(n, p_dim),
-        };
-
-        // Phase 1: factored deltas of the auxiliary views (Appendix A).
-        let (dq, dz) = self.aux_deltas(&da)?;
-
-        // Phase 2: deltas of the scheduled iterations (Appendix B).
-        enum TDelta {
-            Factored(Fd),
-            Dense(Matrix),
-        }
-        let mut dt: BTreeMap<usize, TDelta> = BTreeMap::new();
-        for &i in &self.model.iterations(self.k) {
-            let delta = if i == 1 {
-                // T₁ = A·T₀ + B: ΔT₁ = ΔA·T₀ + ΔB.
-                if dense_t {
-                    let mut d = da.u.try_matmul(&da.v.transpose().try_matmul(&self.t0)?)?;
-                    d.add_assign_from(&dbf.to_dense()?)?;
-                    TDelta::Dense(d)
-                } else {
-                    let u = Matrix::hstack(&[&da.u, &dbf.u])?;
-                    let v = Matrix::hstack(&[&self.t0.try_matmul_tn(&da.v)?, &dbf.v])?;
-                    TDelta::Factored(Fd::new(u, v))
+            State::Hybrid { aux, b, t0, t } => {
+                aux.apply_factored("A", dau, dav)?;
+                if let Some((bu, bv)) = db {
+                    fold(b, bu, bv)?;
                 }
-            } else {
-                // Pick the recurrence operands for this model and index:
-                // T_i = P·T_prev + S·B with (P, S, prev) below; for LIN,
-                // P = A with ΔP = ΔA and S·B collapses into +B (ΔS = 0).
-                let (p_mat, dp, s_pair, prev): (&Matrix, &Fd, Option<(&Matrix, &Fd)>, usize) =
-                    match self.model {
-                        IterModel::Linear => (&self.a, &da, None, i - 1),
-                        IterModel::Exponential => {
-                            let h = i / 2;
-                            (&self.p[&h], &dq[&h], Some((&self.s[&h], &dz[&h])), h)
-                        }
-                        IterModel::Skip(s) => {
-                            if i <= s {
-                                let h = i / 2;
-                                (&self.p[&h], &dq[&h], Some((&self.s[&h], &dz[&h])), h)
-                            } else {
-                                (&self.p[&s], &dq[&s], Some((&self.s[&s], &dz[&s])), i - s)
-                            }
-                        }
-                    };
-                let t_prev = &self.t[&prev];
-                match (&dt[&prev], dense_t) {
-                    (TDelta::Factored(dt_prev), false) => {
-                        // U = [ΔP.u | P·U + ΔP.u·(ΔP.vᵀ·U) | sum-terms…]
-                        let mid = p_mat.try_matmul(&dt_prev.u)?.try_add(
-                            &dp.u.try_matmul(&dp.v.transpose().try_matmul(&dt_prev.u)?)?,
-                        )?;
-                        let mut us = vec![dp.u.clone(), mid];
-                        let mut vs = vec![t_prev.try_matmul_tn(&dp.v)?, dt_prev.v.clone()];
-                        if let Some((s_mat, ds)) = s_pair {
-                            // ΔS·B term.
-                            us.push(ds.u.clone());
-                            vs.push(self.b.try_matmul_tn(&ds.v)?);
-                            // (S + ΔS)·ΔB term.
-                            if dbf.rank() > 0 {
-                                let sbu = s_mat.try_matmul(&dbf.u)?.try_add(
-                                    &ds.u.try_matmul(&ds.v.transpose().try_matmul(&dbf.u)?)?,
-                                )?;
-                                us.push(sbu);
-                                vs.push(dbf.v.clone());
-                            }
-                        } else if dbf.rank() > 0 {
-                            // Linear model: + ΔB directly.
-                            us.push(dbf.u.clone());
-                            vs.push(dbf.v.clone());
-                        }
-                        let urefs: Vec<&Matrix> = us.iter().collect();
-                        let vrefs: Vec<&Matrix> = vs.iter().collect();
-                        TDelta::Factored(Fd::new(Matrix::hstack(&urefs)?, Matrix::hstack(&vrefs)?))
-                    }
-                    (TDelta::Dense(dt_prev), true) => {
-                        // Dense: ΔT = ΔP·T_prev + P·ΔT + ΔP·ΔT + Δ(S·B).
-                        let mut d = dp.u.try_matmul(&dp.v.transpose().try_matmul(t_prev)?)?;
-                        d.add_assign_from(&p_mat.try_matmul(dt_prev)?)?;
-                        d.add_assign_from(
-                            &dp.u.try_matmul(&dp.v.transpose().try_matmul(dt_prev)?)?,
-                        )?;
-                        if let Some((s_mat, ds)) = s_pair {
-                            if ds.rank() > 0 {
-                                d.add_assign_from(
-                                    &ds.u.try_matmul(&ds.v.transpose().try_matmul(&self.b)?)?,
-                                )?;
-                            }
-                            if dbf.rank() > 0 {
-                                let db_dense = dbf.to_dense()?;
-                                d.add_assign_from(&s_mat.try_matmul(&db_dense)?)?;
-                                if ds.rank() > 0 {
-                                    d.add_assign_from(
-                                        &ds.u
-                                            .try_matmul(&ds.v.transpose().try_matmul(&db_dense)?)?,
-                                    )?;
-                                }
-                            }
-                        } else if dbf.rank() > 0 {
-                            d.add_assign_from(&dbf.to_dense()?)?;
-                        }
-                        TDelta::Dense(d)
-                    }
-                    _ => unreachable!("delta representation is uniform per strategy"),
+                *t = chain(model, k, hybrid_lookup(aux, b, t0))?;
+            }
+            State::Incremental(view) => {
+                view.apply_factored("A", dau, dav)?;
+                if let Some((bu, bv)) = db {
+                    view.apply_factored("B", bu, bv)?;
                 }
-            };
-            dt.insert(i, delta);
-        }
-
-        // Phase 3: apply all deltas (old values were used throughout).
-        for (i, d) in &dq {
-            d.apply_to(self.p.get_mut(i).expect("aux view exists"))?;
-        }
-        for (i, d) in &dz {
-            d.apply_to(self.s.get_mut(i).expect("aux view exists"))?;
-        }
-        for (i, d) in dt {
-            let target = self.t.get_mut(&i).expect("iteration view exists");
-            match d {
-                TDelta::Factored(fd) => fd.apply_to(target)?,
-                TDelta::Dense(m) => target.add_assign_from(&m)?,
             }
         }
-        da.apply_to(&mut self.a)?;
-        dbf.apply_to(&mut self.b)?;
         Ok(())
     }
+}
 
-    /// Appendix A: factored deltas of `Pᵢ` and `Sᵢ` for all materialized
-    /// auxiliary indices, given `ΔA = da`.
-    fn aux_deltas(&self, da: &Fd) -> Result<(BTreeMap<usize, Fd>, BTreeMap<usize, Fd>)> {
-        let n = self.a.rows();
-        let mut dq = BTreeMap::new();
-        let mut dz = BTreeMap::new();
-        let aux = self.aux_indices();
-        if aux.is_empty() {
-            return Ok((dq, dz));
-        }
-        dq.insert(1, da.clone());
-        dz.insert(1, Fd::zero(n, n)); // S₁ = I is constant.
-        let mut prev = 1;
-        for &i in &aux[1..] {
-            let ph = &self.p[&prev];
-            let sh = &self.s[&prev];
-            let q: &Fd = &dq[&prev];
-            let z: &Fd = &dz[&prev];
-            // ΔP_i: U = [Q | P·Q + Q·(RᵀQ)], V = [PᵀR | R].
-            let mid = ph
-                .try_matmul(&q.u)?
-                .try_add(&q.u.try_matmul(&q.v.transpose().try_matmul(&q.u)?)?)?;
-            let qu = Matrix::hstack(&[&q.u, &mid])?;
-            let qv = Matrix::hstack(&[&ph.try_matmul_tn(&q.v)?, &q.v])?;
-            // ΔS_i for S_i = P·S + S:
-            //   U = [Q | P·Z + Q·(RᵀZ) + Z], V = [SᵀR | W].
-            let mut s_mid = ph.try_matmul(&z.u)?;
-            s_mid.add_assign_from(&q.u.try_matmul(&q.v.transpose().try_matmul(&z.u)?)?)?;
-            s_mid.add_assign_from(&z.u)?;
-            let zu = Matrix::hstack(&[&q.u, &s_mid])?;
-            let zv = Matrix::hstack(&[&sh.try_matmul_tn(&q.v)?, &z.v])?;
-            dq.insert(i, Fd::new(qu, qv));
-            dz.insert(i, Fd::new(zu, zv));
-            prev = i;
-        }
-        Ok((dq, dz))
+/// HYBRID's operands: `B` and `T₀` held beside the view, `A`/`Pₕ`/`Sₕ` in it.
+fn hybrid_lookup<'a>(
+    aux: &'a IncrementalView,
+    b: &'a Matrix,
+    t0: &'a Matrix,
+) -> impl Fn(&str) -> Result<&'a Matrix> {
+    move |name| match name {
+        "B" => Ok(b),
+        "T0" => Ok(t0),
+        _ => aux.get(name),
     }
 }
 
@@ -669,9 +544,28 @@ mod tests {
             upd.apply_to(&mut a_ref).unwrap();
         }
         // P₈ must equal A⁸ of the updated A; S₄ must equal I+A+A²+A³.
+        let State::Incremental(view) = &gf.state else {
+            unreachable!("built with Strategy::Incremental")
+        };
         let p8 = crate::powers::compute_power(&a_ref, IterModel::Exponential, 8).unwrap();
-        assert!(gf.p[&8].approx_eq(&p8, 1e-8));
+        assert!(view.get("P8").unwrap().approx_eq(&p8, 1e-8));
         let s4 = crate::sums::compute_sum(&a_ref, IterModel::Exponential, 4).unwrap();
-        assert!(gf.s[&4].approx_eq(&s4, 1e-8));
+        assert!(view.get("S4").unwrap().approx_eq(&s4, 1e-8));
+    }
+
+    #[test]
+    fn invalid_model_parameters_are_errors() {
+        let (a, b, t0) = setup(8, 2, 97);
+        for strategy in [Strategy::Reeval, Strategy::Incremental, Strategy::Hybrid] {
+            for (model, k) in [
+                (IterModel::Linear, 0),
+                (IterModel::Exponential, 12),
+                (IterModel::Skip(3), 9),
+                (IterModel::Skip(4), 10),
+            ] {
+                let built = GeneralForm::new(a.clone(), b.clone(), t0.clone(), model, k, strategy);
+                assert!(built.is_err(), "{model}, k = {k}, {}", strategy.label());
+            }
+        }
     }
 }

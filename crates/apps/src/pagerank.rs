@@ -8,7 +8,7 @@
 //! `ΔA = d·Δcol·e_srcᵀ` fed to the [`GeneralForm`] maintainer.
 
 use linview_matrix::Matrix;
-use linview_runtime::{Env, SnapshotPublisher, ViewHandle};
+use linview_runtime::{Env, RuntimeError, SnapshotPublisher, ViewHandle};
 use std::collections::BTreeSet;
 
 use crate::general::{GeneralForm, Strategy};
@@ -31,7 +31,8 @@ pub struct PageRank {
 impl PageRank {
     /// Builds the maintainer from an edge list over `n` nodes, running `k`
     /// power-iteration steps with damping factor `damping` (0.85 in the
-    /// classic setting).
+    /// classic setting). An empty graph, a damping outside `[0, 1)` or an
+    /// edge endpoint `≥ n` is [`RuntimeError::InvalidArgument`].
     pub fn new(
         n: usize,
         edges: &[(usize, usize)],
@@ -40,11 +41,17 @@ impl PageRank {
         model: IterModel,
         strategy: Strategy,
     ) -> Result<Self> {
-        assert!(n > 0, "empty graph");
-        assert!((0.0..1.0).contains(&damping), "damping must be in [0, 1)");
+        if n == 0 {
+            return Err(RuntimeError::InvalidArgument("empty graph".into()));
+        }
+        if !(0.0..1.0).contains(&damping) {
+            return Err(RuntimeError::InvalidArgument(format!(
+                "damping must be in [0, 1), got {damping}"
+            )));
+        }
         let mut adj = vec![BTreeSet::new(); n];
         for &(src, dst) in edges {
-            assert!(src < n && dst < n, "edge ({src},{dst}) out of range");
+            check_edge(n, src, dst)?;
             adj[src].insert(dst);
         }
         let m = transition_matrix(&adj, n);
@@ -98,7 +105,7 @@ impl PageRank {
 
     /// Adds an edge; no-op if already present. One rank-1 update.
     pub fn add_edge(&mut self, src: usize, dst: usize) -> Result<()> {
-        assert!(src < self.n && dst < self.n, "edge out of range");
+        check_edge(self.n, src, dst)?;
         if self.adj[src].contains(&dst) {
             return Ok(());
         }
@@ -109,7 +116,7 @@ impl PageRank {
 
     /// Removes an edge; no-op if absent. One rank-1 update.
     pub fn remove_edge(&mut self, src: usize, dst: usize) -> Result<()> {
-        assert!(src < self.n && dst < self.n, "edge out of range");
+        check_edge(self.n, src, dst)?;
         if !self.adj[src].contains(&dst) {
             return Ok(());
         }
@@ -152,6 +159,16 @@ impl PageRank {
         }
         Ok(())
     }
+}
+
+/// An edge endpoint outside the `n` nodes is [`RuntimeError::InvalidArgument`].
+fn check_edge(n: usize, src: usize, dst: usize) -> Result<()> {
+    if src >= n || dst >= n {
+        return Err(RuntimeError::InvalidArgument(format!(
+            "edge ({src},{dst}) out of range for {n} nodes"
+        )));
+    }
+    Ok(())
 }
 
 /// Dense column-stochastic transition matrix from adjacency sets.
@@ -314,5 +331,30 @@ mod tests {
         adj[1].insert(2);
         let expected = brute_pagerank(n, &adj, 0.85, 16);
         assert!(pr.ranks().approx_eq(&expected, 1e-8));
+    }
+
+    #[test]
+    fn hostile_arguments_are_errors() {
+        let new = |n, edges: &[(usize, usize)], damping| {
+            PageRank::new(
+                n,
+                edges,
+                damping,
+                8,
+                IterModel::Linear,
+                Strategy::Incremental,
+            )
+        };
+        assert!(new(0, &[], 0.85).is_err());
+        assert!(new(4, &[], 1.0).is_err());
+        assert!(new(4, &[], -0.1).is_err());
+        assert!(new(4, &[], f64::NAN).is_err());
+        assert!(new(4, &[(0, 4)], 0.85).is_err());
+        assert!(new(4, &[(4, 0)], 0.85).is_err());
+        let mut pr = new(4, &ring_edges(4), 0.85).unwrap();
+        assert!(pr.add_edge(0, 4).is_err());
+        assert!(pr.add_edge(4, 0).is_err());
+        assert!(pr.remove_edge(0, 9).is_err());
+        assert!(pr.remove_edge(9, 0).is_err());
     }
 }

@@ -45,6 +45,9 @@ pub enum RuntimeError {
         /// Residual at the last iteration.
         residual: f64,
     },
+    /// A constructor or update was handed an argument outside its domain
+    /// (a model/k pair the model rejects, an out-of-range node, …).
+    InvalidArgument(String),
 }
 
 impl fmt::Display for RuntimeError {
@@ -75,6 +78,7 @@ impl fmt::Display for RuntimeError {
                 f,
                 "iteration did not converge after {iterations} steps (residual {residual:.3e})"
             ),
+            RuntimeError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-backend conformance suite.
 //!
 //! Every app workload (matrix powers, sums of powers, OLS, reachability,
-//! a PageRank power-iteration step) runs on the Local and Threaded
+//! a PageRank power-iteration step, the general iterative form) runs on the Local and Threaded
 //! backends from the *same* `UpdateStream` seed, and the maintained views
 //! must be **bit-identical** across both — the shared statement
 //! interpreter leaves no room for divergence, and this suite is the lock
@@ -13,6 +13,7 @@
 //! * Threaded broadcasts on every delta and never shuffles: exactly one
 //!   frame per worker for every rank-positive delta Local folded.
 
+use linview::apps::general::general_program;
 use linview::apps::powers::powers_program;
 use linview::apps::sums::sums_program;
 use linview::prelude::*;
@@ -113,6 +114,24 @@ fn cases() -> Vec<Case> {
         target: "M",
         grid: (3, 1),
         scale: 0.005,
+        updates: 8,
+    });
+
+    // The general form T(i+1) = A T(i) + B under EXP, k = 8, p = 4
+    // (Figs. 3g/3h): P/S views by squaring, then T_i := P_h T_h + S_h B.
+    let p = 4;
+    let (program, _) = general_program(IterModel::Exponential, 8, n);
+    out.push(Case {
+        name: "general",
+        program,
+        inputs: vec![
+            ("A", Matrix::random_spectral(n, 12, 0.8)),
+            ("B", Matrix::random_uniform(n, p, 13)),
+            ("T0", Matrix::random_uniform(n, p, 14)),
+        ],
+        target: "A",
+        grid: (2, 2),
+        scale: 0.01,
         updates: 8,
     });
 

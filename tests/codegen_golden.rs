@@ -2,6 +2,7 @@
 //! and the Octave backend output are pinned, so any change to the delta
 //! rules, factoring, or printers is caught explicitly.
 
+use linview::apps::general::general_program;
 use linview::compiler::codegen::{numpy, octave};
 use linview::compiler::{compile, CompileOptions};
 use linview::prelude::*;
@@ -99,4 +100,54 @@ fn ols_trigger_contains_sherman_morrison_block() {
     assert!(text.contains("(U_W, V_W) := sherman_morrison(W, P_W, Q_W);"));
     assert!(text.contains("W += U_W V_W';"));
     assert!(text.contains("beta += U_beta V_beta';"));
+}
+
+#[test]
+fn general_form_trigger_text_is_pinned() {
+    // T4 = A^4 T0 + (I + A + A^2 + A^3) B under EXP: the generated program
+    // is P1 := A; S1 := I; S2 := P1 S1 + S1; P2 := P1 P1; then
+    // T1 := A T0 + B; T2 := P1 T1 + S1 B; T4 := P2 T2 + S2 B. Algorithm 1
+    // emits Appendix B's S·B terms: ΔS2·B in A's trigger (`U_S2`,
+    // `B' V_S2`) and Sh·ΔB in B's (`S1 dU_B`, `S2 dU_B`).
+    let (program, fin) = general_program(IterModel::Exponential, 4, 8);
+    assert_eq!(fin, "T4");
+    let mut cat = Catalog::new();
+    cat.declare("A", 8, 8);
+    cat.declare("B", 8, 2);
+    cat.declare("T0", 8, 2);
+    let tp = compile(&program, &["A", "B"], &cat, &CompileOptions::default()).unwrap();
+    let expected = "\
+ON UPDATE A BY (dU_A, dV_A):
+  U_P1 := dU_A;
+  V_P1 := dV_A;
+  U_S2 := U_P1;
+  V_S2 := S1' V_P1;
+  U_P2 := [ U_P1 | P1 U_P1 + U_P1 (V_P1' U_P1) ];
+  V_P2 := [ P1' V_P1 | V_P1 ];
+  U_T1 := dU_A;
+  V_T1 := T0' dV_A;
+  U_T2 := [ U_P1 | P1 U_T1 + U_P1 (V_P1' U_T1) ];
+  V_T2 := [ T1' V_P1 | V_T1 ];
+  U_T4 := [ U_P2 | P2 U_T2 + U_P2 (V_P2' U_T2) | U_S2 ];
+  V_T4 := [ T2' V_P2 | V_T2 | B' V_S2 ];
+  A += dU_A dV_A';
+  P1 += U_P1 V_P1';
+  S2 += U_S2 V_S2';
+  P2 += U_P2 V_P2';
+  T1 += U_T1 V_T1';
+  T2 += U_T2 V_T2';
+  T4 += U_T4 V_T4';
+ON UPDATE B BY (dU_B, dV_B):
+  U_T1 := dU_B;
+  V_T1 := dV_B;
+  U_T2 := [ P1 U_T1 | S1 dU_B ];
+  V_T2 := [ V_T1 | dV_B ];
+  U_T4 := [ P2 U_T2 | S2 dU_B ];
+  V_T4 := [ V_T2 | dV_B ];
+  B += dU_B dV_B';
+  T1 += U_T1 V_T1';
+  T2 += U_T2 V_T2';
+  T4 += U_T4 V_T4';
+";
+    assert_eq!(tp.to_string(), expected);
 }

@@ -1,10 +1,10 @@
 //! End-to-end integration tests: frontend → Algorithm 1 → optimizer →
 //! codegen → runtime execution, validated against full re-evaluation, plus
-//! cross-validation between the two independent incremental implementations
-//! (compiled triggers vs the hand-derived Appendix A/B recurrences).
+//! cross-validation between two compiled programs for the same view (the
+//! powers app's and the general form's) and the direct re-evaluation.
 
 use linview::apps::general::{GeneralForm, Strategy};
-use linview::apps::powers::IncrPowers;
+use linview::apps::powers::{IncrPowers, ReevalPowers};
 use linview::compiler::codegen::{octave, plan};
 use linview::compiler::optimizer::{optimize, OptimizerOptions};
 use linview::compiler::{compile, CompileOptions};
@@ -78,13 +78,15 @@ fn optimized_trigger_executes_identically() {
 
 #[test]
 fn compiled_triggers_agree_with_appendix_recurrences() {
-    // Two fully independent incremental implementations of the same view:
-    // the compiled trigger program (powers app) and the hand-derived
-    // Appendix A propagation inside GeneralForm (with B = 0, p = n, T0 = I,
-    // T_k = A^k).
+    // Two different programs for the same view, both compiled by
+    // Algorithm 1: the powers app's `P8 := P4 P4` chain and the general
+    // form's `T_i := P_h T_h + S_h B` with B = 0, p = n, T0 = I, so that
+    // T_k = A^k (the Appendix A recurrences appear inside the latter's
+    // trigger). The independent reference is the direct re-evaluation.
     let n = 16;
     let k = 8;
     let a = Matrix::random_spectral(n, 15, 0.8);
+    let mut reeval = ReevalPowers::new(a.clone(), IterModel::Exponential, k).unwrap();
     let mut compiled = IncrPowers::new(a.clone(), IterModel::Exponential, k).unwrap();
     let mut appendix = GeneralForm::new(
         a.clone(),
@@ -98,10 +100,13 @@ fn compiled_triggers_agree_with_appendix_recurrences() {
     let mut stream = UpdateStream::new(n, n, 0.01, 17);
     for _ in 0..10 {
         let upd = stream.next_rank_one();
+        reeval.apply(&upd).unwrap();
         compiled.apply(&upd).unwrap();
         appendix.apply(&upd).unwrap();
     }
     assert!(compiled.result().approx_eq(appendix.result(), 1e-8));
+    assert!(compiled.result().approx_eq(reeval.result(), 1e-8));
+    assert!(appendix.result().approx_eq(reeval.result(), 1e-8));
 }
 
 #[test]
