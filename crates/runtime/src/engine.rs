@@ -32,8 +32,9 @@ use linview_matrix::Matrix;
 
 use crate::checkpoint::CheckpointError;
 use crate::stats::{measure, RefreshStats, StatsAccumulator};
+use crate::store::CheckpointStore;
 use crate::updates::{BatchUpdate, RankOneUpdate};
-use crate::wal::{FiringRecord, WalFile};
+use crate::wal::FiringRecord;
 use crate::{ExecBackend, IncrementalView, LocalBackend, Result, SparseStats};
 
 /// Relative singular-value tolerance for the pre-flush rank compression
@@ -95,10 +96,6 @@ impl PendingBuffer {
         self.events.len()
     }
 
-    fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Upper bound on the rank the buffer compacts to: distinct rows
     /// touched by row updates, plus one per dense update.
     fn effective_rank(&self) -> usize {
@@ -142,7 +139,7 @@ pub struct EngineStats {
     /// choices, compressed broadcast frames and the bytes they saved, plus
     /// the rank shed by the engine's pre-flush recompression pass.
     pub sparse: SparseStats,
-    /// Wall-time + FLOP samples, one per firing.
+    /// Wall-time + FLOP totals over every firing.
     pub refresh: StatsAccumulator,
 }
 
@@ -207,119 +204,6 @@ impl RecoveryStats {
     }
 }
 
-/// The engine's fault-tolerance state: the last environment snapshot plus
-/// the delta log of every firing since (see [`crate::wal`]).
-#[derive(Debug, Clone)]
-struct CheckpointState {
-    /// Take a fresh snapshot after this many logged firings.
-    every: usize,
-    /// Firings logged since the last snapshot.
-    rounds_since: usize,
-    /// The last full-environment snapshot ([`crate::checkpoint::save`]).
-    snapshot: Bytes,
-    /// Encoded [`FiringRecord`]s since `snapshot`, in firing order.
-    log: Vec<Bytes>,
-    /// Backend communication at the last *successful* firing (or
-    /// snapshot); anything metered past this at recover time was spent on
-    /// the aborted firing.
-    comm_at_last_success: CommSnapshot,
-    /// On-disk mirror of `snapshot` + `log`; `None` for in-memory-only
-    /// checkpointing.
-    durable: Option<DurableState>,
-}
-
-/// Disk persistence for the checkpoint story: a generation-stamped
-/// snapshot file plus one append-only delta WAL per generation, mirroring
-/// [`CheckpointState`].
-///
-/// Crash safety hinges on the roll order: a new generation's (empty) WAL
-/// is created *before* the new snapshot is renamed into place, and the old
-/// generation's WAL is deleted only *after*. The snapshot names the
-/// generation it covers, so recovery always replays exactly the WAL that
-/// belongs to the snapshot it restored — a crash at any point between the
-/// steps leaves either (old snapshot, old WAL) or (new snapshot, empty new
-/// WAL), both consistent; never a snapshot paired with already-folded
-/// records.
-#[derive(Debug, Clone)]
-struct DurableState {
-    dir: PathBuf,
-    gen: u64,
-    wal: WalFile,
-}
-
-/// File name of the environment snapshot inside a durable checkpoint
-/// directory (`u64` LE generation header, then the
-/// [`crate::checkpoint::save`] bytes).
-pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
-
-fn ckpt_io(dir: &Path, what: &str, e: &std::io::Error) -> CheckpointError {
-    CheckpointError::new(format!("durable checkpoint {what} {}: {e}", dir.display()))
-}
-
-impl DurableState {
-    fn wal_path(dir: &Path, gen: u64) -> PathBuf {
-        dir.join(format!("wal-{gen}.bin"))
-    }
-
-    /// Starts generation `gen`: fresh empty WAL first, then the snapshot
-    /// (temp file + atomic rename), then a sweep of stale-generation WALs.
-    fn create(dir: &Path, gen: u64, snapshot: &Bytes) -> Result<DurableState> {
-        let wal = WalFile::open(Self::wal_path(dir, gen))?;
-        wal.truncate()?;
-        let d = DurableState {
-            dir: dir.to_path_buf(),
-            gen,
-            wal,
-        };
-        d.write_snapshot(snapshot)?;
-        d.sweep_stale_wals();
-        Ok(d)
-    }
-
-    fn write_snapshot(&self, snapshot: &Bytes) -> Result<()> {
-        let final_path = self.dir.join(CHECKPOINT_FILE);
-        let tmp_path = self.dir.join(format!("{CHECKPOINT_FILE}.tmp"));
-        let mut buf = Vec::with_capacity(8 + snapshot.len());
-        buf.extend_from_slice(&self.gen.to_le_bytes());
-        buf.extend_from_slice(snapshot);
-        std::fs::write(&tmp_path, &buf).map_err(|e| ckpt_io(&self.dir, "write", &e))?;
-        std::fs::rename(&tmp_path, &final_path).map_err(|e| ckpt_io(&self.dir, "rename", &e))?;
-        Ok(())
-    }
-
-    /// Best-effort removal of WALs from other generations (left behind by
-    /// a crash mid-roll).
-    fn sweep_stale_wals(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let keep = Self::wal_path(&self.dir, self.gen);
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("wal-") && name.ends_with(".bin") && path != keep {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-    }
-
-    /// Reads the snapshot header back: `(generation, env snapshot bytes)`.
-    fn load_snapshot(dir: &Path) -> Result<(u64, Bytes)> {
-        let raw = std::fs::read(dir.join(CHECKPOINT_FILE)).map_err(|e| ckpt_io(dir, "read", &e))?;
-        if raw.len() < 8 {
-            return Err(CheckpointError::new(format!(
-                "durable checkpoint {}: truncated generation header",
-                dir.display()
-            ))
-            .into());
-        }
-        let gen = u64::from_le_bytes(raw[..8].try_into().expect("8-byte slice"));
-        let len = raw.len();
-        Ok((gen, Bytes::from(raw).slice(8..len)))
-    }
-}
-
 /// What [`MaintenanceEngine::recover_from_disk`] found and replayed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskRecovery {
@@ -354,26 +238,24 @@ pub struct MaintenanceEngine<B: ExecBackend = LocalBackend> {
     policy: FlushPolicy,
     pending: BTreeMap<String, PendingBuffer>,
     stats: EngineStats,
-    /// When set (the default), [`MaintenanceEngine::flush_all`] fires ONE
-    /// joint trigger per flush round whenever every joint input has
-    /// pending events, instead of one trigger per input.
-    joint_flush: bool,
-    /// Checkpoint + delta-log state; `None` until enabled.
-    ckpt: Option<CheckpointState>,
+    /// Snapshot + firing log; `None` until checkpointing is enabled.
+    store: Option<CheckpointStore>,
+    /// Backend communication at the last successful firing or restore;
+    /// what `recover` meters past it was spent on the aborted firing.
+    comm_at_last_success: CommSnapshot,
     recovery: RecoveryStats,
 }
 
 impl<B: ExecBackend> MaintenanceEngine<B> {
-    /// Wraps an already-built view. Joint flush rounds are enabled; see
-    /// [`MaintenanceEngine::set_joint_flush`].
+    /// Wraps an already-built view.
     pub fn new(view: IncrementalView<B>, policy: FlushPolicy) -> Self {
         MaintenanceEngine {
             view,
             policy,
             pending: BTreeMap::new(),
             stats: EngineStats::default(),
-            joint_flush: true,
-            ckpt: None,
+            store: None,
+            comm_at_last_success: CommSnapshot::default(),
             recovery: RecoveryStats::default(),
         }
     }
@@ -387,115 +269,62 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
     /// snapshot taken here is the recovery floor.
     pub fn enable_checkpointing(&mut self, every: usize) -> Result<()> {
         let snapshot = self.view.checkpoint()?;
-        self.install_ckpt(every, snapshot, None);
+        self.install(CheckpointStore::memory(every, snapshot));
         Ok(())
     }
 
-    /// As [`MaintenanceEngine::enable_checkpointing`], but also mirrors the
-    /// snapshot and the delta log to disk under `dir` (created if absent):
-    /// the snapshot as [`CHECKPOINT_FILE`] (generation header + bytes,
-    /// written atomically via temp-file + rename) and the log as one
-    /// append-only `wal-<generation>.bin` per checkpoint generation (see
-    /// [`crate::wal::WalFile`]). After a *process* crash — not just a
-    /// backend failure — a fresh engine built over the same program can
-    /// resume bit-identically with [`MaintenanceEngine::recover_from_disk`].
-    ///
-    /// Any previous durable state under `dir` is overwritten; use
-    /// [`MaintenanceEngine::recover_from_disk`] instead to resume from it.
+    /// As [`MaintenanceEngine::enable_checkpointing`], but keeps the
+    /// snapshot and the delta log only on disk under `dir` (created if
+    /// absent; any previous state there is overwritten). After a *process*
+    /// crash a fresh engine over the same program resumes bit-identically
+    /// with [`MaintenanceEngine::recover_from_disk`]. The WAL is written,
+    /// not synced: it survives a process crash, not a power loss.
     pub fn enable_durable_checkpointing(
         &mut self,
         every: usize,
         dir: impl AsRef<Path>,
     ) -> Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| ckpt_io(dir, "mkdir", &e))?;
         let snapshot = self.view.checkpoint()?;
-        let durable = DurableState::create(dir, 0, &snapshot)?;
-        self.install_ckpt(every, snapshot, Some(durable));
+        self.install(CheckpointStore::dir(every, dir.as_ref(), 0, &snapshot)?);
         Ok(())
     }
 
-    fn install_ckpt(&mut self, every: usize, snapshot: Bytes, durable: Option<DurableState>) {
-        self.ckpt = Some(CheckpointState {
-            every: every.max(1),
-            rounds_since: 0,
-            snapshot,
-            log: Vec::new(),
-            comm_at_last_success: self.view.comm(),
-            durable,
-        });
+    fn install(&mut self, store: CheckpointStore) {
+        self.store = Some(store);
+        self.comm_at_last_success = self.view.comm();
         self.recovery.checkpoints += 1;
     }
 
     /// Path of the live on-disk WAL, when durable checkpointing is on.
     pub fn durable_wal_path(&self) -> Option<PathBuf> {
-        self.ckpt
-            .as_ref()
-            .and_then(|c| c.durable.as_ref())
-            .map(|d| d.wal.path().to_path_buf())
+        self.store.as_ref()?.wal_path().map(Path::to_path_buf)
     }
 
-    /// Restores the newest on-disk checkpoint under `dir` and replays its
-    /// WAL, then starts a fresh checkpoint generation (cadence `every`)
-    /// covering the recovered state — the crash-restart counterpart of
-    /// [`MaintenanceEngine::recover`], for when the whole process died.
-    ///
-    /// A *cleanly torn* WAL tail (a crash mid-append cut the final record
-    /// short) is detected, dropped, and truncated away; recovery proceeds
-    /// from the last complete record and reports the dropped bytes in
-    /// [`DiskRecovery::torn_tail_bytes`] so the caller can log it.
-    /// Mid-file corruption — a complete record that does not decode — is
-    /// still a typed [`RuntimeError::Checkpoint`](crate::RuntimeError):
-    /// silently skipping folded state would diverge the views.
+    /// Restores the on-disk checkpoint under `dir` and replays its WAL,
+    /// then starts a fresh generation (cadence `every`) covering the
+    /// recovered state — [`MaintenanceEngine::recover`] for when the whole
+    /// process died. A *cleanly torn* WAL tail (a crash mid-append) is
+    /// dropped, truncated away and reported in
+    /// [`DiskRecovery::torn_tail_bytes`]. Mid-file corruption and a missing
+    /// WAL for the snapshot's generation are typed
+    /// [`RuntimeError::Checkpoint`](crate::RuntimeError)s: silently
+    /// skipping folded state would diverge the views.
     pub fn recover_from_disk(
         &mut self,
         every: usize,
         dir: impl AsRef<Path>,
     ) -> Result<DiskRecovery> {
         let dir = dir.as_ref();
-        let (gen, snapshot) = DurableState::load_snapshot(dir)?;
-        let wal = WalFile::open(DurableState::wal_path(dir, gen))?;
-        let recovered = wal.read()?;
-        self.view.restore(snapshot)?;
-        for record in &recovered.records {
-            self.apply_record(record)?;
-            self.recovery.replayed_rank += record.rank();
-        }
-        let replayed_firings = recovered.records.len() as u64;
-        self.recovery.recoveries += 1;
-        self.recovery.replayed_firings += replayed_firings;
+        let (gen, snapshot, records, torn_tail_bytes) = crate::store::load_dir(dir)?;
+        self.replay(snapshot, &records)?;
         // Roll a fresh generation covering the recovered state so the
         // replay work is never paid twice.
-        let post = self.view.checkpoint()?;
-        let durable = DurableState::create(dir, gen + 1, &post)?;
-        self.install_ckpt(every, post, Some(durable));
+        let snapshot = self.view.checkpoint()?;
+        self.install(CheckpointStore::dir(every, dir, gen + 1, &snapshot)?);
         Ok(DiskRecovery {
-            replayed_firings,
-            torn_tail_bytes: recovered.torn_tail_bytes,
+            replayed_firings: records.len() as u64,
+            torn_tail_bytes,
         })
-    }
-
-    /// Re-fires one logged record against the view (the replay primitive
-    /// shared by in-memory and on-disk recovery).
-    fn apply_record(&mut self, record: &FiringRecord) -> Result<()> {
-        if record.joint {
-            let updates: Vec<(&str, &Matrix, &Matrix)> = record
-                .updates
-                .iter()
-                .map(|(name, u, v)| (name.as_str(), u, v))
-                .collect();
-            self.view.apply_joint(&updates)
-        } else {
-            for (input, u, v) in &record.updates {
-                self.view.apply_factored(input, u, v)?;
-            }
-            Ok(())
-        }
-    }
-
-    /// Whether checkpoint/replay fault tolerance is on.
-    pub fn checkpointing_enabled(&self) -> bool {
-        self.ckpt.is_some()
     }
 
     /// Checkpoint/recovery counters (all zero until
@@ -504,83 +333,44 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
         self.recovery
     }
 
-    /// Logs a successful firing and rolls the checkpoint when the cadence
-    /// says so. Must be called *after* the firing succeeded — the log may
-    /// only ever contain firings the view state actually reflects.
-    fn note_firing(&mut self, record: &FiringRecord) -> Result<()> {
-        let comm = self.view.comm();
-        let Some(ckpt) = self.ckpt.as_mut() else {
-            return Ok(());
-        };
-        ckpt.log.push(record.encode());
-        if let Some(d) = &ckpt.durable {
-            d.wal.append(record)?;
-        }
-        ckpt.rounds_since += 1;
-        ckpt.comm_at_last_success = comm;
-        self.recovery.logged_firings += 1;
-        if ckpt.rounds_since >= ckpt.every {
-            let snapshot = self.view.checkpoint()?;
-            let Some(ckpt) = self.ckpt.as_mut() else {
-                unreachable!("checkpoint state checked above");
-            };
-            if let Some(d) = ckpt.durable.clone() {
-                // Roll the generation: the new WAL exists (empty) before
-                // the new snapshot lands, and the old WAL outlives both, so
-                // a crash at any point recovers consistently.
-                ckpt.durable = Some(DurableState::create(&d.dir, d.gen + 1, &snapshot)?);
-            }
-            ckpt.snapshot = snapshot;
-            ckpt.log.clear();
-            ckpt.rounds_since = 0;
-            self.recovery.checkpoints += 1;
-        }
-        Ok(())
+    /// Restores the last checkpoint and replays the delta log, returning
+    /// the engine to the exact state after the last successful firing —
+    /// the recovery path for backend failures (a killed worker, a torn
+    /// socket). Replay is bit-identical because triggers are deterministic.
+    /// Pending buffers are untouched: re-issue the failed
+    /// [`MaintenanceEngine::flush`] / [`MaintenanceEngine::flush_all`]
+    /// afterwards. A durable engine reads its directory back.
+    ///
+    /// Errors if checkpointing was never enabled, if a failed log append
+    /// left the log short of the views (until the next firing rolls a
+    /// fresh checkpoint), or if the backend is still unreachable
+    /// (recovery can be retried).
+    pub fn recover(&mut self) -> Result<()> {
+        let store = self.store.as_ref().ok_or_else(|| {
+            CheckpointError::new("recover() without enable_checkpointing(): no snapshot to restore")
+        })?;
+        let (_, snapshot, records, _) = store.load()?;
+        // Whatever was metered past the last success was spent on work
+        // recovery is about to discard.
+        let comm_now = self.view.comm();
+        let last = self.comm_at_last_success;
+        self.recovery.aborted_bytes += comm_now.total_bytes() - last.total_bytes();
+        self.recovery.aborted_msgs += comm_now.total_msgs() - last.total_msgs();
+        self.replay(snapshot, &records)
     }
 
-    /// Restores the last checkpoint and replays the delta log, returning
-    /// the engine to the exact state after the last successful firing.
-    ///
-    /// This is the recovery path for backend failures (a killed worker, a
-    /// torn socket): restoring re-materializes the environment through the
-    /// backend — reviving dead transport peers first — and replaying
-    /// re-fires each logged record's factors, which is bit-identical to
-    /// the original firings because triggers are deterministic. Pending
-    /// (unfired) buffers are untouched; re-issue the failed
-    /// [`MaintenanceEngine::flush`] / [`MaintenanceEngine::flush_all`]
-    /// after recovering.
-    ///
-    /// Errors if checkpointing was never enabled, or if the backend is
-    /// still unreachable (recovery can be retried).
-    pub fn recover(&mut self) -> Result<()> {
-        let Some(ckpt) = self.ckpt.as_ref() else {
-            return Err(CheckpointError::new(
-                "recover() without enable_checkpointing(): no snapshot to restore",
-            )
-            .into());
-        };
-        let snapshot = ckpt.snapshot.clone();
-        let log = ckpt.log.clone();
-        let comm_at_last_success = ckpt.comm_at_last_success;
-
-        // 1. Account the aborted firing: whatever was metered past the
-        //    last success was spent on work recovery is about to discard.
-        let comm_now = self.view.comm();
-        self.recovery.aborted_bytes += comm_now.total_bytes() - comm_at_last_success.total_bytes();
-        self.recovery.aborted_msgs += comm_now.total_msgs() - comm_at_last_success.total_msgs();
-
-        // 2. Restore the snapshot. `restore` re-materializes through the
-        //    backend, which revives dead peers before re-installing.
+    /// Restores `snapshot` and re-fires `records` in firing order — the
+    /// replay shared by [`MaintenanceEngine::recover`] and
+    /// [`MaintenanceEngine::recover_from_disk`]. `restore` re-materializes
+    /// through the backend, which revives dead peers before re-installing.
+    fn replay(&mut self, snapshot: Bytes, records: &[FiringRecord]) -> Result<()> {
         let before_restore = self.view.comm();
         self.view.restore(snapshot)?;
         let after_restore = self.view.comm();
         self.recovery.reinstall_bytes += after_restore.total_bytes() - before_restore.total_bytes();
         self.recovery.reinstall_msgs += after_restore.total_msgs() - before_restore.total_msgs();
-
-        // 3. Replay the delta log in firing order.
-        for encoded in log {
-            let record = FiringRecord::decode(encoded)?;
-            self.apply_record(&record)?;
+        for record in records {
+            fire(&mut self.view, record)?;
             self.recovery.replayed_firings += 1;
             self.recovery.replayed_rank += record.rank();
         }
@@ -588,24 +378,8 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
         self.recovery.replay_bytes += after_replay.total_bytes() - after_restore.total_bytes();
         self.recovery.replay_msgs += after_replay.total_msgs() - after_restore.total_msgs();
         self.recovery.recoveries += 1;
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.comm_at_last_success = after_replay;
-        }
+        self.comm_at_last_success = after_replay;
         Ok(())
-    }
-
-    /// Enables or disables joint flush rounds in
-    /// [`MaintenanceEngine::flush_all`]. Joint and sequential flushing fold
-    /// the same deltas (§4.4's trigger is exact), so this only trades
-    /// trigger firings — it never changes maintained views beyond
-    /// floating-point round-off.
-    pub fn set_joint_flush(&mut self, on: bool) {
-        self.joint_flush = on;
-    }
-
-    /// Whether flush rounds use the joint trigger when possible.
-    pub fn joint_flush(&self) -> bool {
-        self.joint_flush
     }
 
     /// Buffers one rank-1 event against `input`, flushing that input's
@@ -624,42 +398,85 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
     /// The buffer is compacted to distinct rows first, so a Zipf-skewed
     /// batch fires at its *effective* rank.
     ///
-    /// On error the buffered events are retained, so a failed flush (an
-    /// unknown input, a shape mismatch) never silently discards ingested
-    /// updates — the caller can inspect or drop them explicitly. If the
-    /// trigger itself fails mid-firing the view follows the usual
-    /// [`IncrementalView`] partial-failure semantics.
+    /// Until the firing succeeds the events are retained, so a failed
+    /// flush (an unknown input, a shape mismatch, a dead worker) never
+    /// silently discards them. Once it succeeded the buffer is consumed,
+    /// even if logging it then fails: a retry would fold it twice.
     pub fn flush(&mut self, input: &str) -> Result<()> {
-        let Some(buf) = self.pending.remove(input) else {
-            return Ok(());
-        };
-        if buf.is_empty() {
-            return Ok(());
+        self.flush_round(&[input.to_string()])
+    }
+
+    /// Flushes every pending buffer: when every input of the compiled
+    /// joint trigger (at least two) has pending events, all of them are
+    /// coalesced and folded by ONE joint firing (§4.4); whatever remains
+    /// (inputs outside the joint set, or a round that could not go joint)
+    /// is flushed one input at a time in input-name order.
+    pub fn flush_all(&mut self) -> Result<()> {
+        let joint = self.view.joint_inputs().filter(|j| j.len() >= 2);
+        if let Some(joint) = joint.map(<[String]>::to_vec) {
+            self.flush_round(&joint)?;
         }
-        if let Err(e) = self.fire_buffer(input, &buf.events) {
-            self.pending.insert(input.to_string(), buf);
-            return Err(e);
+        let inputs: Vec<String> = self.pending.keys().cloned().collect();
+        for input in inputs {
+            self.flush(&input)?;
         }
         Ok(())
     }
 
-    /// Folds the scheduling counters the last firing added to the view and
-    /// its backend into the engine's statistics.
-    fn record_sched(
-        &mut self,
-        sched_before: crate::SchedStats,
-        sparse_before: SparseStats,
-        overlap_before: crate::SchedSnapshot,
-    ) {
+    /// One flush round over one input or the whole joint set: fires ONE
+    /// trigger for the coalesced, recompressed buffers, or nothing if a
+    /// buffer is missing or cancels out (a lone cancelled buffer is
+    /// dropped), then consumes the buffers and logs what it fired.
+    fn flush_round(&mut self, inputs: &[String]) -> Result<()> {
+        let mut updates = Vec::with_capacity(inputs.len());
+        for input in inputs {
+            let Some(buf) = self.pending.get(input) else {
+                return Ok(());
+            };
+            let batch = BatchUpdate::from_rank_ones(&buf.events)?.compact_rows()?;
+            if batch.rank() == 0 {
+                if inputs.len() == 1 {
+                    self.pending.remove(input);
+                }
+                return Ok(());
+            }
+            let batch = self.recompress_batch(batch)?;
+            updates.push((input.clone(), batch.u, batch.v));
+        }
+        // Exactly what is fired (post-compaction, post-recompress) is what
+        // gets logged, so replay re-folds the identical factors.
+        let record = FiringRecord {
+            joint: inputs.len() > 1,
+            updates,
+        };
+        let sched_before = self.view.sched_stats();
+        let sparse_before = self.view.sparse_stats();
+        let overlap_before = self.view.backend().sched();
+        let (result, refresh) = measure(|| fire(&mut self.view, &record));
+        result?;
         let sched = self.view.sched_stats();
         self.stats.stmts += sched.stmts - sched_before.stmts;
         self.stats.stages += sched.stages - sched_before.stages;
         self.stats.writes += sched.writes - sched_before.writes;
         self.stats.overlapped_broadcasts +=
             self.view.backend().sched().overlapped - overlap_before.overlapped;
-        self.stats
-            .sparse
-            .merge(self.view.sparse_stats().since(sparse_before));
+        let sparse = self.view.sparse_stats().since(sparse_before);
+        self.stats.sparse.merge(sparse);
+        for input in inputs {
+            self.pending.remove(input);
+        }
+        self.stats.firings += 1;
+        self.stats.fired_rank += record.rank();
+        self.stats.refresh.record(refresh);
+        if record.joint {
+            self.stats.joint_rounds += 1;
+            self.stats.triggers_saved += inputs.len() as u64 - 1;
+        }
+        let Some(store) = self.store.as_mut() else {
+            return Ok(());
+        };
+        self.comm_at_last_success = self.view.comm();
+        store.log(record, &mut self.recovery, || self.view.checkpoint())
     }
 
     /// Rank-compresses a coalesced batch before it is fired (relative
@@ -685,109 +502,6 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
             return Ok(rebuilt);
         }
         Ok(batch)
-    }
-
-    fn fire_buffer(&mut self, input: &str, events: &[RankOneUpdate]) -> Result<()> {
-        let batch = BatchUpdate::from_rank_ones(events)?.compact_rows()?;
-        if batch.rank() == 0 {
-            return Ok(()); // all events cancelled out to an empty delta
-        }
-        let batch = self.recompress_batch(batch)?;
-        let sched_before = self.view.sched_stats();
-        let sparse_before = self.view.sparse_stats();
-        let overlap_before = self.view.backend().sched();
-        let (result, refresh) = measure(|| self.view.apply_batch(input, &batch));
-        result?;
-        self.record_sched(sched_before, sparse_before, overlap_before);
-        self.stats.firings += 1;
-        self.stats.fired_rank += batch.rank() as u64;
-        self.stats.refresh.record(refresh);
-        if self.ckpt.is_some() {
-            // Log exactly what was fired (post-compaction, post-recompress)
-            // so replay re-folds the identical factors.
-            self.note_firing(&FiringRecord::single(
-                input,
-                batch.u.clone(),
-                batch.v.clone(),
-            ))?;
-        }
-        Ok(())
-    }
-
-    /// Flushes every pending buffer as one *flush round*: when joint
-    /// flushing is enabled and every input of the compiled joint trigger
-    /// has pending events, all of them are coalesced and folded by ONE
-    /// joint firing (§4.4); whatever remains (inputs outside the joint
-    /// set, or a round that could not go joint) is flushed sequentially in
-    /// input-name order.
-    pub fn flush_all(&mut self) -> Result<()> {
-        if self.joint_flush {
-            self.flush_joint_round()?;
-        }
-        let inputs: Vec<String> = self.pending.keys().cloned().collect();
-        for input in inputs {
-            self.flush(&input)?;
-        }
-        Ok(())
-    }
-
-    /// Attempts the joint firing of a flush round. Fires — and consumes the
-    /// covered buffers — only when *every* joint input has a pending batch
-    /// of rank ≥ 1 and the joint set spans at least two inputs (a lone
-    /// input gains nothing over its own trigger). On error every buffer is
-    /// retained, mirroring [`MaintenanceEngine::flush`].
-    fn flush_joint_round(&mut self) -> Result<()> {
-        let Some(joint_inputs) = self.view.joint_inputs().map(<[String]>::to_vec) else {
-            return Ok(());
-        };
-        if joint_inputs.len() < 2 {
-            return Ok(());
-        }
-        let mut batches: Vec<(String, BatchUpdate)> = Vec::with_capacity(joint_inputs.len());
-        for input in &joint_inputs {
-            let Some(buf) = self.pending.get(input) else {
-                return Ok(());
-            };
-            if buf.is_empty() {
-                return Ok(());
-            }
-            let batch = BatchUpdate::from_rank_ones(&buf.events)?.compact_rows()?;
-            if batch.rank() == 0 {
-                // Fully cancelled buffer: the sequential path drops it as a
-                // no-op, and the round no longer covers every input.
-                return Ok(());
-            }
-            let batch = self.recompress_batch(batch)?;
-            batches.push((input.clone(), batch));
-        }
-        let updates: Vec<(&str, &Matrix, &Matrix)> = batches
-            .iter()
-            .map(|(name, b)| (name.as_str(), &b.u, &b.v))
-            .collect();
-        let sched_before = self.view.sched_stats();
-        let sparse_before = self.view.sparse_stats();
-        let overlap_before = self.view.backend().sched();
-        let (result, refresh) = measure(|| self.view.apply_joint(&updates));
-        result?;
-        self.record_sched(sched_before, sparse_before, overlap_before);
-        for (input, _) in &batches {
-            self.pending.remove(input);
-        }
-        self.stats.firings += 1;
-        self.stats.joint_rounds += 1;
-        self.stats.triggers_saved += (batches.len() - 1) as u64;
-        self.stats.fired_rank += batches.iter().map(|(_, b)| b.rank() as u64).sum::<u64>();
-        self.stats.refresh.record(refresh);
-        if self.ckpt.is_some() {
-            let record = FiringRecord::joint(
-                batches
-                    .into_iter()
-                    .map(|(input, b)| (input, b.u, b.v))
-                    .collect(),
-            );
-            self.note_firing(&record)?;
-        }
-        Ok(())
     }
 
     /// Pending (buffered, not yet fired) events for `input`.
@@ -858,6 +572,24 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
     pub fn into_view(self) -> IncrementalView<B> {
         self.view
     }
+}
+
+/// Fires one record's factors: the joint trigger for a joint record, else
+/// each input's own trigger. Flush rounds and replay both fire through
+/// here, so replay re-folds exactly what was fired.
+fn fire<B: ExecBackend>(view: &mut IncrementalView<B>, record: &FiringRecord) -> Result<()> {
+    if record.joint {
+        let updates: Vec<(&str, &Matrix, &Matrix)> = record
+            .updates
+            .iter()
+            .map(|(name, u, v)| (name.as_str(), u, v))
+            .collect();
+        return view.apply_joint(&updates);
+    }
+    for (input, u, v) in &record.updates {
+        view.apply_factored(input, u, v)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -982,8 +714,6 @@ mod tests {
             IncrementalView::build(&program, &[("A", a), ("B", b)], &cat).unwrap(),
             FlushPolicy::Count(100),
         );
-        seq.set_joint_flush(false);
-        assert!(joint.joint_flush());
         let mut s1 = UpdateStream::new(n, n, 0.01, 3);
         let mut s2 = UpdateStream::new(n, n, 0.01, 3);
         for i in 0..8 {
@@ -992,7 +722,8 @@ mod tests {
             seq.ingest(input, s2.next_rank_one()).unwrap();
         }
         joint.flush_all().unwrap();
-        seq.flush_all().unwrap();
+        seq.flush("A").unwrap();
+        seq.flush("B").unwrap();
         // One joint firing vs one per input.
         assert_eq!(joint.stats().firings, 1);
         assert_eq!(joint.stats().joint_rounds, 1);
@@ -1220,7 +951,6 @@ mod tests {
             IncrementalView::build(&program, &[("A", a), ("B", b)], &cat).unwrap(),
             FlushPolicy::Immediate,
         );
-        assert!(!engine.checkpointing_enabled());
         let err = engine.recover().unwrap_err();
         assert!(matches!(err, crate::RuntimeError::Checkpoint(_)), "{err}");
     }

@@ -36,6 +36,7 @@ mod exec;
 mod plan;
 pub mod snapshot;
 pub mod stats;
+mod store;
 pub mod updates;
 mod view;
 pub mod wal;
@@ -56,6 +57,7 @@ pub use linview_dist::CommSnapshot;
 pub use snapshot::{
     percentile_ns, ReaderPool, ReaderReport, SnapshotPublisher, ViewHandle, ViewSnapshot,
 };
+pub use store::has_durable_checkpoint;
 pub use updates::{BatchUpdate, RankOneUpdate, UpdateStream, Zipf};
 pub use view::{IncrementalView, ReevalView};
 pub use wal::{FiringRecord, WalFile, WalRecovery};

@@ -34,11 +34,13 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, RefreshStats) {
     (out, RefreshStats { wall, flops })
 }
 
-/// Accumulates per-refresh stats and reports averages — the "average view
-/// refresh time" metric every figure in §7 plots.
+/// Running sums of refresh stats, reporting averages — the "average view
+/// refresh time" metric every figure in §7 plots — in constant space.
 #[derive(Debug, Clone, Default)]
 pub struct StatsAccumulator {
-    samples: Vec<RefreshStats>,
+    count: usize,
+    wall: Duration,
+    flops: f64,
 }
 
 impl StatsAccumulator {
@@ -49,34 +51,35 @@ impl StatsAccumulator {
 
     /// Records one refresh.
     pub fn record(&mut self, s: RefreshStats) {
-        self.samples.push(s);
+        self.count += 1;
+        self.wall += s.wall;
+        self.flops += s.flops as f64;
     }
 
     /// Number of recorded refreshes.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
     /// Mean wall time per refresh.
     pub fn mean_wall(&self) -> Duration {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return Duration::ZERO;
         }
-        let total: Duration = self.samples.iter().map(|s| s.wall).sum();
-        total / self.samples.len() as u32
+        self.wall / self.count as u32
     }
 
     /// Mean FLOPs per refresh.
     pub fn mean_flops(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        self.samples.iter().map(|s| s.flops as f64).sum::<f64>() / self.samples.len() as f64
+        self.flops / self.count as f64
     }
 }
 

@@ -165,7 +165,9 @@ impl WalFile {
         &self.path
     }
 
-    /// Appends one record (length prefix + encoded bytes) and flushes.
+    /// Appends one record (length prefix + encoded bytes) in one write.
+    /// Nothing is synced: the record survives a process crash, not a power
+    /// loss.
     pub fn append(&self, record: &FiringRecord) -> Result<()> {
         let encoded = record.encode();
         let mut buf = BytesMut::with_capacity(4 + encoded.len());
@@ -176,7 +178,6 @@ impl WalFile {
             .open(&self.path)
             .map_err(|e| io_err("append-open", &self.path, &e))?;
         file.write_all(&buf)
-            .and_then(|()| file.flush())
             .map_err(|e| io_err("append", &self.path, &e))?;
         Ok(())
     }

@@ -342,4 +342,177 @@ mod durable {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// A restart that finds the snapshot but not its generation's WAL must
+    /// not treat the missing log as empty: the roll creates a generation's
+    /// WAL before its snapshot lands, so its absence is damage.
+    #[test]
+    fn missing_wal_for_the_snapshot_generation_is_a_typed_error() {
+        let dir = temp_dir("nowal");
+        let mut engine = fresh_engine();
+        engine.enable_durable_checkpointing(100, &dir).unwrap();
+        let boundaries = drive_recording_boundaries(&mut engine, 8);
+        assert_eq!(boundaries.len(), 5, "four firings logged");
+        let wal = engine.durable_wal_path().unwrap();
+        drop(engine);
+        std::fs::remove_file(&wal).unwrap();
+
+        let mut restarted = fresh_engine();
+        match restarted.recover_from_disk(100, &dir) {
+            Err(RuntimeError::Checkpoint(_)) => {}
+            other => panic!("expected a typed checkpoint error, got {other:?}"),
+        }
+        assert!(!wal.exists(), "recovery must not recreate the missing WAL");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every directory state a crash can leave mid-roll — the new
+    /// generation's empty WAL only; plus the temp snapshot; the snapshot
+    /// renamed but the old WAL not yet swept — recovers the pre-crash views
+    /// bit-identically, replaying the old WAL until the rename lands.
+    #[test]
+    fn each_mid_roll_crash_state_recovers_bit_identically() {
+        for stage in 0..3 {
+            let dir = temp_dir(&format!("midroll-{stage}"));
+            let mut engine = fresh_engine();
+            engine.enable_durable_checkpointing(100, &dir).unwrap();
+            let firings = drive_recording_boundaries(&mut engine, 8).len() as u64 - 1;
+            let state = views_of(&engine);
+            let old_wal = engine.durable_wal_path().unwrap();
+            // The snapshot the roll after the last firing writes: the
+            // generation header, then the environment.
+            let mut next = 1u64.to_le_bytes().to_vec();
+            next.extend_from_slice(&engine.view().checkpoint().unwrap());
+            drop(engine);
+
+            std::fs::write(dir.join("wal-1.bin"), b"").unwrap();
+            if stage >= 1 {
+                std::fs::write(dir.join("checkpoint.bin.tmp"), &next).unwrap();
+            }
+            if stage >= 2 {
+                std::fs::rename(dir.join("checkpoint.bin.tmp"), dir.join("checkpoint.bin"))
+                    .unwrap();
+            }
+            let mut restarted = fresh_engine();
+            let rec = restarted.recover_from_disk(100, &dir).unwrap();
+            let replayed_firings = if stage == 2 { 0 } else { firings };
+            assert_eq!(
+                rec,
+                DiskRecovery {
+                    replayed_firings,
+                    torn_tail_bytes: 0
+                },
+                "stage {stage}"
+            );
+            assert_eq!(views_of(&restarted), state, "stage {stage} diverged");
+            assert!(
+                !old_wal.exists(),
+                "stage {stage}: recovery's roll sweeps the old WAL"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A roll that fails after its firing succeeded (a directory squats on
+    /// the snapshot's temp path) consumes the fired batch, keeps a complete
+    /// log that recovers, and rolls on the next firing once unblocked.
+    #[test]
+    fn blocked_roll_consumes_the_fired_batch_and_the_next_firing_rolls() {
+        let dir = temp_dir("blocked-roll");
+        let mut engine = fresh_engine();
+        let mut reference = fresh_engine();
+        engine.enable_durable_checkpointing(2, &dir).unwrap();
+        let squatter = dir.join("checkpoint.bin.tmp");
+        std::fs::create_dir(&squatter).unwrap();
+        let mut stream = UpdateStream::new(N, N, 0.01, 5);
+        let mut failures = 0;
+        for _ in 0..4 {
+            let upd = stream.next_rank_one();
+            reference.ingest("A", upd.clone()).unwrap();
+            if let Err(e) = engine.ingest("A", upd) {
+                assert!(matches!(e, RuntimeError::Checkpoint(_)), "{e}");
+                failures += 1;
+            }
+        }
+        assert_eq!(failures, 1, "only the roll after the second firing fails");
+        assert_eq!(
+            engine.pending_events("A"),
+            0,
+            "the fired batch stayed pending"
+        );
+        assert_eq!(views_of(&engine), views_of(&reference));
+        engine.recover().unwrap();
+        assert_eq!(views_of(&engine), views_of(&reference));
+
+        std::fs::remove_dir(&squatter).unwrap();
+        for _ in 0..2 {
+            let upd = stream.next_rank_one();
+            reference.ingest("A", upd.clone()).unwrap();
+            engine.ingest("A", upd).unwrap();
+        }
+        assert_eq!(
+            engine.recovery_stats().checkpoints,
+            2,
+            "enable + the retried roll"
+        );
+        engine.recover().unwrap();
+        assert_eq!(views_of(&engine), views_of(&reference));
+        drop(engine);
+        let mut restarted = fresh_engine();
+        let rec = restarted.recover_from_disk(2, &dir).unwrap();
+        assert_eq!(rec.replayed_firings, 0, "the roll covered every firing");
+        assert_eq!(views_of(&restarted), views_of(&reference));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A WAL append that fails after its firing succeeded (the directory
+    /// was removed) consumes the fired batch; `recover()` refuses until the
+    /// next logged firing rolls a fresh generation instead of appending.
+    #[test]
+    fn failed_wal_append_consumes_the_batch_and_recover_waits_for_a_roll() {
+        let dir = temp_dir("removed");
+        let mut engine = fresh_engine();
+        let mut reference = fresh_engine();
+        engine.enable_durable_checkpointing(100, &dir).unwrap();
+        let mut stream = UpdateStream::new(N, N, 0.01, 6);
+        let upd = stream.next_rank_one();
+        reference.ingest("A", upd.clone()).unwrap();
+        engine.ingest("A", upd).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        match engine.flush("A") {
+            Err(RuntimeError::Checkpoint(_)) => {}
+            other => panic!("expected a typed checkpoint error, got {other:?}"),
+        }
+        reference.flush("A").unwrap();
+        assert_eq!(
+            engine.pending_events("A"),
+            0,
+            "the fired batch stayed pending"
+        );
+        assert_eq!(views_of(&engine), views_of(&reference));
+        match engine.recover() {
+            Err(RuntimeError::Checkpoint(_)) => {}
+            other => panic!("recover() over a short log must refuse, got {other:?}"),
+        }
+
+        let logged = engine.recovery_stats().logged_firings;
+        for _ in 0..2 {
+            let upd = stream.next_rank_one();
+            reference.ingest("B", upd.clone()).unwrap();
+            engine.ingest("B", upd).unwrap();
+        }
+        assert_eq!(
+            engine.recovery_stats().logged_firings,
+            logged,
+            "the firing after a failed append rolls instead of appending"
+        );
+        engine.recover().unwrap();
+        assert_eq!(views_of(&engine), views_of(&reference));
+        drop(engine);
+        let mut restarted = fresh_engine();
+        let rec = restarted.recover_from_disk(100, &dir).unwrap();
+        assert_eq!(rec.replayed_firings, 0);
+        assert_eq!(views_of(&restarted), views_of(&reference));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

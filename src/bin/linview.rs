@@ -940,7 +940,7 @@ impl Stream {
         );
         if let Some(dir) = &self.wal_dir {
             let dir = std::path::Path::new(dir);
-            if dir.join(linview::runtime::engine::CHECKPOINT_FILE).exists() {
+            if linview::runtime::has_durable_checkpoint(dir) {
                 let rec = engine
                     .recover_from_disk(self.checkpoint_every, dir)
                     .map_err(fail)?;

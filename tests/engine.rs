@@ -155,7 +155,6 @@ proptest! {
             IncrementalView::build(&program, &[("A", a), ("B", b)], &cat).unwrap(),
             policy,
         );
-        seq.set_joint_flush(false);
         for e in &events {
             let upd = to_update(e);
             reeval.apply(input_name(e), &upd).unwrap();
@@ -163,7 +162,8 @@ proptest! {
             seq.ingest(input_name(e), upd).unwrap();
         }
         joint.flush_all().unwrap();
-        seq.flush_all().unwrap();
+        seq.flush("A").unwrap();
+        seq.flush("B").unwrap();
         for view in ["A", "B", "C", "D"] {
             let want = reeval.get(view).unwrap();
             for (label, engine) in [("joint", &joint), ("sequential", &seq)] {

@@ -273,7 +273,7 @@ fn kill_and_recover_is_bit_identical_on_threaded_across_apps() {
         let mut disturbed = build_engine(ThreadedBackend::with_cluster(disturbed_grid), &case);
         disturbed.enable_checkpointing(2).unwrap();
         let victim = case.grid.0 * case.grid.1 - 1;
-        drive(&mut disturbed, &case, &mut |i, engine| {
+        let mut kill = |i, engine: &mut MaintenanceEngine<ThreadedBackend>| {
             if i == case.kill_at {
                 engine
                     .view_mut()
@@ -281,10 +281,24 @@ fn kill_and_recover_is_bit_identical_on_threaded_across_apps() {
                     .pool_mut()
                     .kill_worker(victim);
             }
-        });
+        };
+        drive(&mut disturbed, &case, &mut kill);
 
         assert_recovered(&case, &disturbed, &undisturbed, &reference);
         assert_partitions_match(&case, &disturbed);
+
+        // The same drill with the checkpoint store on disk: `recover()`
+        // reads the snapshot and the WAL back from the directory.
+        let dir = std::env::temp_dir().join(format!("lv-ft-{}-{}", case.name, std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable_grid = Cluster::with_grid(case.grid.0, case.grid.1);
+        let mut durable = build_engine(ThreadedBackend::with_cluster(durable_grid), &case);
+        durable.enable_durable_checkpointing(2, &dir).unwrap();
+        drive(&mut durable, &case, &mut kill);
+
+        assert_recovered(&case, &durable, &undisturbed, &reference);
+        assert_partitions_match(&case, &durable);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
