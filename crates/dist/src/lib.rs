@@ -37,14 +37,15 @@
 //! // A low-rank update only broadcasts its skinny factors: one frame per
 //! // worker, each of which folds the rows it owns.
 //! let pool = WorkerPool::spawn(2, 2);
-//! pool.install("V", &d2).unwrap();
+//! let squared = d2.to_dense();
+//! pool.install("V", &squared).unwrap();
 //! let u = Matrix::random_uniform(8, 2, 7);
 //! let v = Matrix::random_uniform(8, 2, 8);
 //! let sent = pool.broadcast_delta("V", &u, &v).unwrap();
 //! assert_eq!(sent, delta_frame("V", &u, &v).len() as u64);
 //!
 //! // The gathered blocks equal the unpartitioned fold bit for bit.
-//! let mut dense = d2.to_dense();
+//! let mut dense = squared;
 //! fold_low_rank(&mut dense, &u, &v, false).unwrap();
 //! let blocks = pool.gather("V").unwrap();
 //! assert_eq!(blocks[3], dense.submatrix(4, 4, 4, 4).unwrap());

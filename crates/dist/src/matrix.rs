@@ -25,19 +25,27 @@ impl DistMatrix {
         DistMatrix::from_dense_grid(m, grid, grid)
     }
 
-    /// Partitions `m` over an explicit `grid_rows × grid_cols` grid.
-    pub fn from_dense_grid(m: &Matrix, grid_rows: usize, grid_cols: usize) -> Result<DistMatrix> {
+    /// Whether a `shape` matrix partitions evenly over a `grid_rows ×
+    /// grid_cols` grid — the check [`DistMatrix::from_dense_grid`] makes,
+    /// without partitioning anything.
+    pub fn check_grid(shape: (usize, usize), grid_rows: usize, grid_cols: usize) -> Result<()> {
         if grid_rows == 0
             || grid_cols == 0
-            || !m.rows().is_multiple_of(grid_rows)
-            || !m.cols().is_multiple_of(grid_cols)
+            || !shape.0.is_multiple_of(grid_rows)
+            || !shape.1.is_multiple_of(grid_cols)
         {
             return Err(MatrixError::DimMismatch {
                 op: "dist partition",
-                lhs: m.shape(),
+                lhs: shape,
                 rhs: (grid_rows, grid_cols),
             });
         }
+        Ok(())
+    }
+
+    /// Partitions `m` over an explicit `grid_rows × grid_cols` grid.
+    pub fn from_dense_grid(m: &Matrix, grid_rows: usize, grid_cols: usize) -> Result<DistMatrix> {
+        DistMatrix::check_grid(m.shape(), grid_rows, grid_cols)?;
         let bh = m.rows() / grid_rows;
         let bw = m.cols() / grid_cols;
         let mut blocks = Vec::with_capacity(grid_rows * grid_cols);

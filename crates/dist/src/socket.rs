@@ -769,7 +769,6 @@ pub fn spawn_local_grid(
 mod tests {
     use super::*;
     use crate::transport::FramePool;
-    use crate::DistMatrix;
     use linview_matrix::Matrix;
 
     fn local_pool(
@@ -820,9 +819,8 @@ mod tests {
         let channel_pool = crate::transport::WorkerPool::spawn(gr, gc);
 
         let m0 = Matrix::random_uniform(16, 16, 301);
-        let dm0 = DistMatrix::from_dense_grid(&m0, gr, gc).unwrap();
-        pool.install("X", &dm0).unwrap();
-        channel_pool.install("X", &dm0).unwrap();
+        pool.install("X", &m0).unwrap();
+        channel_pool.install("X", &m0).unwrap();
 
         for seed in 0..6 {
             let u = Matrix::random_uniform(16, 2, 400 + seed);
@@ -839,8 +837,7 @@ mod tests {
         let (gr, gc) = (1, 2);
         let (_servers, pool) = local_pool(gr, gc, "batch");
         let m0 = Matrix::random_uniform(8, 8, 311);
-        let dm0 = DistMatrix::from_dense_grid(&m0, gr, gc).unwrap();
-        pool.install("X", &dm0).unwrap();
+        pool.install("X", &m0).unwrap();
         let frames: Vec<Bytes> = (0..5)
             .map(|seed| {
                 let u = Matrix::random_uniform(8, 1, 600 + seed);
@@ -853,7 +850,7 @@ mod tests {
         }
 
         let reference = crate::transport::WorkerPool::spawn(gr, gc);
-        reference.install("X", &dm0).unwrap();
+        reference.install("X", &m0).unwrap();
         for frame in &frames {
             reference.transport().send(0, frame.clone()).unwrap();
             reference.transport().send(1, frame.clone()).unwrap();
@@ -866,8 +863,7 @@ mod tests {
         let (gr, gc) = (1, 2);
         let (servers, mut pool) = local_pool(gr, gc, "revive");
         let m0 = Matrix::random_uniform(8, 8, 321);
-        let dm0 = DistMatrix::from_dense_grid(&m0, gr, gc).unwrap();
-        pool.install("X", &dm0).unwrap();
+        pool.install("X", &m0).unwrap();
 
         // Kill worker 1 abruptly and restart a fresh server on its address.
         let mut servers = servers;
@@ -887,7 +883,7 @@ mod tests {
 
         assert_eq!(pool.revive().unwrap(), 1);
         pool.reset().unwrap();
-        pool.install("X", &dm0).unwrap();
+        pool.install("X", &m0).unwrap();
         let blocks = pool.gather("X").unwrap();
         assert_eq!(blocks[1], m0.submatrix(0, 4, 8, 4).unwrap());
     }

@@ -269,11 +269,20 @@ pub(crate) fn control_frame(tag: u8) -> Bytes {
     buf.freeze()
 }
 
-fn install_frame(view: &str, block: &Matrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + 4 + view.len() + 8 + 8 * block.len());
+/// The frame installing the `shape` block of `m` whose top-left cell is
+/// `at` — the same bytes as the block's own matrix encoding.
+fn install_frame(view: &str, m: &Matrix, at: (usize, usize), shape: (usize, usize)) -> Bytes {
+    let ((r0, c0), (rows, cols)) = (at, shape);
+    let mut buf = BytesMut::with_capacity(1 + 4 + view.len() + 8 + 8 * rows * cols);
     buf.put_u8(TAG_INSTALL);
     put_name(&mut buf, view);
-    put_matrix(&mut buf, block);
+    buf.put_u32_le(rows as u32);
+    buf.put_u32_le(cols as u32);
+    for r in r0..r0 + rows {
+        for &x in &m.row(r)[c0..c0 + cols] {
+            buf.put_f64_le(x);
+        }
+    }
     buf.freeze()
 }
 
@@ -840,19 +849,25 @@ impl<T: Transport> FramePool<T> {
         self.transport.revive()
     }
 
-    /// Scatter-installs `view`'s blocks, one per worker. The partition grid
-    /// must match the pool's. Returns the per-worker frame length in bytes
-    /// (blocks are equally sized, so every frame is the same length).
-    pub fn install(&self, view: &str, blocks: &DistMatrix) -> TransportResult<u64> {
-        assert_eq!(
-            (blocks.grid_rows(), blocks.grid_cols()),
-            (self.grid_rows, self.grid_cols),
-            "partition grid does not match the worker grid"
-        );
+    /// Scatter-installs the dense `m` as `view`, one block per worker. Each
+    /// block is copied from `m` straight into its frame, so installing
+    /// holds no partitioned copy of `m`. Returns the per-worker frame
+    /// length in bytes (blocks are equally sized, so every frame is the
+    /// same length).
+    ///
+    /// # Panics
+    ///
+    /// If `m` does not partition evenly over the pool's grid (see
+    /// [`DistMatrix::check_grid`]).
+    pub fn install(&self, view: &str, m: &Matrix) -> TransportResult<u64> {
+        if let Err(e) = DistMatrix::check_grid(m.shape(), self.grid_rows, self.grid_cols) {
+            panic!("cannot install '{view}': {e}");
+        }
+        let block = (m.rows() / self.grid_rows, m.cols() / self.grid_cols);
         let mut frame_len = 0;
         for br in 0..self.grid_rows {
             for bc in 0..self.grid_cols {
-                let frame = install_frame(view, blocks.block(br, bc));
+                let frame = install_frame(view, m, (br * block.0, bc * block.1), block);
                 frame_len = frame.len() as u64;
                 self.send_to(br * self.grid_cols + bc, frame)?;
             }
@@ -1044,8 +1059,7 @@ mod tests {
         for (gr, gc) in [(1, 1), (2, 2), (2, 4), (3, 1)] {
             let pool = WorkerPool::spawn(gr, gc);
             let m0 = Matrix::random_uniform(24, 24, 11);
-            let dm0 = DistMatrix::from_dense_grid(&m0, gr, gc).unwrap();
-            pool.install("X", &dm0).unwrap();
+            pool.install("X", &m0).unwrap();
 
             let u = Matrix::random_uniform(24, 3, 12);
             let v = Matrix::random_uniform(24, 3, 13);
@@ -1073,8 +1087,7 @@ mod tests {
     fn gather_is_a_barrier_over_many_queued_deltas() {
         let pool = WorkerPool::spawn(2, 2);
         let m0 = Matrix::zeros(8, 8);
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 2, 2).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         let mut expected = m0;
         for seed in 0..20 {
             let u = Matrix::random_uniform(8, 1, seed);
@@ -1098,11 +1111,9 @@ mod tests {
         let pool = WorkerPool::spawn(1, 2);
         let a = Matrix::random_uniform(4, 4, 21);
         let b = Matrix::random_uniform(4, 4, 22);
-        pool.install("X", &DistMatrix::from_dense_grid(&a, 1, 2).unwrap())
-            .unwrap();
+        pool.install("X", &a).unwrap();
         pool.reset().unwrap();
-        pool.install("X", &DistMatrix::from_dense_grid(&b, 1, 2).unwrap())
-            .unwrap();
+        pool.install("X", &b).unwrap();
         let blocks = pool.gather("X").unwrap();
         assert_eq!(blocks[0], b.submatrix(0, 0, 4, 2).unwrap());
         assert_eq!(blocks[1], b.submatrix(0, 2, 4, 2).unwrap());
@@ -1198,7 +1209,6 @@ mod tests {
         for (gr, gc) in [(1, 1), (2, 2), (2, 4)] {
             let n = 24;
             let m0 = Matrix::random_uniform(n, n, 41);
-            let dm0 = DistMatrix::from_dense_grid(&m0, gr, gc).unwrap();
 
             // A sparse rank-2 delta: two touched rows, a handful of cols.
             let mut u = Matrix::zeros(n, 2);
@@ -1210,11 +1220,11 @@ mod tests {
             v.set(4, 1, 0.75);
 
             let dense_pool = WorkerPool::spawn(gr, gc);
-            dense_pool.install("X", &dm0).unwrap();
+            dense_pool.install("X", &m0).unwrap();
             let dense_len = dense_pool.broadcast_delta("X", &u, &v).unwrap();
 
             let sparse_pool = WorkerPool::spawn(gr, gc);
-            sparse_pool.install("X", &dm0).unwrap();
+            sparse_pool.install("X", &m0).unwrap();
             let sparse_len = sparse_pool.broadcast_delta_sparse("X", &u, &v).unwrap();
 
             assert!(
@@ -1238,8 +1248,7 @@ mod tests {
         // flag-prefixed dense payloads and must still fold correctly.
         let pool = WorkerPool::spawn(2, 2);
         let m0 = Matrix::random_uniform(8, 8, 51);
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 2, 2).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         let u = Matrix::random_uniform(8, 2, 52);
         let v = Matrix::random_uniform(8, 2, 53);
         pool.broadcast_delta_sparse("X", &u, &v).unwrap();
@@ -1258,8 +1267,7 @@ mod tests {
     fn rank_zero_deltas_are_noops() {
         let pool = WorkerPool::spawn(2, 1);
         let m0 = Matrix::random_uniform(6, 6, 31);
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 2, 1).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         pool.broadcast_delta("X", &Matrix::zeros(6, 0), &Matrix::zeros(6, 0))
             .unwrap();
         let blocks = pool.gather("X").unwrap();
@@ -1286,8 +1294,7 @@ mod tests {
         // the pool is fully usable again.
         pool.reset().unwrap();
         let m0 = Matrix::random_uniform(8, 8, 73);
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 2, 2).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         pool.broadcast_delta("X", &u, &v).unwrap();
         let blocks = pool.gather("X").unwrap();
         let mut expected = m0;
@@ -1301,16 +1308,14 @@ mod tests {
     fn unknown_frame_tag_poisons_instead_of_panicking() {
         let pool = WorkerPool::spawn(1, 1);
         let m0 = Matrix::random_uniform(4, 4, 81);
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 1, 1).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         pool.transport().send(0, control_frame(42)).unwrap();
         let err = pool.gather("X").unwrap_err();
         assert!(matches!(err, TransportError::Worker { .. }), "{err:?}");
         assert!(err.to_string().contains("unknown frame tag 42"));
         // Reset + reinstall recovers without respawning the thread.
         pool.reset().unwrap();
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 1, 1).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         assert_eq!(pool.gather("X").unwrap()[0], m0);
     }
 
@@ -1318,8 +1323,7 @@ mod tests {
     fn gather_of_uninstalled_view_errors_without_poisoning() {
         let pool = WorkerPool::spawn(1, 2);
         let m0 = Matrix::random_uniform(4, 4, 91);
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 1, 2).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         let err = pool.gather("Y").unwrap_err();
         assert!(matches!(err, TransportError::Worker { .. }), "{err:?}");
         // A read miss is not poison: the installed view is still gatherable
@@ -1332,8 +1336,7 @@ mod tests {
     fn killed_worker_surfaces_as_disconnect_not_a_hang() {
         let mut pool = WorkerPool::spawn(2, 2);
         let m0 = Matrix::random_uniform(8, 8, 95);
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 2, 2).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         pool.kill_worker(2);
         let err = pool.gather("X").unwrap_err();
         assert_eq!(err, TransportError::WorkerDisconnected { worker: 2 });
@@ -1341,8 +1344,7 @@ mod tests {
         // whole again (revived workers start empty, like a fresh process).
         assert_eq!(pool.revive().unwrap(), 1);
         pool.reset().unwrap();
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 2, 2).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         let blocks = pool.gather("X").unwrap();
         assert_eq!(blocks[2], m0.submatrix(4, 0, 4, 4).unwrap());
     }
@@ -1351,15 +1353,13 @@ mod tests {
     fn failed_gather_drains_replies_so_the_next_gather_is_clean() {
         let pool = WorkerPool::spawn(2, 2);
         let m0 = Matrix::random_uniform(8, 8, 97);
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 2, 2).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         // Poison a single worker: the gather errors on it, but the other
         // three workers' OK replies must be drained, not left queued.
         pool.transport().send(1, control_frame(99)).unwrap();
         assert!(pool.gather("X").is_err());
         pool.reset().unwrap();
-        pool.install("X", &DistMatrix::from_dense_grid(&m0, 2, 2).unwrap())
-            .unwrap();
+        pool.install("X", &m0).unwrap();
         let blocks = pool.gather("X").unwrap();
         assert_eq!(blocks.len(), 4);
         assert_eq!(blocks[0], m0.submatrix(0, 0, 4, 4).unwrap());

@@ -346,28 +346,28 @@ impl<T: Transport> ExecBackend for FrameBackend<T> {
     }
 
     fn materialize(&mut self, env: &Env) -> Result<()> {
-        // Partition everything *before* touching worker state, so a
-        // failure (an indivisible dimension) leaves the previous
-        // partitions — and the owning view — untouched.
-        let mut parts = Vec::new();
-        for (name, m) in env.iter() {
-            let dm =
-                DistMatrix::from_dense_grid(m, self.cluster.grid_rows(), self.cluster.grid_cols())
-                    .map_err(RuntimeError::Matrix)?;
-            parts.push((name.to_string(), dm));
+        // Check every view *before* touching worker state, so a failure
+        // (an indivisible dimension) leaves the previous partitions — and
+        // the owning view — untouched.
+        let (grid_rows, grid_cols) = (self.cluster.grid_rows(), self.cluster.grid_cols());
+        for (_, m) in env.iter() {
+            DistMatrix::check_grid(m.shape(), grid_rows, grid_cols)
+                .map_err(RuntimeError::Matrix)?;
         }
         // Materialize is the recovery entry point: bring dead peers back
         // (a no-op on a healthy pool) before re-installing state.
         self.pool.revive().map_err(transport_err)?;
         self.pool.reset().map_err(transport_err)?;
+        // Install one view at a time, each block copied straight into its
+        // frame: the coordinator holds no partitioned copy of any view.
         let mut shapes = BTreeMap::new();
-        for (name, dm) in &parts {
-            let frame_len = self.pool.install(name, dm).map_err(transport_err)?;
+        for (name, m) in env.iter() {
+            let frame_len = self.pool.install(name, m).map_err(transport_err)?;
             // Initial placement moves real bytes too; meter every frame.
             for _ in 0..self.pool.workers() {
                 self.cluster.comm().record_broadcast(frame_len);
             }
-            shapes.insert(name.clone(), dm.shape());
+            shapes.insert(name.to_string(), m.shape());
         }
         self.shapes = shapes;
         Ok(())

@@ -4,8 +4,8 @@
 //! computation. A production deployment needs to persist and restore that
 //! state across restarts (the paper's streams are "long-lived data",
 //! unlike window-bounded stream processors — §1). This module provides a
-//! compact, versioned binary snapshot of an [`Env`] built on the `bytes`
-//! crate, with integrity checks on restore.
+//! compact, versioned binary snapshot of an [`Env`], with integrity checks
+//! on restore.
 //!
 //! Format (little-endian):
 //!
@@ -14,16 +14,24 @@
 //!   { u32 name_len | name utf8 | u64 rows | u64 cols | rows·cols f64 }*
 //! ```
 //!
-//! [`restore`] treats its input as untrusted: every length and shape field
-//! is validated with checked arithmetic *before* any allocation sized by
-//! it, so a corrupt or hostile snapshot errors — it can neither panic nor
-//! trigger an enormous allocation. Failures surface as
-//! [`RuntimeError::Checkpoint`] carrying a [`CheckpointError`] in the
-//! `source()` chain.
+//! The format has one encoder, [`encode`], streaming into any
+//! [`io::Write`], and one decoder, [`decode`], reading an [`io::Read`] of
+//! known length. [`save`] and [`restore`] wrap them for in-memory
+//! [`Bytes`]; the durable store streams a roll straight into its file and
+//! decodes recovery straight out of it, so neither stages a second copy
+//! of the views — durability's memory is the views plus one I/O buffer.
+//!
+//! [`decode`] treats its input as untrusted: every length and shape field
+//! is validated with checked arithmetic against the bytes that remain
+//! *before* any allocation sized by it, so a corrupt or hostile snapshot
+//! errors — it can neither panic nor allocate more than its own length.
+//! Failures surface as [`RuntimeError::Checkpoint`] carrying a
+//! [`CheckpointError`] in the `source()` chain.
 
 use std::fmt;
+use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use linview_matrix::Matrix;
 
 use crate::{Env, Result, RuntimeError};
@@ -36,6 +44,9 @@ const VERSION: u32 = 1;
 /// `entry_count` claiming more entries than `remaining / 20` is rejected
 /// before the entry loop runs.
 const MIN_ENTRY_BYTES: u64 = 20;
+
+/// `f64` payloads move through a stack buffer of this many bytes.
+const CHUNK_BYTES: usize = 4096;
 
 /// Why a checkpoint could not be saved, or a snapshot failed its
 /// integrity checks on restore.
@@ -69,38 +80,58 @@ fn corrupt(msg: impl fmt::Display) -> RuntimeError {
     RuntimeError::Checkpoint(CheckpointError::new(format!("corrupt checkpoint: {msg}")))
 }
 
-/// Serializes every binding of `env` into a standalone byte buffer.
+/// The exact number of bytes [`encode`] writes for `env`.
+fn encoded_len(env: &Env) -> usize {
+    let entries: usize = env
+        .iter()
+        .map(|(name, m)| MIN_ENTRY_BYTES as usize + name.len() + 8 * m.len())
+        .sum();
+    12 + entries
+}
+
+/// Streams every binding of `env` into `w` — the one encoder of the
+/// format.
 ///
-/// Errors (instead of silently truncating the `u32` header fields) if the
-/// environment holds more than `u32::MAX` bindings or a name longer than
-/// `u32::MAX` bytes — a snapshot that cannot faithfully round-trip is
-/// refused at save time, not discovered as corruption on restore.
-pub fn save(env: &Env) -> Result<Bytes> {
-    let count = u32::try_from(env.len()).map_err(|_| {
-        RuntimeError::Checkpoint(CheckpointError::new(
-            "environment has too many bindings for a v1 checkpoint",
-        ))
-    })?;
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(count);
+/// Fails with [`io::ErrorKind::InvalidInput`] (instead of silently
+/// truncating the `u32` header fields) if the environment holds more than
+/// `u32::MAX` bindings or a name longer than `u32::MAX` bytes — a snapshot
+/// that cannot faithfully round-trip is refused at save time, not
+/// discovered as corruption on restore.
+pub fn encode(env: &Env, w: &mut impl Write) -> io::Result<()> {
+    let refuse = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    let count = u32::try_from(env.len())
+        .map_err(|_| refuse("environment has too many bindings for a v1 checkpoint".into()))?;
+    w.write_all(MAGIC)?;
+    w.write_all(&VERSION.to_le_bytes())?;
+    w.write_all(&count.to_le_bytes())?;
+    let mut chunk = [0u8; CHUNK_BYTES];
     for (name, m) in env.iter() {
         let name_len = u32::try_from(name.len()).map_err(|_| {
-            RuntimeError::Checkpoint(CheckpointError::new(format!(
+            refuse(format!(
                 "binding name of {} bytes does not fit a v1 checkpoint",
                 name.len()
-            )))
+            ))
         })?;
-        buf.put_u32_le(name_len);
-        buf.put_slice(name.as_bytes());
-        buf.put_u64_le(m.rows() as u64);
-        buf.put_u64_le(m.cols() as u64);
-        for &x in m.as_slice() {
-            buf.put_f64_le(x);
+        w.write_all(&name_len.to_le_bytes())?;
+        w.write_all(name.as_bytes())?;
+        w.write_all(&(m.rows() as u64).to_le_bytes())?;
+        w.write_all(&(m.cols() as u64).to_le_bytes())?;
+        for values in m.as_slice().chunks(CHUNK_BYTES / 8) {
+            for (dst, x) in chunk.chunks_exact_mut(8).zip(values) {
+                dst.copy_from_slice(&x.to_le_bytes());
+            }
+            w.write_all(&chunk[..8 * values.len()])?;
         }
     }
-    Ok(buf.freeze())
+    Ok(())
+}
+
+/// Serializes every binding of `env` into a standalone byte buffer,
+/// reserved to the exact encoded length.
+pub fn save(env: &Env) -> Result<Bytes> {
+    let mut buf = Vec::with_capacity(encoded_len(env));
+    encode(env, &mut buf).map_err(|e| CheckpointError::new(e.to_string()))?;
+    Ok(Bytes::from(buf))
 }
 
 /// Restores an environment from a snapshot produced by [`save`].
@@ -109,66 +140,118 @@ pub fn save(env: &Env) -> Result<Bytes> {
 /// bit flips, hostile length or shape headers — yields a
 /// [`RuntimeError::Checkpoint`], never a panic or an
 /// attacker-sized allocation.
-pub fn restore(mut data: Bytes) -> Result<Env> {
-    if data.remaining() < 12 {
+pub fn restore(data: Bytes) -> Result<Env> {
+    decode(&mut &data[..], data.len() as u64)
+}
+
+/// The `len` bytes of a snapshot still to be read from `r`.
+struct Input<'a, R> {
+    r: &'a mut R,
+    remaining: u64,
+}
+
+impl<R: Read> Input<'_, R> {
+    fn fill(&mut self, buf: &mut [u8], what: &str) -> Result<()> {
+        if self.remaining < buf.len() as u64 {
+            return Err(corrupt(format!("truncated {what}")));
+        }
+        self.r
+            .read_exact(buf)
+            .map_err(|e| corrupt(format!("{what} unreadable: {e}")))?;
+        self.remaining -= buf.len() as u64;
+        Ok(())
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32> {
+        let mut b = [0u8; 4];
+        self.fill(&mut b, what)?;
+        Ok(u32::from_le_bytes(b))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64> {
+        let mut b = [0u8; 8];
+        self.fill(&mut b, what)?;
+        Ok(u64::from_le_bytes(b))
+    }
+}
+
+/// Decodes a snapshot of exactly `len` bytes from `r` — the one decoder of
+/// the format. `len` is the length of what `r` holds (a buffer's length, a
+/// file's size), so no header can make it allocate more than that.
+///
+/// The input is untrusted: any mutation of a valid snapshot — truncation,
+/// bit flips, hostile length or shape headers, a name bound twice — yields
+/// a [`RuntimeError::Checkpoint`], never a panic or an attacker-sized
+/// allocation.
+pub fn decode(r: &mut impl Read, len: u64) -> Result<Env> {
+    let mut input = Input { r, remaining: len };
+    if input.remaining < 12 {
         return Err(corrupt("truncated header"));
     }
     let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
+    input.fill(&mut magic, "header")?;
     if &magic != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = data.get_u32_le();
+    let version = input.u32("header")?;
     if version != VERSION {
         return Err(corrupt(format!("unsupported version {version}")));
     }
-    let count = data.get_u32_le() as usize;
+    let count = input.u32("header")? as u64;
     // Reject an oversized entry count before looping: each entry costs at
     // least MIN_ENTRY_BYTES, so a count the payload cannot possibly hold
     // is corruption, caught without touching the entries.
-    if (count as u64).saturating_mul(MIN_ENTRY_BYTES) > data.remaining() as u64 {
+    if count.saturating_mul(MIN_ENTRY_BYTES) > input.remaining {
         return Err(corrupt("entry count exceeds payload"));
     }
     let mut env = Env::new();
+    let mut chunk = [0u8; CHUNK_BYTES];
     for _ in 0..count {
-        if data.remaining() < 4 {
-            return Err(corrupt("truncated entry header"));
-        }
-        let name_len = data.get_u32_le() as usize;
-        let entry_header = name_len
-            .checked_add(16)
-            .ok_or_else(|| corrupt("name length overflow"))?;
-        if data.remaining() < entry_header {
+        let name_len = input.u32("entry header")? as u64;
+        if input.remaining < name_len.saturating_add(16) {
             return Err(corrupt("truncated entry"));
         }
-        let name_bytes = data.copy_to_bytes(name_len);
-        let name = std::str::from_utf8(&name_bytes)
-            .map_err(|_| corrupt("non-utf8 name"))?
-            .to_string();
-        let rows = data.get_u64_le() as usize;
-        let cols = data.get_u64_le() as usize;
+        // Bounded by the bytes that remain, so at most the snapshot's size.
+        let mut name = vec![0u8; name_len as usize];
+        input.fill(&mut name, "entry")?;
+        let name = String::from_utf8(name).map_err(|_| corrupt("non-utf8 name"))?;
+        if env.contains(&name) {
+            return Err(corrupt(format!("binding '{name}' appears twice")));
+        }
+        let rows = input.u64("entry")?;
+        let cols = input.u64("entry")?;
         // Both multiplications are checked: `rows·cols` and the payload
-        // byte count can each overflow `usize` on hostile headers (e.g.
-        // rows = 2^62, cols = 2 passes the first check but wraps `·8`).
+        // byte count can each overflow on hostile headers (e.g. rows =
+        // 2^62, cols = 2 passes the first check but wraps `·8`).
         let entries = rows
             .checked_mul(cols)
             .ok_or_else(|| corrupt("shape overflow"))?;
         let payload_bytes = entries
             .checked_mul(8)
             .ok_or_else(|| corrupt("payload size overflow"))?;
-        if data.remaining() < payload_bytes {
+        if input.remaining < payload_bytes {
             return Err(corrupt("truncated matrix payload"));
         }
-        // `entries` is now bounded by the buffer length, so this
+        // `entries` is now bounded by the remaining length, so this
         // allocation is at most the snapshot's own size.
-        let mut values = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            values.push(data.get_f64_le());
+        let mut values = Vec::with_capacity(entries as usize);
+        let mut left = entries as usize;
+        while left > 0 {
+            let take = left.min(CHUNK_BYTES / 8);
+            let bytes = &mut chunk[..8 * take];
+            input.fill(bytes, "matrix payload")?;
+            values.extend(
+                bytes
+                    .chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+            );
+            left -= take;
         }
-        let m = Matrix::from_vec(rows, cols, values).map_err(RuntimeError::Matrix)?;
+        let m =
+            Matrix::from_vec(rows as usize, cols as usize, values).map_err(RuntimeError::Matrix)?;
         env.bind(name, m);
     }
-    if data.has_remaining() {
+    if input.remaining > 0 {
         return Err(corrupt("trailing bytes"));
     }
     Ok(env)
@@ -177,6 +260,7 @@ pub fn restore(mut data: Bytes) -> Result<Env> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     fn sample_env() -> Env {
         let mut env = Env::new();
@@ -184,6 +268,136 @@ mod tests {
         env.bind("beta", Matrix::random_uniform(6, 1, 2));
         env.bind("P16", Matrix::random_uniform(6, 6, 3));
         env
+    }
+
+    /// A header claiming `count` entries, and nothing after it.
+    fn hostile_count(count: u32) -> Bytes {
+        let mut raw = BytesMut::new();
+        raw.put_slice(MAGIC);
+        raw.put_u32_le(VERSION);
+        raw.put_u32_le(count);
+        raw.freeze()
+    }
+
+    /// One entry 'A' claiming a `rows × cols` shape, and no payload.
+    fn hostile_shape(rows: u64, cols: u64) -> Bytes {
+        let mut raw = BytesMut::from(&hostile_count(1)[..]);
+        raw.put_u32_le(1);
+        raw.put_u8(b'A');
+        raw.put_u64_le(rows);
+        raw.put_u64_le(cols);
+        raw.freeze()
+    }
+
+    /// Every mutation of `good` the tests of this module reject: bad magic
+    /// and version, truncations, a trailing byte, and the hostile headers.
+    fn mutation_cases(good: &Bytes) -> Vec<(String, Bytes)> {
+        let mut cases = Vec::new();
+        for (at, byte) in [(0, b'X'), (4, 99)] {
+            let mut raw = good.to_vec();
+            raw[at] = byte;
+            cases.push((format!("byte {at} set to {byte}"), Bytes::from(raw)));
+        }
+        for cut in [0usize, 3, 11, 20, good.len() - 1] {
+            cases.push((format!("cut at {cut}"), good.slice(0..cut)));
+        }
+        let mut trailing = good.to_vec();
+        trailing.push(0);
+        cases.push(("trailing byte".to_string(), Bytes::from(trailing)));
+        for (rows, cols) in [(1u64 << 62, 2), (u64::MAX, u64::MAX)] {
+            cases.push((format!("shape {rows}x{cols}"), hostile_shape(rows, cols)));
+        }
+        cases.push(("count u32::MAX".to_string(), hostile_count(u32::MAX)));
+        cases
+    }
+
+    fn assert_typed(what: &str, result: Result<impl std::fmt::Debug>) {
+        match result {
+            Err(RuntimeError::Checkpoint(_)) => {}
+            other => panic!("{what}: expected a checkpoint error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_mutation_case_is_a_typed_error() {
+        let good = save(&sample_env()).unwrap();
+        for (what, bytes) in mutation_cases(&good) {
+            assert_typed(&what, restore(bytes));
+        }
+    }
+
+    #[test]
+    fn encode_streams_exactly_the_saved_bytes() {
+        let env = sample_env();
+        let bytes = save(&env).unwrap();
+        assert_eq!(bytes.len(), encoded_len(&env));
+        let mut streamed = Vec::new();
+        encode(&env, &mut streamed).unwrap();
+        assert_eq!(streamed, &bytes[..]);
+        let back = decode(&mut &streamed[..], streamed.len() as u64).unwrap();
+        for (name, m) in env.iter() {
+            assert_eq!(back.get(name).unwrap(), m);
+        }
+    }
+
+    /// The same mutations, written as a durable directory's
+    /// `checkpoint.bin`, fail `recover_from_disk` typed; so do a torn
+    /// generation header and a flip of any header byte that decoding
+    /// notices.
+    #[test]
+    fn durable_recovery_rejects_every_mutation_case_typed() {
+        use linview_compiler::parse::parse_program;
+        use linview_expr::Catalog;
+
+        let n = 4;
+        let program = parse_program("B := A * A; C := B * B;").unwrap();
+        let mut cat = Catalog::new();
+        cat.declare("A", n, n);
+        let a = Matrix::random_spectral(n, 9, 0.8);
+        let fresh = || {
+            let view = crate::IncrementalView::build(&program, &[("A", a.clone())], &cat).unwrap();
+            crate::MaintenanceEngine::new(view, crate::FlushPolicy::Immediate)
+        };
+        let dir = std::env::temp_dir().join(format!("lv-ckpt-mutations-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        fresh().enable_durable_checkpointing(4, &dir).unwrap();
+        let file = dir.join("checkpoint.bin");
+        let written = std::fs::read(&file).unwrap();
+        let good = fresh().view().checkpoint().unwrap();
+        assert_eq!(
+            &written[8..],
+            &good[..],
+            "the durable snapshot is save()'s bytes"
+        );
+
+        let with_gen = |body: &[u8]| [&0u64.to_le_bytes()[..], body].concat();
+        let mut files: Vec<(String, Vec<u8>)> = mutation_cases(&good)
+            .into_iter()
+            .map(|(what, bytes)| (what, with_gen(&bytes)))
+            .collect();
+        files.push(("torn generation".to_string(), written[..5].to_vec()));
+        files.push(("generation of no WAL".to_string(), with_gen(&good)));
+        files.last_mut().unwrap().1[0] = 7;
+        for (what, bytes) in files {
+            std::fs::write(&file, bytes).unwrap();
+            assert_typed(&what, fresh().recover_from_disk(4, &dir));
+            // A failed recovery rolls nothing: generation 0's WAL is intact.
+            assert!(dir.join("wal-0.bin").is_file(), "{what}");
+        }
+        for at in 8..48 {
+            for bit in [0x01, 0x80] {
+                let mut flipped = written.clone();
+                flipped[at] ^= bit;
+                std::fs::write(&file, flipped).unwrap();
+                if let Err(e) = fresh().recover_from_disk(4, &dir) {
+                    assert_typed(&format!("bit {bit:#x} of byte {at}"), Err::<(), _>(e));
+                }
+                // A flip recovery accepted rolled generation 1; put back
+                // generation 0's WAL for the next case.
+                std::fs::write(dir.join("wal-0.bin"), b"").unwrap();
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -252,36 +466,16 @@ mod tests {
         // passes a checked multiply, but `entries * 8` wraps to 0 in
         // unchecked arithmetic — the historical bug let this through the
         // length check and into a capacity-2^63 allocation.
-        let mut raw = BytesMut::new();
-        raw.put_slice(MAGIC);
-        raw.put_u32_le(VERSION);
-        raw.put_u32_le(1);
-        raw.put_u32_le(1);
-        raw.put_u8(b'A');
-        raw.put_u64_le(1u64 << 62);
-        raw.put_u64_le(2);
-        let err = restore(raw.freeze()).unwrap_err();
+        let err = restore(hostile_shape(1u64 << 62, 2)).unwrap_err();
         assert!(matches!(err, RuntimeError::Checkpoint(_)), "{err:?}");
 
         // And rows·cols itself overflowing is likewise a clean error.
-        let mut raw = BytesMut::new();
-        raw.put_slice(MAGIC);
-        raw.put_u32_le(VERSION);
-        raw.put_u32_le(1);
-        raw.put_u32_le(1);
-        raw.put_u8(b'A');
-        raw.put_u64_le(u64::MAX);
-        raw.put_u64_le(u64::MAX);
-        assert!(restore(raw.freeze()).is_err());
+        assert!(restore(hostile_shape(u64::MAX, u64::MAX)).is_err());
     }
 
     #[test]
     fn absurd_entry_count_is_rejected_before_the_entry_loop() {
-        let mut raw = BytesMut::new();
-        raw.put_slice(MAGIC);
-        raw.put_u32_le(VERSION);
-        raw.put_u32_le(u32::MAX);
-        let err = restore(raw.freeze()).unwrap_err();
+        let err = restore(hostile_count(u32::MAX)).unwrap_err();
         let RuntimeError::Checkpoint(inner) = err else {
             panic!("expected a checkpoint error");
         };

@@ -26,7 +26,6 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use bytes::Bytes;
 use linview_dist::CommSnapshot;
 use linview_matrix::Matrix;
 
@@ -35,7 +34,7 @@ use crate::stats::{measure, RefreshStats, StatsAccumulator};
 use crate::store::CheckpointStore;
 use crate::updates::{BatchUpdate, RankOneUpdate};
 use crate::wal::FiringRecord;
-use crate::{ExecBackend, IncrementalView, LocalBackend, Result, SparseStats};
+use crate::{Env, ExecBackend, IncrementalView, LocalBackend, Result, SparseStats};
 
 /// Relative singular-value tolerance for the pre-flush rank compression
 /// pass: components of a coalesced batch below `1e-12 · σ_max` are noise
@@ -284,8 +283,8 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
         every: usize,
         dir: impl AsRef<Path>,
     ) -> Result<()> {
-        let snapshot = self.view.checkpoint()?;
-        self.install(CheckpointStore::dir(every, dir.as_ref(), 0, &snapshot)?);
+        let store = CheckpointStore::dir(every, dir.as_ref(), 0, self.view.env())?;
+        self.install(store);
         Ok(())
     }
 
@@ -319,8 +318,8 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
         self.replay(snapshot, &records)?;
         // Roll a fresh generation covering the recovered state so the
         // replay work is never paid twice.
-        let snapshot = self.view.checkpoint()?;
-        self.install(CheckpointStore::dir(every, dir, gen + 1, &snapshot)?);
+        let store = CheckpointStore::dir(every, dir, gen + 1, self.view.env())?;
+        self.install(store);
         Ok(DiskRecovery {
             replayed_firings: records.len() as u64,
             torn_tail_bytes,
@@ -361,11 +360,12 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
 
     /// Restores `snapshot` and re-fires `records` in firing order — the
     /// replay shared by [`MaintenanceEngine::recover`] and
-    /// [`MaintenanceEngine::recover_from_disk`]. `restore` re-materializes
-    /// through the backend, which revives dead peers before re-installing.
-    fn replay(&mut self, snapshot: Bytes, records: &[FiringRecord]) -> Result<()> {
+    /// [`MaintenanceEngine::recover_from_disk`]. The restore checks the
+    /// snapshot against the view, then re-materializes through the backend,
+    /// which revives dead peers before re-installing.
+    fn replay(&mut self, snapshot: Env, records: &[FiringRecord]) -> Result<()> {
         let before_restore = self.view.comm();
-        self.view.restore(snapshot)?;
+        self.view.restore_env(snapshot)?;
         let after_restore = self.view.comm();
         self.recovery.reinstall_bytes += after_restore.total_bytes() - before_restore.total_bytes();
         self.recovery.reinstall_msgs += after_restore.total_msgs() - before_restore.total_msgs();
@@ -476,7 +476,7 @@ impl<B: ExecBackend> MaintenanceEngine<B> {
             return Ok(());
         };
         self.comm_at_last_success = self.view.comm();
-        store.log(record, &mut self.recovery, || self.view.checkpoint())
+        store.log(record, &mut self.recovery, self.view.env())
     }
 
     /// Rank-compresses a coalesced batch before it is fired (relative

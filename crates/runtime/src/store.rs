@@ -2,24 +2,40 @@
 //! [`FiringRecord`] fired since, kept in memory or in a directory.
 //!
 //! The directory layout is private to this module: `checkpoint.bin` (`u64`
-//! LE generation, then the [`crate::checkpoint::save`] bytes; temp file +
-//! rename) and one append-only `wal-<generation>.bin` ([`WalFile`]) per
-//! generation. A roll creates the new generation's empty WAL *before* the
-//! new snapshot is renamed into place and sweeps older WALs only *after*,
-//! so a crash at any step leaves (old snapshot, old WAL) or (new snapshot,
-//! empty new WAL) — never a snapshot paired with records it folded.
+//! LE generation, then the v1 snapshot of [`crate::checkpoint`], written to
+//! a temp file and renamed) and one append-only `wal-<generation>.bin`
+//! ([`WalFile`]) per generation. A roll creates the new generation's empty
+//! WAL *before* the new snapshot is renamed into place and sweeps older
+//! WALs only *after*, so a crash at any step leaves (old snapshot, old WAL)
+//! or (new snapshot, empty new WAL) — never a snapshot paired with records
+//! it folded.
+//!
+//! Rolls and recovery stream: a roll encodes the live environment straight
+//! into the temp file through one [`BufWriter`], and recovery decodes
+//! `checkpoint.bin` straight out of a [`BufReader`] bounded by the file's
+//! length. Neither stages the snapshot in memory, so a durable engine
+//! holds its views plus one I/O buffer; the bytes on disk are the same as
+//! [`crate::checkpoint::save`]'s.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{self, CheckpointError};
 use crate::engine::RecoveryStats;
 use crate::wal::{FiringRecord, WalFile};
-use crate::Result;
+use crate::{Env, Result};
 
 const CHECKPOINT_FILE: &str = "checkpoint.bin";
+
+/// Capacity of the buffer a roll writes and a recovery reads through.
+const IO_BUF_BYTES: usize = 1 << 16;
+
+/// What a store holds for replay: the snapshot's generation and
+/// environment, the records fired since, and the torn WAL tail bytes.
+pub(crate) type Loaded = (u64, Env, Vec<FiringRecord>, u64);
 
 /// Whether `dir` holds a durable checkpoint that
 /// [`MaintenanceEngine::recover_from_disk`](crate::MaintenanceEngine::recover_from_disk)
@@ -73,9 +89,9 @@ impl CheckpointStore {
     }
 
     /// A durable store under `dir` (created if absent), starting generation
-    /// `gen` from `snapshot`.
-    pub(crate) fn dir(every: usize, dir: &Path, gen: u64, snapshot: &[u8]) -> Result<Self> {
-        let wal = start_generation(dir, gen, snapshot)?;
+    /// `gen` from a snapshot of `env`.
+    pub(crate) fn dir(every: usize, dir: &Path, gen: u64, env: &Env) -> Result<Self> {
+        let wal = start_generation(dir, gen, env)?;
         let dir = dir.to_path_buf();
         Ok(CheckpointStore::new(every, Backing::Dir { dir, gen, wal }))
     }
@@ -98,14 +114,14 @@ impl CheckpointStore {
     }
 
     /// Logs one fired record — call it only after the firing succeeded —
-    /// and rolls a fresh `snapshot()` when the cadence is due or an earlier
-    /// append failed. A durable append encodes the record once, inside
-    /// [`WalFile::append`]; the memory store never encodes it.
+    /// and rolls a fresh snapshot of `env` when the cadence is due or an
+    /// earlier append failed. A durable append encodes the record once,
+    /// inside [`WalFile::append`]; the memory store never encodes it.
     pub(crate) fn log(
         &mut self,
         record: FiringRecord,
         stats: &mut RecoveryStats,
-        snapshot: impl FnOnce() -> Result<Bytes>,
+        env: &Env,
     ) -> Result<()> {
         if !self.short {
             match &mut self.backing {
@@ -122,14 +138,13 @@ impl CheckpointStore {
                 return Ok(());
             }
         }
-        let snapshot = snapshot()?;
         match &mut self.backing {
-            Backing::Memory { snapshot: s, log } => {
-                *s = snapshot;
+            Backing::Memory { snapshot, log } => {
+                *snapshot = checkpoint::save(env)?;
                 log.clear();
             }
             Backing::Dir { dir, gen, wal } => {
-                *wal = start_generation(dir, *gen + 1, &snapshot)?;
+                *wal = start_generation(dir, *gen + 1, env)?;
                 *gen += 1;
             }
         }
@@ -139,9 +154,8 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// `(generation, snapshot, records since, torn WAL tail bytes)` for
-    /// replay. A durable store reads its directory back.
-    pub(crate) fn load(&self) -> Result<(u64, Bytes, Vec<FiringRecord>, u64)> {
+    /// What to replay; a durable store reads its directory back.
+    pub(crate) fn load(&self) -> Result<Loaded> {
         if self.short {
             return Err(CheckpointError::new(
                 "checkpoint log is missing a fired batch after a failed append; \
@@ -150,20 +164,29 @@ impl CheckpointStore {
             .into());
         }
         match &self.backing {
-            Backing::Memory { snapshot, log } => Ok((0, snapshot.clone(), log.clone(), 0)),
+            Backing::Memory { snapshot, log } => {
+                Ok((0, checkpoint::restore(snapshot.clone())?, log.clone(), 0))
+            }
             Backing::Dir { dir, .. } => load_dir(dir),
         }
     }
 }
 
 /// Reads the snapshot under `dir` and the WAL of its generation back, as
-/// [`CheckpointStore::load`] does.
-pub(crate) fn load_dir(dir: &Path) -> Result<(u64, Bytes, Vec<FiringRecord>, u64)> {
-    let raw = std::fs::read(dir.join(CHECKPOINT_FILE)).map_err(|e| io_err(dir, "read", e))?;
-    if raw.len() < 8 {
+/// [`CheckpointStore::load`] does, decoding the snapshot straight from the
+/// file.
+pub(crate) fn load_dir(dir: &Path) -> Result<Loaded> {
+    let file = File::open(dir.join(CHECKPOINT_FILE)).map_err(|e| io_err(dir, "read", e))?;
+    let len = file.metadata().map_err(|e| io_err(dir, "read", e))?.len();
+    if len < 8 {
         return Err(io_err(dir, "read", "truncated generation header").into());
     }
-    let gen = u64::from_le_bytes(raw[..8].try_into().expect("8-byte slice"));
+    let mut reader = BufReader::with_capacity(IO_BUF_BYTES, file);
+    let mut gen = [0u8; 8];
+    reader
+        .read_exact(&mut gen)
+        .map_err(|e| io_err(dir, "read", e))?;
+    let gen = u64::from_le_bytes(gen);
     let path = wal_path(dir, gen);
     // A generation's WAL is created before its snapshot lands, so a missing
     // one is damage, not an empty log.
@@ -171,22 +194,24 @@ pub(crate) fn load_dir(dir: &Path) -> Result<(u64, Bytes, Vec<FiringRecord>, u64
         return Err(io_err(dir, "read", format!("no WAL for generation {gen}")).into());
     }
     let wal = WalFile::open(path)?.read()?;
-    let len = raw.len();
-    let snapshot = Bytes::from(raw).slice(8..len);
-    Ok((gen, snapshot, wal.records, wal.torn_tail_bytes))
+    let env = checkpoint::decode(&mut reader, len - 8)?;
+    Ok((gen, env, wal.records, wal.torn_tail_bytes))
 }
 
 /// Starts generation `gen` under `dir`: fresh empty WAL first, then the
-/// snapshot, then a best-effort sweep of the other generations' WALs.
-fn start_generation(dir: &Path, gen: u64, snapshot: &[u8]) -> Result<WalFile> {
+/// snapshot of `env`, streamed into a temp file and renamed into place,
+/// then a best-effort sweep of the other generations' WALs.
+fn start_generation(dir: &Path, gen: u64, env: &Env) -> Result<WalFile> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, "mkdir", e))?;
     let wal = WalFile::open(wal_path(dir, gen))?;
     wal.truncate()?;
     let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
-    std::fs::File::create(&tmp)
-        .and_then(|mut f| {
-            f.write_all(&gen.to_le_bytes())?;
-            f.write_all(snapshot)
+    File::create(&tmp)
+        .and_then(|file| {
+            let mut w = BufWriter::with_capacity(IO_BUF_BYTES, file);
+            w.write_all(&gen.to_le_bytes())?;
+            checkpoint::encode(env, &mut w)?;
+            w.flush()
         })
         .map_err(|e| io_err(dir, "write", e))?;
     std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE)).map_err(|e| io_err(dir, "rename", e))?;

@@ -18,6 +18,7 @@ use linview_dist::CommSnapshot;
 use linview_expr::Catalog;
 use linview_matrix::Matrix;
 
+use crate::checkpoint::CheckpointError;
 use crate::exec::{SchedStats, SparseStats};
 use crate::snapshot::{SnapshotPublisher, ViewHandle};
 use crate::updates::BatchUpdate;
@@ -352,16 +353,57 @@ impl<B: ExecBackend> IncrementalView<B> {
     /// Restores maintained state from a [`IncrementalView::checkpoint`]
     /// snapshot. The compiled trigger program is unchanged — only the
     /// matrices are replaced (and re-mirrored by the backend, e.g.
-    /// repartitioned across the cluster). Fails (leaving the view
-    /// untouched) on a corrupt snapshot.
+    /// repartitioned across the cluster). Fails with a
+    /// [`RuntimeError::Checkpoint`], leaving the view, its backend and its
+    /// published epoch untouched, on a corrupt snapshot or one that does
+    /// not bind exactly this view's matrices at their shapes.
     pub fn restore(&mut self, data: bytes::Bytes) -> Result<()> {
-        let env = crate::checkpoint::restore(data)?;
+        self.restore_env(crate::checkpoint::restore(data)?)
+    }
+
+    /// The maintained environment, for streaming it to a snapshot.
+    pub(crate) fn env(&self) -> &Env {
+        &self.env
+    }
+
+    /// [`IncrementalView::restore`] of an already-decoded snapshot.
+    pub(crate) fn restore_env(&mut self, env: Env) -> Result<()> {
+        self.check_snapshot(&env)?;
         self.backend.materialize(&env)?;
         self.env = env;
         // A restore changes observable state: count it as a round and
         // republish unconditionally so readers never serve pre-restore
         // state at a post-restore epoch.
         self.serving_round(true);
+        Ok(())
+    }
+
+    /// A snapshot must bind exactly the matrices this view maintains, each
+    /// at its shape: the compiled triggers address them by name and shape,
+    /// so anything else would only fail at the next firing. Names the first
+    /// mismatch found: an extra or misshapen binding, else a missing one.
+    fn check_snapshot(&self, snapshot: &Env) -> Result<()> {
+        let mismatch = |what: String| {
+            RuntimeError::Checkpoint(CheckpointError::new(format!(
+                "checkpoint does not match the view: {what}"
+            )))
+        };
+        for (name, m) in snapshot.iter() {
+            let Ok(held) = self.env.get(name) else {
+                return Err(mismatch(format!(
+                    "the snapshot binds '{name}', which the view does not maintain"
+                )));
+            };
+            if held.shape() != m.shape() {
+                let ((r, c), (vr, vc)) = (m.shape(), held.shape());
+                return Err(mismatch(format!(
+                    "'{name}' is {r}x{c} in the snapshot, {vr}x{vc} in the view"
+                )));
+            }
+        }
+        if let Some((name, _)) = self.env.iter().find(|(name, _)| !snapshot.contains(name)) {
+            return Err(mismatch(format!("the snapshot lacks '{name}'")));
+        }
         Ok(())
     }
 }
@@ -521,6 +563,89 @@ mod tests {
         let before = view.get("C").unwrap().clone();
         assert!(view.restore(bytes::Bytes::from(raw)).is_err());
         assert_eq!(view.get("C").unwrap(), &before);
+    }
+
+    /// `C := A * B; D := C * C` at `n×n` on `backend`.
+    fn two_input_view<B: ExecBackend>(backend: B, n: usize) -> IncrementalView<B> {
+        let program = parse_program("C := A * B; D := C * C;").unwrap();
+        let mut cat = Catalog::new();
+        cat.declare("A", n, n);
+        cat.declare("B", n, n);
+        let a = Matrix::random_spectral(n, 7, 0.8);
+        let b = Matrix::random_spectral(n, 8, 0.8);
+        IncrementalView::build_on(backend, &program, &[("A", a), ("B", b)], &cat).unwrap()
+    }
+
+    /// Restores `snapshot` into a served threaded view, expects a typed
+    /// mismatch naming `expect`, and checks that the view, the workers'
+    /// partitions and the published epoch are untouched and still fire.
+    fn assert_rejected(snapshot: bytes::Bytes, expect: &str) {
+        let n = 8;
+        let mut view = two_input_view(crate::ThreadedBackend::new(4).unwrap(), n);
+        let handle = view.enable_serving(1);
+        let before: Vec<Matrix> = ["A", "B", "C", "D"]
+            .iter()
+            .map(|v| view.get(v).unwrap().clone())
+            .collect();
+        let err = view.restore(snapshot).unwrap_err();
+        let RuntimeError::Checkpoint(inner) = &err else {
+            panic!("expected a checkpoint error, got {err:?}");
+        };
+        assert!(inner.message().contains(expect), "{}", inner.message());
+        assert_eq!(handle.epoch(), 0, "a rejected restore published");
+        for (name, m) in ["A", "B", "C", "D"].iter().zip(&before) {
+            assert_eq!(view.get(name).unwrap(), m, "{name} changed");
+            assert_eq!(
+                &view.backend().view(name).unwrap(),
+                m,
+                "worker {name} changed"
+            );
+        }
+        let upd = RankOneUpdate::row_update(n, n, 2, 0.01, 3);
+        view.apply("A", &upd).unwrap();
+        assert_eq!(&view.backend().view("D").unwrap(), view.get("D").unwrap());
+    }
+
+    #[test]
+    fn restore_rejects_a_snapshot_of_another_shape() {
+        let small = two_input_view(LocalBackend, 4).checkpoint().unwrap();
+        assert_rejected(small, "'A' is 4x4 in the snapshot, 8x8 in the view");
+    }
+
+    #[test]
+    fn restore_rejects_a_snapshot_of_another_program() {
+        let program = parse_program("E := A * A;").unwrap();
+        let mut cat = Catalog::new();
+        cat.declare("A", 8, 8);
+        let a = Matrix::random_spectral(8, 7, 0.8);
+        let other = IncrementalView::build(&program, &[("A", a)], &cat).unwrap();
+        assert_rejected(
+            other.checkpoint().unwrap(),
+            "the snapshot binds 'E', which the view does not maintain",
+        );
+        // A snapshot that covers only part of the view is refused too.
+        let mut partial = Env::new();
+        for name in ["A", "B", "C"] {
+            partial.bind(name, Matrix::zeros(8, 8));
+        }
+        let partial = crate::checkpoint::save(&partial).unwrap();
+        assert_rejected(partial, "the snapshot lacks 'D'");
+    }
+
+    #[test]
+    fn restore_rejects_a_name_bound_twice() {
+        // Two entries named 'A': the v1 header, then the one entry of a
+        // single-binding snapshot written twice.
+        let mut one = Env::new();
+        one.bind("A", Matrix::zeros(8, 8));
+        let snapshot = crate::checkpoint::save(&one).unwrap();
+        let entry = &snapshot[12..];
+        let mut raw = b"LNVW".to_vec();
+        raw.extend_from_slice(&1u32.to_le_bytes());
+        raw.extend_from_slice(&2u32.to_le_bytes());
+        raw.extend_from_slice(entry);
+        raw.extend_from_slice(entry);
+        assert_rejected(bytes::Bytes::from(raw), "binding 'A' appears twice");
     }
 
     #[test]

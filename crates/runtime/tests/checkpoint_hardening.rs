@@ -156,6 +156,7 @@ mod durable {
     use linview_runtime::{
         DiskRecovery, FlushPolicy, IncrementalView, MaintenanceEngine, RuntimeError, UpdateStream,
     };
+    use linview_runtime::{ExecBackend, LocalBackend, ThreadedBackend};
     use std::fs::OpenOptions;
     use std::io::{Read, Seek, SeekFrom, Write};
     use std::path::{Path, PathBuf};
@@ -514,5 +515,97 @@ mod durable {
         assert_eq!(rec.replayed_firings, 0);
         assert_eq!(views_of(&restarted), views_of(&reference));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `fresh_engine`'s program, inputs and policy on any backend.
+    fn engine_on<B: ExecBackend>(backend: B) -> MaintenanceEngine<B> {
+        let program = parse_program("C := A * B; D := C * C;").unwrap();
+        let mut cat = Catalog::new();
+        cat.declare("A", N, N);
+        cat.declare("B", N, N);
+        let a = Matrix::random_spectral(N, 7, 0.8);
+        let b = Matrix::random_spectral(N, 8, 0.8);
+        let view =
+            IncrementalView::build_on(backend, &program, &[("A", a), ("B", b)], &cat).unwrap();
+        MaintenanceEngine::new(view, FlushPolicy::Count(2))
+    }
+
+    /// The streamed `checkpoint.bin` of every generation — the one written
+    /// at enable time and each roll's — is the generation as `u64` LE
+    /// followed by exactly `view.checkpoint()`.
+    fn assert_rolls_write_checkpoint_bytes<B: ExecBackend>(
+        tag: &str,
+        mut engine: MaintenanceEngine<B>,
+    ) {
+        let dir = temp_dir(tag);
+        engine.enable_durable_checkpointing(2, &dir).unwrap();
+        let mut stream = UpdateStream::new(N, N, 0.01, 13);
+        let mut generations = Vec::new();
+        for i in 0..=24 {
+            let checkpoints = engine.recovery_stats().checkpoints;
+            if generations.last() != Some(&checkpoints) {
+                let gen = checkpoints - 1;
+                let mut expected = gen.to_le_bytes().to_vec();
+                expected.extend_from_slice(&engine.view().checkpoint().unwrap());
+                let written = std::fs::read(dir.join("checkpoint.bin")).unwrap();
+                assert!(written == expected, "{tag}: generation {gen} differs");
+                generations.push(checkpoints);
+            }
+            let input = if i % 2 == 0 { "A" } else { "B" };
+            engine.ingest(input, stream.next_rank_one()).unwrap();
+        }
+        assert!(generations.len() >= 4, "{tag}: only {generations:?} rolled");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_rolls_write_the_generation_then_the_checkpoint_bytes() {
+        assert_rolls_write_checkpoint_bytes("bytes-local", engine_on(LocalBackend));
+        let threaded = ThreadedBackend::new(4).unwrap();
+        assert_rolls_write_checkpoint_bytes("bytes-threaded", engine_on(threaded));
+    }
+
+    /// `tests/fixtures/durable-v1` was written by the store as it was before
+    /// rolls streamed (cadence 3; `fresh_engine` fed the 16 events below,
+    /// so generation 2 plus two logged firings). It recovers bit-identically,
+    /// and today's store writes the same bytes for the same run.
+    #[test]
+    fn directory_written_before_streaming_recovers_bit_identically() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/durable-v1");
+        let dir = temp_dir("v1-fixture");
+        std::fs::create_dir_all(&dir).unwrap();
+        for file in ["checkpoint.bin", "wal-2.bin"] {
+            std::fs::copy(fixture.join(file), dir.join(file)).unwrap();
+        }
+        let rewritten = temp_dir("v1-rewritten");
+        let mut reference = fresh_engine();
+        reference
+            .enable_durable_checkpointing(3, &rewritten)
+            .unwrap();
+        let mut stream = UpdateStream::new(N, N, 0.01, 71);
+        for i in 0..16 {
+            let input = if i % 2 == 0 { "A" } else { "B" };
+            reference.ingest(input, stream.next_rank_one()).unwrap();
+        }
+        for file in ["checkpoint.bin", "wal-2.bin"] {
+            let old = std::fs::read(fixture.join(file)).unwrap();
+            assert!(
+                old == std::fs::read(rewritten.join(file)).unwrap(),
+                "{file} differs"
+            );
+        }
+
+        let mut restarted = fresh_engine();
+        let rec = restarted.recover_from_disk(3, &dir).unwrap();
+        assert_eq!(
+            rec,
+            DiskRecovery {
+                replayed_firings: 2,
+                torn_tail_bytes: 0
+            }
+        );
+        assert_eq!(views_of(&restarted), views_of(&reference));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&rewritten);
     }
 }

@@ -14,27 +14,50 @@
 //! from the epoch before last — so a view-sized allocation anywhere between
 //! fold and publish fails it too, whatever mood the allocator is in.
 //!
+//! Durability streams instead of staging: a third phase holds a firing
+//! whose durable checkpoint rolls *and* its roll to the same bound — the
+//! snapshot goes from the views to the file through one I/O buffer — and
+//! a fourth holds the live-bytes high-water mark of a threaded backend
+//! installing four views under the workers' blocks plus two views, which
+//! a coordinator staging every partitioned view before installing any
+//! exceeds.
+//!
 //! The counter is the process-global allocator, so this is the ONE test of
 //! its binary (same isolation as the `flop_accounting.rs` files): no
 //! sibling test thread allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 
 use linview::apps::powers::{compute_power, powers_program, IncrPowers};
 use linview::apps::IterModel;
+use linview::compiler::parse::parse_program;
+use linview::expr::Catalog;
 use linview::matrix::{ApproxEq, Matrix};
-use linview::runtime::RankOneUpdate;
+use linview::runtime::{
+    Env, ExecBackend, FlushPolicy, IncrementalView, MaintenanceEngine, RankOneUpdate,
+    ThreadedBackend,
+};
 
 struct Counting;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed, by every thread, at all times.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// The highest `LIVE` since it was last reset.
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 
 fn count(bytes: usize) {
     if COUNTING.load(Ordering::Relaxed) {
         BYTES.fetch_add(bytes, Ordering::Relaxed);
     }
+    let live = LIVE.fetch_add(bytes as isize, Ordering::Relaxed) + bytes as isize;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn release(bytes: usize) {
+    LIVE.fetch_sub(bytes as isize, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards to `System` unchanged; the counters are
@@ -54,11 +77,13 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size.saturating_sub(layout.size()));
+        release(layout.size().saturating_sub(new_size));
         // SAFETY: the caller's contract is `System.realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        release(layout.size());
         // SAFETY: the caller's contract is `System.dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -125,4 +150,88 @@ fn one_firing_allocates_less_than_one_view() {
     }
     let expected = compute_power(&expected, IterModel::Exponential, k).unwrap();
     assert!(incr.result().approx_eq(&expected, 1e-9));
+
+    durable_roll_allocates_less_than_one_view(n, view_bytes);
+    threaded_install_stages_at_most_one_view(n, view_bytes);
+}
+
+/// A firing of `B := A * A; C := B * B` whose durable checkpoint rolls
+/// after every firing: the firing, its WAL append and the roll of all
+/// three matrices to disk together allocate less than one of them.
+fn durable_roll_allocates_less_than_one_view(n: usize, view_bytes: usize) {
+    let program = parse_program("B := A * A; C := B * B;").unwrap();
+    let mut cat = Catalog::new();
+    cat.declare("A", n, n);
+    let a = Matrix::random_spectral(n, 9, 0.9);
+    let view = IncrementalView::build(&program, &[("A", a)], &cat).unwrap();
+    let mut engine = MaintenanceEngine::new(view, FlushPolicy::Immediate);
+    let dir = std::env::temp_dir().join(format!("lv-alloc-guard-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    engine.enable_durable_checkpointing(1, &dir).unwrap();
+    for i in 0..2 {
+        engine
+            .ingest(
+                "A",
+                RankOneUpdate::row_update(n, n, 20 + i, 0.01, 30 + i as u64),
+            )
+            .unwrap();
+    }
+    let rolls = engine.recovery_stats().checkpoints;
+
+    BYTES.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    engine
+        .ingest("A", RankOneUpdate::row_update(n, n, 40, 0.01, 41))
+        .unwrap();
+    COUNTING.store(false, Ordering::SeqCst);
+    let bytes = BYTES.swap(0, Ordering::SeqCst);
+    println!("durable firing + roll at n = {n}: {bytes} B allocated (one view: {view_bytes} B)");
+    assert_eq!(
+        engine.recovery_stats().checkpoints,
+        rolls + 1,
+        "the firing rolled"
+    );
+    assert!(
+        bytes < view_bytes,
+        "a durable firing and its roll of 3 views at n = {n} allocated {bytes} B; a single view \
+         is {view_bytes} B"
+    );
+    let written = std::fs::metadata(dir.join("checkpoint.bin")).unwrap().len();
+    assert_eq!(
+        written as usize,
+        8 + engine.view().checkpoint().unwrap().len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 2×2 threaded backend installing four `n×n` views: the live-bytes
+/// high-water mark rises by the workers' blocks (four views) plus less
+/// than two views — room for one partitioned view and its frames in
+/// flight, not for a partitioned copy of every view.
+fn threaded_install_stages_at_most_one_view(n: usize, view_bytes: usize) {
+    let mut env = Env::new();
+    for (i, name) in ["A", "B", "C", "D"].into_iter().enumerate() {
+        env.bind(name, Matrix::random_uniform(n, n, 50 + i as u64));
+    }
+    let mut backend = ThreadedBackend::new(4).unwrap();
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    backend.materialize(&env).unwrap();
+    // A gather of a view no worker holds is a barrier that moves no
+    // blocks: every install frame is decoded by the time it returns.
+    assert!(backend.pool().gather("absent").is_err());
+    let rise = (PEAK.load(Ordering::SeqCst) - base) as usize;
+    let blocks = 4 * view_bytes;
+    println!(
+        "threaded install of 4 views at n = {n}: high-water mark +{rise} B (workers' blocks \
+         {blocks} B, one view {view_bytes} B)"
+    );
+    assert!(
+        rise < blocks + 2 * view_bytes,
+        "installing 4 views at n = {n} raised the live high-water mark by {rise} B; the \
+         workers' blocks are {blocks} B and one view is {view_bytes} B"
+    );
+    for name in ["A", "B", "C", "D"] {
+        assert_eq!(&backend.view(name).unwrap(), env.get(name).unwrap());
+    }
 }

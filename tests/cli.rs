@@ -746,6 +746,48 @@ fn serve_recovers_from_a_torn_wal_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn serve_refuses_a_wal_directory_written_at_another_size() {
+    let dir = std::env::temp_dir().join(format!("lv-cli-serve-n-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_flag = dir.to_str().unwrap();
+    let serve = |n: &str| {
+        let args = [
+            "serve",
+            "--n",
+            n,
+            "--events",
+            "16",
+            "--batch",
+            "4",
+            "--readers",
+            "1",
+            "--wal-dir",
+            dir_flag,
+        ];
+        let out = Command::new(env!("CARGO_BIN_EXE_linview"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, _, stderr) = serve("24");
+    assert_eq!(code, Some(0), "first serve run failed: {stderr}");
+    let (code, stdout, stderr) = serve("32");
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(
+        stderr.contains("checkpoint does not match the view: 'A' is 24x24 in the snapshot, 32x32"),
+        "missing mismatch diagnostic: {stderr}"
+    );
+    assert!(!stdout.contains("recovered from"), "{stdout}");
+    assert!(!stderr.contains("do not conform"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Like [`linview`] but returns the exit code and stderr.
 fn linview_code(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_linview"))
