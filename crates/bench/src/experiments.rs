@@ -756,43 +756,117 @@ pub fn gemm(cfg: &Config) -> Table {
             ]);
         }
     }
-    // `try_matmul` around the small-product gate (48^3 multiply-adds):
-    // every shape but the last is below it and runs the serial i-k-j
-    // kernel; each is set against the packed nest `matmul_packed` pins.
+    // `try_matmul` around the small-product gate (17^3 multiply-adds),
+    // each against `matmul_packed`, which pins the packed path without
+    // gates (the rank-k fast path or the nest). Only products with more
+    // than 16 output rows and 32 output columns reach the gate: the first
+    // two shapes are below it and run the serial i-k-j kernel, the rest
+    // are above it.
     for (m, k, n) in [
-        (1, 256, 256),
-        (2, 256, 17),
-        (17, 17, 17),
-        (32, 32, 32),
+        (17, 1, 33),
+        (17, 2, 33),
+        (40, 1, 40),
+        (17, 8, 33),
+        (17, 17, 33),
+        (33, 33, 33),
         (47, 47, 47),
         (64, 64, 64),
     ] {
         let a = Matrix::random_uniform(m, k, 97);
         let b = Matrix::random_uniform(k, n, 98);
-        let ops = 2 * (m * k * n) as u64;
         let samples = 100 * cfg.updates;
         let p50 = |f: &dyn Fn()| sorted_times(samples, f)[samples / 2];
-        let nest = p50(&|| {
+        let pinned = p50(&|| {
             a.matmul_packed(&b).expect("shapes conform");
         });
         let routed = p50(&|| {
             a.try_matmul(&b).expect("shapes conform");
         });
-        let shape = format!("{m}x{k}x{n}");
-        t.row(vec![
-            shape.clone(),
-            "packed-nest".into(),
-            fmt_duration(nest),
-            format!("{:.2}", flops::gflops(ops, nest)),
-            "1.00x".into(),
-        ]);
-        t.row(vec![
-            shape,
-            "try_matmul".into(),
-            fmt_duration(routed),
-            format!("{:.2}", flops::gflops(ops, routed)),
-            fmt_speedup(nest, routed),
-        ]);
+        gemm_pair(
+            &mut t,
+            &format!("{m}x{k}x{n}"),
+            ("packed", pinned),
+            ("try_matmul", routed),
+            2 * (m * k * n) as u64,
+        );
+    }
+    // The shapes a firing's delta blocks have, each beside the route it
+    // replaced: a 1-row output (OLS's `Y'X`) and a 26-column block
+    // (Woodbury's `W·P` at a fired rank of 26, and `X·V_W`) against the
+    // pinned packed nest; a basis-column block (a row update's `A·dU`) and
+    // a 13-row selection (`ols_batch`'s `X'·dU_X`) against the same
+    // product over a dense block, which is what the skinny kernels did
+    // before they skipped all-zero rows. Every routed product is asserted
+    // `==` to the naive kernel.
+    let basis = |rows: usize, cols: usize| {
+        let mut u = Matrix::zeros(rows, cols);
+        for c in 0..cols {
+            u.set((37 * c + 11) % rows, c, 1.0);
+        }
+        u
+    };
+    let y = Matrix::random_uniform(1, 512, 101);
+    let x = Matrix::random_uniform(512, 256, 102);
+    let v26 = Matrix::random_uniform(256, 26, 103);
+    let a512 = Matrix::random_uniform(512, 512, 104);
+    let e1 = basis(512, 1);
+    let d1 = Matrix::random_uniform(512, 1, 105);
+    let du13 = basis(512, 13);
+    let d13 = Matrix::random_uniform(512, 13, 106);
+    type Run<'a> = (&'a str, &'a dyn Fn() -> linview_matrix::Result<Matrix>);
+    let pairs: [(&str, Run, Run, u64); 4] = [
+        (
+            "1x512x256 (Y'X)",
+            ("packed nest", &|| y.matmul_packed(&x)),
+            ("short", &|| y.try_matmul(&x)),
+            2 * 512 * 256,
+        ),
+        (
+            "512x256x26 (X V_W)",
+            ("packed nest", &|| x.matmul_packed(&v26)),
+            ("two skinny", &|| x.try_matmul(&v26)),
+            2 * 512 * 256 * 26,
+        ),
+        (
+            "512x512x1 basis (A dU)",
+            ("dense column", &|| a512.try_matmul(&d1)),
+            ("row skip", &|| a512.try_matmul(&e1)),
+            2 * 512 * 512,
+        ),
+        (
+            "512x256'x13 basis (X' dU)",
+            ("dense block", &|| x.try_matmul_tn(&d13)),
+            ("row skip", &|| x.try_matmul_tn(&du13)),
+            2 * 512 * 256 * 13,
+        ),
+    ];
+    for (label, old, new, ops) in pairs {
+        let samples = 20 * cfg.updates;
+        let p50 = |f: &dyn Fn() -> linview_matrix::Result<Matrix>| {
+            sorted_times(samples, || {
+                f().expect("shapes conform");
+            })[samples / 2]
+        };
+        gemm_pair(&mut t, label, (old.0, p50(old.1)), (new.0, p50(new.1)), ops);
+    }
+    for (a, b, tn) in [
+        (&y, &x, false),
+        (&x, &v26, false),
+        (&a512, &e1, false),
+        (&x, &du13, true),
+    ] {
+        let (routed, oracle) = if tn {
+            let formed = a.transpose();
+            (a.try_matmul_tn(b), formed.matmul_with(b, GemmKernel::Naive))
+        } else {
+            (a.try_matmul(b), a.matmul_with(b, GemmKernel::Naive))
+        };
+        assert!(
+            routed.expect("shapes conform") == oracle.expect("shapes conform"),
+            "a routed {}x{} product is not bit-identical to naive",
+            a.rows(),
+            b.cols()
+        );
     }
     // Skinny rank-k rows — the `n×k · k×n` shapes every ApplyDelta fold
     // produces. Each shape is measured twice: through the dedicated
@@ -864,11 +938,26 @@ pub fn gemm(cfg: &Config) -> Table {
     }
     t.note(
         "square rows (n = cfg.n/2, cfg.n, 2*cfg.n) are checked packed == naive bitwise; \
-         try_matmul rows are p50s, small-product kernel below 48^3 multiply-adds, packed nest \
-         from it on; the skinny and fold rows (fixed n = 512 and 2048, k <= 16) set the rank-k \
+         try_matmul rows are p50s, small-product kernel below 17^3 multiply-adds, packed \
+         path from it on; delta-block rows are p50s, each new route == naive; the skinny and \
+         fold rows (fixed n = 512 and 2048, k <= 16) set the rank-k \
          fast path against the general packed nest and gemm-then-add",
     );
     t
+}
+
+/// Two timed routes of one product as a row pair: `base` at 1.00x, then
+/// `new` with its speedup over it.
+fn gemm_pair(t: &mut Table, shape: &str, base: (&str, Duration), new: (&str, Duration), ops: u64) {
+    for (label, d) in [base, new] {
+        t.row(vec![
+            shape.to_string(),
+            label.into(),
+            fmt_duration(d),
+            format!("{:.2}", flops::gflops(ops, d)),
+            fmt_speedup(base.1, d),
+        ]);
+    }
 }
 
 /// The sorted wall times of `samples` invocations of `f`, after one

@@ -7,7 +7,21 @@
 //! trigger programs the compiler emits match the clean forms in the paper
 //! (e.g. Example 4.6) and so that common subexpression elimination can match
 //! syntactically equal subtrees.
+//!
+//! One rule changes association rather than removing noise: a single-factor
+//! multiplier distributes over a stacked block when some part of the block
+//! is itself a product, `Yᵀ [X V | u] → [Yᵀ X V | Yᵀ u]`, and each new part
+//! is written in the association the chain DP picks (here `(Yᵀ X) V`, a
+//! row-vector product, instead of the `n×k` block `X V`). The stacked form
+//! fixed the association of `X V` before the multiplier could join its
+//! chain; distributing costs nothing (`M [P₁ | P₂]` is `M P₁` and `M P₂`
+//! either way) and lets every later pass — runtime, cost analysis,
+//! codegen — see the cheaper chain. Blocks of bare parts (`P [U₁ | U₂]`)
+//! and chains of several multipliers are left alone: there is no chain to
+//! reassociate, or the multiplier would be recomputed per part.
 
+use crate::chain::{self, ChainTree};
+use crate::cost::CostModel;
 use crate::{Catalog, Expr, Result, Scalar};
 
 /// Maximum fixpoint iterations (defensive bound; 2–3 suffice in practice).
@@ -82,6 +96,45 @@ pub fn is_identity(e: &Expr) -> bool {
     matches!(e, Expr::Identity(_))
 }
 
+/// The parts of `multiplier · block` distributed, when they should be:
+/// the multiplier is one factor (a variable or its transpose), the block
+/// is a stack with at least one product part, and the catalog knows every
+/// shape the chain DP needs to associate each new part.
+fn distribute(multiplier: &Expr, block: &Expr, cat: &Catalog) -> Option<Vec<Expr>> {
+    let single = match multiplier {
+        Expr::Var(_) => true,
+        Expr::Transpose(x) => matches!(**x, Expr::Var(_)),
+        _ => false,
+    };
+    match block {
+        Expr::HStack(parts) if single && parts.iter().any(|p| matches!(p, Expr::Mul(..))) => parts
+            .iter()
+            .map(|p| {
+                associate(
+                    &Expr::Mul(Box::new(multiplier.clone()), Box::new(p.clone())),
+                    cat,
+                )
+            })
+            .collect(),
+        _ => None,
+    }
+}
+
+/// The product `e` rebuilt in the association the chain DP picks under
+/// the cubic model — the one the runtime evaluates it in.
+fn associate(e: &Expr, cat: &Catalog) -> Option<Expr> {
+    let (factors, plan) = chain::plan_product(e, cat, &CostModel::cubic()).ok()?;
+    fn build(tree: &ChainTree, factors: &[&Expr]) -> Expr {
+        match tree {
+            ChainTree::Leaf(i) => factors[*i].clone(),
+            ChainTree::Node(l, r) => {
+                Expr::Mul(Box::new(build(l, factors)), Box::new(build(r, factors)))
+            }
+        }
+    }
+    Some(build(&plan.tree, &factors))
+}
+
 fn simplify_once(e: &Expr, cat: &Catalog) -> Result<Expr> {
     Ok(match e {
         Expr::Var(_) | Expr::Identity(_) | Expr::Zero(_, _) => e.clone(),
@@ -126,6 +179,8 @@ fn simplify_once(e: &Expr, cat: &Catalog) -> Result<Expr> {
                 Expr::Scale(s, Box::new(Expr::Mul(inner, Box::new(b))))
             } else if let Expr::Scale(s, inner) = b {
                 Expr::Scale(s, Box::new(Expr::Mul(Box::new(a), inner)))
+            } else if let Some(parts) = distribute(&a, &b, cat) {
+                Expr::HStack(parts)
             } else {
                 Expr::Mul(Box::new(a), Box::new(b))
             }
@@ -314,6 +369,46 @@ mod tests {
             push_transposes(&lhs, &c).unwrap(),
             push_transposes(&rhs, &c).unwrap()
         );
+    }
+
+    fn stack_cat() -> Catalog {
+        let mut c = Catalog::new();
+        c.declare("X", 64, 32);
+        c.declare("Y", 64, 1);
+        c.declare("V", 32, 6);
+        c.declare("u", 64, 3);
+        c.declare("P", 64, 64);
+        c.declare("U1", 64, 2);
+        c.declare("U2", 64, 2);
+        c
+    }
+
+    #[test]
+    fn single_multiplier_distributes_over_a_stack_with_a_product_part() {
+        let c = stack_cat();
+        let (x, y, v, u) = (
+            Expr::var("X"),
+            Expr::var("Y"),
+            Expr::var("V"),
+            Expr::var("u"),
+        );
+        let e = y.clone().t() * Expr::HStack(vec![x.clone() * v.clone(), u.clone()]);
+        let s = simplify(&e, &c).unwrap();
+        // The row-vector chain Y' X V is written (Y' X) V, as the DP runs it.
+        assert_eq!(s, Expr::HStack(vec![(y.clone().t() * x) * v, y.t() * u]));
+        assert_eq!(s.to_string(), "[ Y' X V | Y' u ]");
+    }
+
+    #[test]
+    fn bare_parts_and_multi_factor_multipliers_stay_stacked() {
+        let c = stack_cat();
+        let stack = || Expr::HStack(vec![Expr::var("U1"), Expr::var("U2")]);
+        let bare = Expr::var("P") * stack();
+        assert_eq!(simplify(&bare, &c).unwrap(), bare);
+        // A multiplier that is itself a chain would be recomputed per part.
+        let product_part = Expr::HStack(vec![Expr::var("P") * Expr::var("U1"), Expr::var("U2")]);
+        let chained = (Expr::var("P") * Expr::var("P")) * product_part;
+        assert_eq!(simplify(&chained, &c).unwrap(), chained);
     }
 
     #[test]

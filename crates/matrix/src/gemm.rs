@@ -20,13 +20,15 @@
 //!    element instead of adding per-block partial sums.
 //!
 //! Not every product runs the nest. `route` is the single decision
-//! point: skinny `n×k · k×n` products (`k ≤ 16` — the shape every
-//! low-rank delta fold emits) run the rank-k fast path (the in-crate
-//! `rankk` module), products with a skinny *output* — `P·U` and `Pᵀ·V`
-//! for an `n×k` block, the shapes delta-block evaluation emits — run the
-//! in-crate `skinny` kernels, products too small to amortize packing run
-//! a serial `i-k-j` loop, and wider `AᵀB` products run this nest with the
-//! `A` panels packed straight from the transposed operand.
+//! point, and it routes by the output's shape before its size: products
+//! with a skinny *output* — `P·U` and `Pᵀ·V` for an `n×k` block with
+//! `k ≤ 32` (two passes past 16), and outputs of at most 16 rows such as
+//! `Yᵀ X` — run the in-crate `skinny` kernels, which also skip the
+//! all-zero rows of a sparse block; skinny `n×k · k×n` products (`k ≤ 16`
+//! — the shape every low-rank delta fold emits) run the rank-k fast path
+//! (the in-crate `rankk` module); products too small to amortize packing
+//! run a serial `i-k-j` loop; and wider `AᵀB` products run this nest with
+//! the `A` panels packed straight from the transposed operand.
 //!
 //! Parallelism comes from `MC`-row output chunks scheduled onto the
 //! work-stealing queue of the persistent `pool` module, with the shared
@@ -90,8 +92,14 @@ pub(crate) const PARALLEL_THRESHOLD: usize = 96 * 96 * 96;
 
 /// Below this many multiply-adds the packing passes cost more than they
 /// save and [`route`] sends a product to the serial `i-k-j` small-product
-/// kernel (measured crossover on the bench host: ~48³).
-const PACKED_MIN_WORK: usize = 48 * 48 * 48;
+/// kernel. Only products with more than `SKINNY_MAX_COLS` output rows and
+/// `2·SKINNY_MAX_COLS` columns reach the gate; among them the serial loop
+/// ties the packed path at 17×2×33 (1.0 µs each on the bench host) and
+/// loses from 40×1×40 on (1.2 against 1.0 µs; 17×17×33 5.4 against 3.5,
+/// 47³ 52 against 18) — `harness gemm`'s `try_matmul` rows. The crossover
+/// is ≈ 11³; the gate stood at 48³ until those rows showed it losing from
+/// 17³ up.
+const PACKED_MIN_WORK: usize = 11 * 11 * 11;
 
 /// The dense multiplication kernels selectable at runtime.
 ///
@@ -376,9 +384,14 @@ pub(crate) enum Route {
     Naive,
     /// The serial `i-k-j` loop for products too small to amortize packing.
     Small,
-    /// The streaming kernels for at most `SKINNY_MAX_COLS` output columns
-    /// (`P·U`, or `Pᵀ·V` without forming `Pᵀ`); they never fuse.
+    /// The streaming kernels for at most `2·SKINNY_MAX_COLS` output
+    /// columns (`P·U`, or `Pᵀ·V` without forming `Pᵀ`), one pass per
+    /// `SKINNY_MAX_COLS`; they never fuse.
     Skinny,
+    /// At most `SKINNY_MAX_COLS` output rows: the transposed problem
+    /// through the `Pᵀ·V` streaming kernel, which reads the wide operand
+    /// once; it never fuses.
+    Short,
     /// The rank-k fast path: the product, or for [`Op::Fold`] the fused
     /// fold without an `m×n` temporary.
     RankK(Fuse),
@@ -390,20 +403,37 @@ pub(crate) enum Route {
 /// `kernel` — the one place the choice is made. (For [`Op::MatmulTn`] the
 /// left operand is the `k×m` matrix read transposed.)
 ///
-/// `Naive` always means the oracle, except that a transposed product with
-/// a skinny output streams through [`Route::Skinny`] under every kernel.
-/// Under the packed family, the default entry points first send outputs
-/// of at most `SKINNY_MAX_COLS` columns to [`Route::Skinny`] and products
-/// under `PACKED_MIN_WORK` multiply-adds to [`Route::Small`]; a fold takes
-/// the fused rank-k fold at every size once its target is a register tile
-/// wide, and otherwise routes its product like [`Op::Matmul`]. Whatever is
-/// left runs the rank-k fast path when the shape is a low-rank update (and
-/// [`force_general_nest`] allows it) and the packed nest otherwise. Every
-/// route but a `Fused` one is `==` to the oracle.
+/// `Naive` always means the oracle, except that a transposed product of at
+/// most `SKINNY_MAX_COLS` output columns streams through [`Route::Skinny`]
+/// under every kernel. Under the packed family the default entry points
+/// route by the output's shape before its size, so a skinny product never
+/// reaches the packed nest:
+///
+/// 1. at most `SKINNY_MAX_COLS` columns (`P·U`, `Pᵀ·V`): [`Route::Skinny`];
+/// 2. at most `SKINNY_MAX_COLS` rows (`Y'X`, `(Y'X)·V`): [`Route::Short`],
+///    the transposed problem through the same kernel;
+/// 3. up to `2·SKINNY_MAX_COLS` columns (Woodbury's `W·P` and `Wᵀ·Q` at a
+///    fired rank of 26): [`Route::Skinny`] in two column passes;
+/// 4. under `PACKED_MIN_WORK` multiply-adds: [`Route::Small`].
+///
+/// A fold takes the fused rank-k fold at every size once its target is a
+/// register tile wide, and otherwise routes its product like
+/// [`Op::Matmul`]. Whatever is left runs the rank-k fast path when the
+/// shape is a low-rank update (and [`force_general_nest`] allows it) and
+/// the packed nest otherwise.
+///
+/// Every route but a `Fused` one is `==` to the oracle: each output
+/// element is one chain from `+0.0` over ascending inner index, whichever
+/// kernel, pass or transposition computes it. The streaming routes also
+/// skip the all-zero rows of their `·×k` operand under the density test
+/// `fold_low_rank` uses (see [`crate::sparsity`]) — `==` for finite
+/// operands, because every skipped term is `x·0 = ±0`; an infinite or NaN
+/// entry of the other operand facing such a row would have made the
+/// oracle's element NaN (`inf·0`), and the skip does not reproduce that.
 pub(crate) fn route(op: Op, kernel: GemmKernel, m: usize, k: usize, n: usize) -> Route {
-    let skinny = (1..=SKINNY_MAX_COLS).contains(&n);
+    let columns = |passes: usize| (1..=passes * SKINNY_MAX_COLS).contains(&n);
     let fuse = match kernel {
-        GemmKernel::Naive if op == Op::MatmulTn && skinny => return Route::Skinny,
+        GemmKernel::Naive if op == Op::MatmulTn && columns(1) => return Route::Skinny,
         GemmKernel::Naive => return Route::Naive,
         GemmKernel::Packed => Fuse::Exact,
         GemmKernel::PackedFma => Fuse::Fused,
@@ -413,7 +443,13 @@ pub(crate) fn route(op: Op, kernel: GemmKernel, m: usize, k: usize, n: usize) ->
         return Route::RankK(fuse);
     }
     if op != Op::Pinned {
-        if skinny {
+        if columns(1) {
+            return Route::Skinny;
+        }
+        if (1..=SKINNY_MAX_COLS).contains(&m) && n > 0 {
+            return Route::Short;
+        }
+        if columns(2) {
             return Route::Skinny;
         }
         if m * k * n < PACKED_MIN_WORK {
@@ -993,24 +1029,38 @@ mod tests {
             (Op::Fold, Naive, (512, 4, 512), Route::Naive),
             (Op::MatmulTn, Naive, (512, 512, 4), Route::Skinny),
             (Op::MatmulTn, Naive, (512, 512, 17), Route::Naive),
-            // Pinned packed: the rank-k path or the nest, at any size.
+            (Op::MatmulTn, Naive, (1, 512, 256), Route::Naive),
+            // Pinned packed: the rank-k path or the nest, at any size and
+            // shape.
             (Op::Pinned, Packed, (4, 4, 4), Route::Nest(exact)),
             (Op::Pinned, Packed, (64, 2, 64), Route::RankK(exact)),
+            (Op::Pinned, Packed, (1, 512, 256), Route::Nest(exact)),
             (
                 Op::Pinned,
                 PackedFma,
                 (64, 64, 64),
                 Route::Nest(Fuse::Fused),
             ),
-            // Default entry points: skinny outputs, then the size gate.
+            // Default entry points: skinny outputs first, then short ones,
+            // then two-pass widths, then the size gate.
             (Op::Matmul, Packed, (512, 512, 16), Route::Skinny),
             (Op::Matmul, PackedFma, (512, 512, 1), Route::Skinny),
-            (Op::Matmul, Packed, (1, 256, 256), Route::Small),
-            (Op::Matmul, Packed, (47, 47, 47), Route::Small),
-            (Op::Matmul, Packed, (48, 48, 48), Route::Nest(exact)),
+            (Op::Matmul, Packed, (1, 256, 256), Route::Short),
+            (Op::MatmulTn, Packed, (1, 512, 256), Route::Short),
+            (Op::Matmul, PackedFma, (16, 512, 512), Route::Short),
+            (Op::Matmul, Packed, (3, 2, 40), Route::Short),
+            (Op::Matmul, Packed, (3, 2, 0), Route::Small),
+            (Op::Matmul, Packed, (17, 512, 512), Route::Nest(exact)),
+            (Op::Matmul, Packed, (512, 256, 26), Route::Skinny),
+            (Op::MatmulTn, PackedFma, (256, 256, 26), Route::Skinny),
+            (Op::Matmul, Packed, (512, 512, 32), Route::Skinny),
+            (Op::Matmul, Packed, (512, 512, 33), Route::Nest(exact)),
+            (Op::MatmulTn, Packed, (90, 12, 30), Route::Skinny),
+            (Op::Matmul, Packed, (17, 2, 33), Route::Small),
+            (Op::Matmul, Packed, (40, 1, 40), Route::RankK(exact)),
+            (Op::Matmul, Packed, (17, 17, 33), Route::Nest(exact)),
             (Op::Matmul, Packed, (512, 4, 512), Route::RankK(exact)),
             (Op::MatmulTn, Packed, (64, 72, 40), Route::Nest(exact)),
-            (Op::MatmulTn, Packed, (90, 12, 30), Route::Small),
             // Folds take the fused rank-k fold at any size once the
             // target is a register tile wide.
             (Op::Fold, Packed, (9, 1, 8), Route::RankK(exact)),

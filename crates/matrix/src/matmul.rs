@@ -54,7 +54,6 @@ impl Matrix {
     fn matmul_routed(&self, rhs: &Matrix, op: Op, kernel: GemmKernel) -> Result<Matrix> {
         check_inner(self, rhs)?;
         let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        flops::add((2 * m * k * n) as u64);
         Ok(multiply(self, rhs, gemm::route(op, kernel, m, k, n)))
     }
 
@@ -63,12 +62,16 @@ impl Matrix {
     ///
     /// Right-hand blocks of at most 16 columns — the `Pᵀ V` of every
     /// factored delta — stream the rows of `self` once through the skinny
-    /// kernel under every [`GemmKernel`]; wider products run the packed
+    /// kernel under every [`GemmKernel`], and so do blocks of up to 32
+    /// columns (two passes) and outputs of at most 16 rows (`Yᵀ X`, as
+    /// `(Xᵀ Y)ᵀ`) under the packed kernels; wider products run the packed
     /// nest with its `A` panels packed straight from the transposed
     /// operand. Shapes the packed nest does not take (tiny products,
     /// low-rank shapes, the naive default kernel) form the transpose and
     /// run the kernel [`Matrix::try_matmul`] would. The exact kernels are
-    /// bit-identical to `self.transpose().try_matmul(rhs)`.
+    /// `==` to `self.transpose().try_matmul(rhs)`. The FLOP count is that
+    /// of the work executed: the streaming kernels skip the all-zero rows
+    /// of a sparse block, under the density test of [`fold_low_rank`](crate::fold_low_rank).
     pub fn try_matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
         let mut out = Matrix::zeros(self.cols(), rhs.cols());
         self.matmul_tn_into(rhs, &mut out, 0)?;
@@ -90,11 +93,12 @@ impl Matrix {
         if n == 0 {
             return Ok(());
         }
-        flops::add((2 * m * k * n) as u64);
         let ld = out.cols();
         match gemm::route(Op::Matmul, gemm::default_kernel(), m, k, n) {
             Route::Skinny => skinny::tall_skinny_into(self, rhs, out.as_mut_slice(), ld, c0),
+            Route::Short => skinny::short_into(&self.transpose(), rhs, out.as_mut_slice(), ld, c0),
             Route::Nest(fuse) if ld == n => {
+                flops::add((2 * m * k * n) as u64);
                 gemm::packed_matmul_into(self, rhs, out.as_mut_slice(), fuse)
             }
             route => out.set_submatrix(0, c0, &multiply(self, rhs, route))?,
@@ -119,11 +123,12 @@ impl Matrix {
         if n == 0 {
             return Ok(());
         }
-        flops::add((2 * m * k * n) as u64);
         let ld = out.cols();
         match gemm::route(Op::MatmulTn, gemm::default_kernel(), m, k, n) {
             Route::Skinny => skinny::tn_skinny_into(self, rhs, out.as_mut_slice(), ld, c0),
+            Route::Short => skinny::short_into(self, rhs, out.as_mut_slice(), ld, c0),
             Route::Nest(fuse) => {
+                flops::add((2 * m * k * n) as u64);
                 out.set_submatrix(0, c0, &gemm::packed_matmul_tn(self, rhs, fuse))?
             }
             route => out.set_submatrix(0, c0, &multiply(&self.transpose(), rhs, route))?,
@@ -216,19 +221,27 @@ impl Matrix {
     }
 }
 
-/// Runs the kernel `route` picked for `a · b` (shapes already validated,
-/// FLOPs already counted by the caller).
+/// Runs the kernel `route` picked for `a · b` (shapes already validated)
+/// and charges the FLOP meter: `2·m·k·n`, or for the streaming routes the
+/// work they executed.
 fn multiply(a: &Matrix, b: &Matrix, route: Route) -> Matrix {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let streamed = |run: &dyn Fn(&mut [f64])| {
+        let mut out = Matrix::zeros(m, n);
+        run(out.as_mut_slice());
+        out
+    };
+    let charged = |out: Matrix| {
+        flops::add((2 * m * k * n) as u64);
+        out
+    };
     match route {
-        Route::Naive => naive_matmul(a, b),
-        Route::Small => small_matmul(a, b),
-        Route::Skinny => {
-            let mut out = Matrix::zeros(a.rows(), b.cols());
-            skinny::tall_skinny_into(a, b, out.as_mut_slice(), b.cols(), 0);
-            out
-        }
-        Route::RankK(fuse) => rankk::rank_k_matmul(a, b, fuse),
-        Route::Nest(fuse) => gemm::packed_matmul(a, b, fuse),
+        Route::Skinny => streamed(&|out| skinny::tall_skinny_into(a, b, out, n, 0)),
+        Route::Short => streamed(&|out| skinny::short_into(&a.transpose(), b, out, n, 0)),
+        Route::Naive => charged(naive_matmul(a, b)),
+        Route::Small => charged(small_matmul(a, b)),
+        Route::RankK(fuse) => charged(rankk::rank_k_matmul(a, b, fuse)),
+        Route::Nest(fuse) => charged(gemm::packed_matmul(a, b, fuse)),
     }
 }
 
@@ -328,7 +341,18 @@ mod tests {
 
     #[test]
     fn try_matmul_below_the_small_product_gate_matches_naive() {
-        try_matmul_is_naive(&[(1, 256, 256), (17, 17, 17)], Route::Small);
+        // Only outputs with more than 16 rows and 32 columns reach the
+        // gate; short and narrow ones stream whatever their size.
+        try_matmul_is_naive(&[(17, 2, 33), (20, 1, 40)], Route::Small);
+    }
+
+    #[test]
+    fn try_matmul_short_and_two_pass_outputs_match_naive() {
+        try_matmul_is_naive(&[(1, 256, 256), (16, 40, 300), (3, 2, 40)], Route::Short);
+        try_matmul_is_naive(
+            &[(300, 40, 17), (512, 256, 26), (40, 30, 32)],
+            Route::Skinny,
+        );
     }
 
     #[test]

@@ -17,11 +17,31 @@
 //!   contributes `A[i][j] · B[i][..]` to the accumulators of output row
 //!   `j`, which live in a local contiguous array until the last row.
 //!
-//! Both write straight into a column block of a wider row-major matrix
-//! (`out[.., c0..c0+k]`, row stride `ld`), which is how the runtime fills
-//! the parts of a stacked block `[U | P·U + …]` in place. `gemm::route`
-//! sends them every product of at most [`SKINNY_MAX_COLS`] output columns
-//! under the packed kernels, and every such `Aᵀ·B` under any kernel.
+//! * [`short_into`] — `A·B` with at most 16 output *rows* (`Yᵀ X`, the
+//!   row-vector chains of OLS's `V_beta`): the transposed problem `Bᵀ·Aᵀ`
+//!   through [`tn_skinny_into`], which streams `B` once, written back
+//!   transposed.
+//!
+//! All three write straight into a column block of a wider row-major
+//! matrix (`out[.., c0..c0+k]`, row stride `ld`), which is how the runtime
+//! fills the parts of a stacked block `[U | P·U + …]` in place.
+//! `gemm::route` sends them every product of at most `2·SKINNY_MAX_COLS`
+//! output columns and of at most [`SKINNY_MAX_COLS`] output rows under the
+//! packed kernels, and every `Aᵀ·B` of at most `SKINNY_MAX_COLS` columns
+//! under any kernel. A block of 17–32 columns (Woodbury's `W·P` and
+//! `Wᵀ·Q` at a fired rank of 26) runs as two passes, 16 columns and the
+//! rest, inside each row band, so the second pass rereads the band's rows
+//! of `A` from cache.
+//!
+//! **Zero rows.** Row updates make the `n×k` operand a selection: `dU` of
+//! a rank-13 firing has 13 nonzero rows of 512. When that operand passes
+//! the crate's one density test (`sparsity::is_sparse`, the test
+//! `fold_low_rank` asks of its factor: at most 5 % nonzeros), the kernels
+//! drop its all-zero rows together with what they multiply — columns of
+//! `A` for `A·B`, rows of `A` for `Aᵀ·B` — and stream the rest, so
+//! `Xᵀ·dU_X` reads 13 rows of `X` and `A·dU_A` one column of `A`. The FLOP
+//! meter is charged for the work executed, `2·(output rows)·(rows kept)·k`,
+//! as the sparse fold charges its replay.
 //!
 //! **Roofline.** Which resource binds depends on `k`. One thread reads a
 //! 2 MiB view at ≈ 20–26 GB/s on the bench host (80–100 µs), and that is
@@ -42,11 +62,18 @@
 //! kernels — under every [`GemmKernel`](crate::GemmKernel), including
 //! `packed-fma` (these kernels never fuse), and under every rendering
 //! (see [`crate::gemm::Isa`]): vector width and tile shape only regroup
-//! independent chains. Row and column chunks own disjoint output, so any
-//! thread count gives the same bits.
+//! independent chains. Row and column chunks, and the two column passes,
+//! own disjoint output, so any thread count gives the same bits. A short
+//! output computes element `(i, j)` as `Σₚ B[p][j]·A[i][p]`: the same
+//! chain, since a product of two doubles does not depend on operand
+//! order. A dropped zero row removes terms `x·0 = ±0.0`, and adding a
+//! signed zero to an accumulator that started at `+0.0` never changes it
+//! — `==` to the oracle for finite operands. An infinite or NaN entry of
+//! `A` facing a zero row is the exception: the oracle's `inf·0` is NaN,
+//! and the skip does not reproduce it.
 
 use crate::gemm::{dispatch, Fuse, Isa, Kernel};
-use crate::{pool, Matrix};
+use crate::{flops, pool, sparsity, Matrix};
 
 /// Widest right-hand block the skinny kernels claim.
 pub(crate) const SKINNY_MAX_COLS: usize = crate::RANK_K_MAX_K;
@@ -150,21 +177,83 @@ fn dispatch_band<const TN: bool, const K: usize, const R2: usize, const R4: usiz
 }
 
 /// Runs the skinny product over `out` in row bands (parallel when
-/// [`pool::run_row_chunks`] says so), each under the host's exact
-/// rendering.
-fn drive<const TN: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], ld: usize, c0: usize) {
+/// [`pool::run_row_chunks`] says so): each band runs every column pass of
+/// `passes` (a `·×w` block and its first output column) under the host's
+/// exact rendering, so a second pass rereads the band's operand rows
+/// while they are still in cache.
+fn drive<const TN: bool>(a: &Matrix, passes: &[(&Matrix, usize)], out: &mut [f64], ld: usize) {
     let (rows, cols) = a.shape();
-    let (b, k) = (b.as_slice(), b.cols());
+    let k: usize = passes.iter().map(|(b, _)| b.cols()).sum();
     pool::run_row_chunks(out, ld, rows * cols * k, TN, &|first, out| {
-        dispatch_width!(TN, k, (a, b, first, out, ld, c0))
+        for &(b, c0) in passes {
+            dispatch_width!(TN, b.cols(), (a, b.as_slice(), first, out, ld, c0))
+        }
     });
 }
 
+/// The skinny product `a·b` (`aᵀ·b` when `TN`) into `out[.., c0..c0+k]`
+/// for `b` with `1 ≤ k ≤ 2·SKINNY_MAX_COLS` columns: drops a sparse `b`'s
+/// zero rows (module docs, "Zero rows"), charges the FLOP meter for the
+/// work executed, and runs two column passes, `SKINNY_MAX_COLS` wide and
+/// the rest, past `SKINNY_MAX_COLS`.
+fn skinny<const TN: bool>(a: &Matrix, b: &Matrix, out: &mut [f64], ld: usize, c0: usize) {
+    let compact = sparsity::sparse_rows(b).map(|rows| {
+        let b = gather_rows(b, &rows);
+        let a = if TN {
+            gather_rows(a, &rows)
+        } else {
+            gather_cols(a, &rows)
+        };
+        (a, b)
+    });
+    let (a, b) = match &compact {
+        Some((a, b)) => (a, b),
+        None => (a, b),
+    };
+    let (inner, k) = b.shape();
+    let out_rows = if TN { a.cols() } else { a.rows() };
+    flops::add((2 * out_rows * inner * k) as u64);
+    if k <= SKINNY_MAX_COLS {
+        drive::<TN>(a, &[(b, c0)], out, ld);
+    } else {
+        // A full-width pass first: 16 + 10 columns fill more vector lanes
+        // than 13 + 13 (4-lane tiles: 28 lane slots against 32).
+        let w = SKINNY_MAX_COLS;
+        let (left, right) = (column_block(b, 0, w), column_block(b, w, k - w));
+        drive::<TN>(a, &[(&left, c0), (&right, c0 + w)], out, ld);
+    }
+}
+
+/// Rows `rows` of `m`, in order.
+fn gather_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+    let mut data = Vec::with_capacity(rows.len() * m.cols());
+    for &r in rows {
+        data.extend_from_slice(m.row(r));
+    }
+    Matrix::from_vec(rows.len(), m.cols(), data).expect("whole rows")
+}
+
+/// Columns `cols` of `m`, in order.
+fn gather_cols(m: &Matrix, cols: &[usize]) -> Matrix {
+    let mut data = Vec::with_capacity(m.rows() * cols.len());
+    for r in 0..m.rows() {
+        let row = m.row(r);
+        data.extend(cols.iter().map(|&c| row[c]));
+    }
+    Matrix::from_vec(m.rows(), cols.len(), data).expect("whole rows")
+}
+
+/// Columns `c0..c0+w` of `m`.
+fn column_block(m: &Matrix, c0: usize, w: usize) -> Matrix {
+    m.submatrix(0, c0, m.rows(), w)
+        .expect("block within the operand")
+}
+
 /// `out[.., c0..c0+k] = a · b` for `a: m×p`, `b: p×k` with
-/// `1 ≤ k ≤ 16`; `out` is `m` rows of stride `ld` (shapes validated and
-/// FLOPs counted by the caller).
+/// `1 ≤ k ≤ 2·SKINNY_MAX_COLS`; `out` is `m` rows of stride `ld` (shapes
+/// validated by the caller, FLOPs executed counted here).
 pub(crate) fn tall_skinny_into(a: &Matrix, b: &Matrix, out: &mut [f64], ld: usize, c0: usize) {
-    drive::<false>(a, b, out, ld, c0);
+    skinny::<false>(a, b, out, ld, c0);
 }
 
 /// [`tall_skinny_into`] over the output rows in `out`, which start at row
@@ -216,11 +305,31 @@ fn tall_skinny_tile<const K: usize, const R: usize>(
 }
 
 /// `out[.., c0..c0+k] = aᵀ · b` for `a: m×n`, `b: m×k` with
-/// `1 ≤ k ≤ 16`; `out` is `n` rows of stride `ld` (shapes validated and
-/// FLOPs counted by the caller). Parallel bands own disjoint columns of
-/// `a` (= rows of the output) and each walks all `m` rows in order.
+/// `1 ≤ k ≤ 2·SKINNY_MAX_COLS`; `out` is `n` rows of stride `ld` (shapes
+/// validated by the caller, FLOPs executed counted here). Parallel bands
+/// own disjoint columns of `a` (= rows of the output) and each walks the
+/// rows of `a` in order.
 pub(crate) fn tn_skinny_into(a: &Matrix, b: &Matrix, out: &mut [f64], ld: usize, c0: usize) {
-    drive::<true>(a, b, out, ld, c0);
+    skinny::<true>(a, b, out, ld, c0);
+}
+
+/// `out[.., c0..c0+n] = atᵀ · b` for `at: p×m` with
+/// `1 ≤ m ≤ SKINNY_MAX_COLS` — a short output, `m` rows of stride `ld` —
+/// and `b: p×n`: the transposed problem `(atᵀ·b)ᵀ = bᵀ·at` through
+/// [`tn_skinny_into`], which streams `b` once, then the `n×m` result
+/// written back transposed. Element `(i, j)` is the chain
+/// `Σₚ b[p][j]·at[p][i]` in ascending `p`, the naive chain of `A·B` with
+/// `A = atᵀ` (a product of two doubles does not depend on operand order).
+/// FLOPs executed are counted here.
+pub(crate) fn short_into(at: &Matrix, b: &Matrix, out: &mut [f64], ld: usize, c0: usize) {
+    let (m, n) = (at.cols(), b.cols());
+    let mut ct = Matrix::zeros(n, m);
+    tn_skinny_into(b, at, ct.as_mut_slice(), m, 0);
+    for (i, orow) in out.chunks_exact_mut(ld).enumerate() {
+        for (j, o) in orow[c0..c0 + n].iter_mut().enumerate() {
+            *o = ct.get(j, i);
+        }
+    }
 }
 
 /// [`tn_skinny_into`] over the output rows in `out`, which correspond to

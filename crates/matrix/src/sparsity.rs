@@ -9,6 +9,13 @@
 //! benchmarked [`SPARSE_FOLD_CROSSOVER`], replays the fold row by row over
 //! the stored nonzeros only, in `O(nnz(U)·m)`.
 //!
+//! **One density test.** `is_sparse` (nnz at most
+//! [`SPARSE_FOLD_CROSSOVER`] of the entries) decides both this fold's path
+//! and whether the skinny product kernels (`P·U`, `Pᵀ·V` and the short
+//! outputs of the in-crate `skinny` module) drop the all-zero rows of
+//! their `n×k` block. The argument below covers both: a skipped term is a
+//! product with an exact zero.
+//!
 //! **Bit-identity.** The dense path computes
 //! `delta[r][j] = Σₖ u[r,k]·v[j,k]` with `k` ascending (the documented
 //! [`GemmKernel`](crate::GemmKernel) contract — plain mul-then-add, never
@@ -22,7 +29,11 @@
 //! in the sign of a zero result — and `f64::==` (hence `Matrix::==`, the
 //! relation every conformance suite asserts) treats `-0.0 == +0.0`. So
 //! sparse and dense folds agree under `==` for every kernel and thread
-//! count.
+//! count. The argument needs finite operands: `inf·0` and `NaN·0` are NaN,
+//! so a dense path that multiplies an infinite entry of `V` (or of the
+//! product's other operand) by a skipped zero yields NaN where the sparse
+//! path keeps the finite sum. Views that hold an infinity or a NaN are
+//! not skipped-equal.
 //!
 //! Callers opt out per fold (`allow_sparse = false`); the runtime's
 //! forced-dense reference is `ExecOptions::sparse_folds = Some(false)`.
@@ -72,6 +83,33 @@ pub fn factor_nnz(m: &Matrix) -> usize {
     m.as_slice().iter().filter(|&&x| x != 0.0).count()
 }
 
+/// The crate's one density test: `nnz` nonzeros among `len` entries are
+/// sparse when they are at most [`SPARSE_FOLD_CROSSOVER`] of them. Folds
+/// ([`fold_low_rank`]) and skinny products (the in-crate `skinny` kernels)
+/// both ask it of their `n×k` operand.
+pub(crate) fn is_sparse(nnz: usize, len: usize) -> bool {
+    (nnz as f64) <= SPARSE_FOLD_CROSSOVER * len as f64
+}
+
+/// The rows of `m` holding at least one nonzero, in ascending order, when
+/// `m` passes [`is_sparse`]; `None` for a dense operand (the scan stops at
+/// the first nonzero row past the budget).
+pub(crate) fn sparse_rows(m: &Matrix) -> Option<Vec<usize>> {
+    let mut nnz = 0;
+    let mut rows = Vec::new();
+    for r in 0..m.rows() {
+        let here = m.row(r).iter().filter(|&&x| x != 0.0).count();
+        if here > 0 {
+            nnz += here;
+            if !is_sparse(nnz, m.len()) {
+                return None;
+            }
+            rows.push(r);
+        }
+    }
+    Some(rows)
+}
+
 /// Folds `target += u · vᵀ`, picking the sparse row-replay when the left
 /// factor's measured density is at or below [`SPARSE_FOLD_CROSSOVER`] (and
 /// `allow_sparse` is set), the dense rank-`k` GEMM otherwise.
@@ -101,7 +139,7 @@ pub fn fold_low_rank(
     // backends would drift apart. Fall back to all-dense in that mode.
     if allow_sparse && n * k > 0 && !gemm::default_kernel().fuses() {
         let nnz = factor_nnz(u);
-        if (nnz as f64) <= SPARSE_FOLD_CROSSOVER * (n * k) as f64 {
+        if is_sparse(nnz, n * k) {
             return sparse_fold(target, u, v, nnz, m);
         }
     }

@@ -288,6 +288,49 @@ proptest! {
 }
 
 #[test]
+fn ols_v_beta_is_priced_in_its_row_vector_association() {
+    // `ols_batch`'s shapes: X is 512×256 and a firing has rank 13, so the
+    // Woodbury factors U_W, V_W are 256×26. `V_beta` was
+    // `Y' [ X V_W | dU_X ]`, priced 6 876 160: `X V_W` (2·512·256·26 =
+    // 6 815 744), `Y'` times the 512×39 stack (39 936), forming the stack
+    // (19 968) and `Y'` (512). It is `[ Y' X V_W | Y' dU_X ]` now, run as
+    // `(Y'X) V_W`: 262 144 + 13 312 for that chain, 13 312 for `Y' dU_X`,
+    // two `Y'` (1 024) and the 1×39 stack (39) — 289 831, so the trigger
+    // falls from 33 235 200 to 26 648 871 FLOPs per firing.
+    let program = parse_program("Z := X' * X; W := inv(Z); beta := W * X' * Y;").unwrap();
+    let mut cat = Catalog::new();
+    cat.declare("X", 512, 256);
+    cat.declare("Y", 512, 1);
+    let normalized = program.hoist_inverses(&["X"]);
+    let opts = CompileOptions {
+        update_rank: 13,
+        ..CompileOptions::default()
+    };
+    let mut tp = compile(&normalized, &["X"], &cat, &opts).unwrap();
+    linview::compiler::optimizer::optimize(&mut tp, &Default::default()).unwrap();
+    let v_beta = tp.triggers[0]
+        .stmts
+        .iter()
+        .find_map(|s| match s {
+            TriggerStmt::Assign { var, expr } if var == "V_beta" => Some(expr.to_string()),
+            _ => None,
+        })
+        .expect("the X trigger assigns V_beta");
+    assert_eq!(v_beta, "[ Y' X V_W | Y' dU_X ]");
+    let report = analyze_program(
+        &tp,
+        &AnalyzeOptions {
+            program: Some(&normalized),
+            ..Default::default()
+        },
+    );
+    assert_eq!(
+        report.triggers[0].cost.flops,
+        33_235_200.0 - (6_876_160.0 - 289_831.0)
+    );
+}
+
+#[test]
 fn analyzer_sparse_crossover_matches_the_kernel_crate() {
     // The compiler prices sparse folds without depending on the kernel
     // crate, so it carries its own copy of the crossover density.

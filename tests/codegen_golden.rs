@@ -100,6 +100,20 @@ fn ols_trigger_contains_sherman_morrison_block() {
     assert!(text.contains("(U_W, V_W) := sherman_morrison(W, P_W, Q_W);"));
     assert!(text.contains("W += U_W V_W';"));
     assert!(text.contains("beta += U_beta V_beta';"));
+    // `Y'` distributes over the stacked block so the row-vector chain
+    // runs as `(Y' X) V_W` instead of forming the n×2k block `X V_W`; the
+    // backends emit that association explicitly.
+    assert!(text.contains("V_beta := [ Y' X V_W | Y' dU_X ];"), "{text}");
+    let py = numpy::emit_trigger(&tp.triggers[0]);
+    assert!(
+        py.contains("V_beta = np.hstack([(Y.T @ X) @ V_W, Y.T @ dU_X])"),
+        "{py}"
+    );
+    let oct = octave::emit_trigger(&tp.triggers[0]);
+    assert!(
+        oct.contains("V_beta = [(Y' * X) * V_W, Y' * dU_X];"),
+        "{oct}"
+    );
 }
 
 #[test]

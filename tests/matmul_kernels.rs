@@ -431,6 +431,179 @@ fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
     set_gemm_threads(None);
 }
 
+/// `check(label)` under both exact renderings at one, two and three
+/// threads.
+fn across_renderings_and_threads(mut check: impl FnMut(&str)) {
+    for portable in [true, false] {
+        force_portable_microkernel(portable);
+        for threads in 1..=3 {
+            set_gemm_threads(Some(threads));
+            check(&format!("portable forced: {portable}, {threads} thread(s)"));
+        }
+    }
+    force_portable_microkernel(false);
+    set_gemm_threads(None);
+}
+
+/// `out[.., c0..c0 + whole.cols()]` holds `whole` and every other entry
+/// still holds the 9.0 it was filled with.
+fn assert_block(out: &Matrix, c0: usize, whole: &Matrix, label: &str) {
+    let k = whole.cols();
+    for r in 0..out.rows() {
+        let row = out.row(r);
+        assert_eq!(&row[c0..c0 + k], whole.row(r), "block, {label}");
+        assert!(row[..c0].iter().chain(&row[c0 + k..]).all(|&x| x == 9.0));
+    }
+}
+
+/// Outputs of at most 16 rows (`Y'X`, `(Y'X)·V`) run the transposed
+/// problem through the `Pᵀ·V` streaming kernel: `==` the naive oracle for
+/// every m = 1..=16 against outputs 17, 31, 256 and 523 columns wide, as
+/// `A·B`, as `AᵀB` and into the middle of a wider matrix. The kernel never
+/// fuses, so this holds under `packed-fma` too.
+#[test]
+fn short_outputs_are_bit_identical_to_naive() {
+    let _guard = lock();
+    let k = 41;
+    for n in [17, 31, 256, 523] {
+        let b = Matrix::random_uniform(k, n, 500 + n as u64);
+        let cases: Vec<_> = (1..=16)
+            .map(|m| {
+                let a = Matrix::random_uniform(m, k, (1000 * m + n) as u64);
+                let at = Matrix::random_uniform(k, m, (1000 * m + n) as u64 + 1);
+                let (ab, atb) = (naive_oracle(&a, &b), naive_oracle(&at.transpose(), &b));
+                (a, at, ab, atb)
+            })
+            .collect();
+        across_renderings_and_threads(|config| {
+            for (a, at, ab, atb) in &cases {
+                let label = format!("{}x{k}x{n}, {config}", a.rows());
+                assert_eq!(&a.try_matmul(&b).unwrap(), ab, "A·B, {label}");
+                assert_eq!(&at.try_matmul_tn(&b).unwrap(), atb, "AᵀB, {label}");
+                let mut wide = Matrix::filled(a.rows(), n + 3, 9.0);
+                a.matmul_into(&b, &mut wide, 2).unwrap();
+                assert_block(&wide, 2, ab, &label);
+                let mut wide = Matrix::filled(a.rows(), n + 3, 9.0);
+                at.matmul_tn_into(&b, &mut wide, 1).unwrap();
+                assert_block(&wide, 1, atb, &label);
+            }
+        });
+    }
+}
+
+/// Blocks 17–32 columns wide (Woodbury's `W·P` and `Wᵀ·Q` at a fired
+/// rank of 26) run as two streaming passes, 16 columns and the rest: `==`
+/// the naive oracle at every width, into a fresh matrix or a column block.
+#[test]
+fn two_pass_widths_are_bit_identical_to_naive() {
+    let _guard = lock();
+    let (m, p) = (131, 97);
+    let pm = Matrix::random_uniform(m, p, 61);
+    let pt = pm.transpose();
+    for w in 17..=32 {
+        let u = Matrix::random_uniform(p, w, 62 + w as u64);
+        let v = Matrix::random_uniform(m, w, 95 + w as u64);
+        let (pu, ptv) = (naive_oracle(&pm, &u), naive_oracle(&pt, &v));
+        across_renderings_and_threads(|config| {
+            let label = format!("width {w}, {config}");
+            assert_eq!(pm.try_matmul(&u).unwrap(), pu, "P·U, {label}");
+            assert_eq!(pm.try_matmul_tn(&v).unwrap(), ptv, "Pᵀ·V, {label}");
+            let mut tall = Matrix::filled(m, w + 5, 9.0);
+            pm.matmul_into(&u, &mut tall, 3).unwrap();
+            assert_block(&tall, 3, &pu, &label);
+            let mut wide = Matrix::filled(p, w + 5, 9.0);
+            pm.matmul_tn_into(&v, &mut wide, 5).unwrap();
+            assert_block(&wide, 5, &ptv, &label);
+        });
+    }
+}
+
+/// The streaming kernels skip the all-zero rows of a block that passes
+/// the fold's density test (nnz at most 5 % of its entries) — and what
+/// those rows multiply: columns of `P` for `P·U`, rows of `P` for `Pᵀ·V`
+/// and for a short output's transposed problem. Every case is `==` the
+/// naive oracle: no nonzero row, one, a row nonzero in one column only,
+/// signed zeros (a row of `±0.0` is a zero row), exactly the crossover
+/// density and one nonzero past it, and a 26-column basis block (skip and
+/// two passes). Finite operands only: `inf·0` is NaN in the oracle and
+/// skipped here.
+#[test]
+fn sparse_blocks_skip_zero_rows_bit_identically() {
+    let _guard = lock();
+    let rows = 200;
+    let block = |cols: usize, entries: &[(usize, usize, f64)]| {
+        let mut b = Matrix::zeros(rows, cols);
+        for &(r, c, x) in entries {
+            b.set(r, c, x);
+        }
+        b
+    };
+    // 200×2 holds 400 entries: 20 nonzeros is the crossover, 21 is dense.
+    let spread = |count: usize| {
+        let entries: Vec<_> = (0..count)
+            .map(|i| ((i * 37 + 5) % rows, i % 2, 0.5 + i as f64))
+            .collect();
+        block(2, &entries)
+    };
+    let cases = [
+        ("no nonzero row", block(3, &[])),
+        (
+            "one row",
+            block(3, &[(17, 0, 1.5), (17, 1, -2.0), (17, 2, 0.25)]),
+        ),
+        ("one column of one row", block(3, &[(150, 2, 3.0)])),
+        (
+            "signed zeros",
+            block(
+                3,
+                &[
+                    (3, 0, -0.0),
+                    (3, 1, 1.5),
+                    (9, 0, -0.0),
+                    (9, 2, -0.0),
+                    (10, 1, -0.0),
+                ],
+            ),
+        ),
+        ("at the crossover", spread(20)),
+        ("one past the crossover", spread(21)),
+        (
+            "26-column basis",
+            block(
+                26,
+                &(0..26)
+                    .map(|c| ((c * 7 + 3) % rows, c, 1.0))
+                    .collect::<Vec<_>>(),
+            ),
+        ),
+        (
+            "one row, 16 columns",
+            block(16, &[(42, 15, -1.0), (42, 0, 2.0)]),
+        ),
+    ];
+    let p = Matrix::random_uniform(150, rows, 81);
+    let q = Matrix::random_uniform(rows, 120, 82);
+    let wide = Matrix::random_uniform(rows, 40, 83);
+    for (name, b) in &cases {
+        let pb = naive_oracle(&p, b);
+        let qtb = naive_oracle(&q.transpose(), b);
+        // A short output whose transposed problem streams `wide` against
+        // the sparse block: bᵀ·wide for blocks of at most 16 columns.
+        let short = (b.cols() <= 16).then(|| naive_oracle(&b.transpose(), &wide));
+        across_renderings_and_threads(|config| {
+            let label = format!("{name}, {config}");
+            assert_eq!(p.try_matmul(b).unwrap(), pb, "P·U, {label}");
+            assert_eq!(q.try_matmul_tn(b).unwrap(), qtb, "Pᵀ·V, {label}");
+            let mut out = Matrix::filled(150, b.cols() + 2, 9.0);
+            p.matmul_into(b, &mut out, 1).unwrap();
+            assert_block(&out, 1, &pb, &label);
+            if let Some(short) = &short {
+                assert_eq!(&b.try_matmul_tn(&wide).unwrap(), short, "short, {label}");
+            }
+        });
+    }
+}
+
 /// `AᵀB` without forming `Aᵀ`, and `A·B` for a block of at most 16
 /// columns, against the formed transpose through the naive kernel. The
 /// skinny kernels never fuse, so they are `==` to the oracle under every
