@@ -1073,7 +1073,7 @@ pub fn firing_kernels(cfg: &Config) -> Table {
 /// vs forced-dense execution, across density × n × backend. Each row
 /// drives the same seeded batches through two views of the same backend —
 /// auto (the runtime picks sparse folds and compressed frames) and
-/// `sparse_folds: Some(false)` — asserts the maintained views are
+/// `sparse_folds: false` — asserts the maintained views are
 /// bit-identical, and reports the fold-path split plus the broadcast bytes
 /// compression saved.
 pub fn sparsity(cfg: &Config) -> Table {
@@ -1131,7 +1131,7 @@ pub fn sparsity(cfg: &Config) -> Table {
         let drive = |force_dense: bool| {
             let mut view = make();
             view.set_exec_options(ExecOptions {
-                sparse_folds: if force_dense { Some(false) } else { None },
+                sparse_folds: !force_dense,
                 ..Default::default()
             });
             view.reset_comm();
@@ -1201,11 +1201,7 @@ pub fn sparsity(cfg: &Config) -> Table {
 /// Ablations — the design-choice studies DESIGN.md calls out, as printable
 /// tables.
 pub fn ablations(cfg: &Config) -> Vec<Table> {
-    vec![
-        ablation_factoring(cfg),
-        ablation_recompress(cfg),
-        ablation_inverse(cfg),
-    ]
+    vec![ablation_factoring(cfg), ablation_inverse(cfg)]
 }
 
 /// §4.3 common-factor extraction on/off: one `A⁸` trigger firing.
@@ -1269,71 +1265,6 @@ fn ablation_factoring(cfg: &Config) -> Table {
         ]);
     }
     t.note("block ranks grow additively (2/4/8) with §4.3, multiplicatively (3/9/27) without");
-    t
-}
-
-/// Numerical recompression on/off, generic vs redundant updates.
-fn ablation_recompress(cfg: &Config) -> Table {
-    use linview_compiler::parse::parse_program;
-    use linview_expr::Catalog;
-    use linview_runtime::{BatchUpdate, ExecOptions, IncrementalView, RankOneUpdate};
-
-    let n = cfg.n;
-    let mut t = Table::new(
-        format!("Ablation - numerical delta recompression (A^4 views, n = {n})"),
-        &["workload", "recompress", "refresh"],
-    );
-    let program = parse_program("B := A * A; C := B * B;").expect("parses");
-    let mut cat = Catalog::new();
-    cat.declare("A", n, n);
-    let a = Matrix::random_spectral(n, 9, 0.8);
-    let base = IncrementalView::build(&program, &[("A", a)], &cat).expect("builds");
-
-    let generic = RankOneUpdate::row_update(n, n, n / 5, 0.01, 55);
-    // Uncompacted batch of 8 updates over 2 distinct rows: true rank 2.
-    let mut us = Vec::new();
-    let mut vs = Vec::new();
-    for i in 0..8u64 {
-        let row = if i % 2 == 0 { 7 } else { 23 };
-        let one = RankOneUpdate::row_update(n, n, row, 0.01, 100 + i);
-        us.push(one.u);
-        vs.push(one.v);
-    }
-    let urefs: Vec<&Matrix> = us.iter().collect();
-    let vrefs: Vec<&Matrix> = vs.iter().collect();
-    let batch = BatchUpdate::new(
-        Matrix::hstack(&urefs).expect("stack"),
-        Matrix::hstack(&vrefs).expect("stack"),
-    )
-    .expect("conforming factors");
-
-    for (label, tol) in [("off", None), ("on (1e-10)", Some(1e-10))] {
-        let exec = ExecOptions {
-            recompress_tol: tol,
-            ..ExecOptions::default()
-        };
-        let mut v1 = base.clone();
-        v1.set_exec_options(exec);
-        let time = avg_time(cfg.updates, || {
-            v1.apply("A", &generic).expect("update");
-        });
-        t.row(vec![
-            "generic rank-1".into(),
-            label.into(),
-            fmt_duration(time),
-        ]);
-        let mut v2 = base.clone();
-        v2.set_exec_options(exec);
-        let time = avg_time(cfg.updates, || {
-            v2.apply_batch("A", &batch).expect("update");
-        });
-        t.row(vec![
-            "redundant rank-8 (true rank 2)".into(),
-            label.into(),
-            fmt_duration(time),
-        ]);
-    }
-    t.note("the pass is pure overhead on tight blocks, a 4x rank cut on redundant batches");
     t
 }
 
@@ -1687,9 +1618,9 @@ mod tests {
     #[test]
     fn ablation_and_extension_tables_run_at_quick_scale() {
         let cfg = Config::quick();
-        for name in ["ablations", "extensions"] {
+        for (name, count) in [("ablations", 2), ("extensions", 3)] {
             let tables = by_name(name).expect("known experiment")(&cfg);
-            assert_eq!(tables.len(), 3, "{name} table count");
+            assert_eq!(tables.len(), count, "{name} table count");
             for t in tables {
                 assert!(!t.rows.is_empty(), "{name} produced no rows");
             }

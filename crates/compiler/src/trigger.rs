@@ -96,33 +96,6 @@ impl Trigger {
             .filter(|s| matches!(s, TriggerStmt::ApplyDelta { .. }))
     }
 
-    /// The `(U, V)` block-variable pairs whose product forms a view delta,
-    /// deduplicated in first-occurrence order.
-    ///
-    /// Only pairs where both factors are plain variables qualify (those are
-    /// the blocks the compute phase binds and later statements reference);
-    /// this is what the runtime's optional numerical recompression pass
-    /// rewrites in place. A trigger folding the same block pair into a
-    /// view twice still names the pair once — the recompression pass and
-    /// DAG node identity both key on the pair, not on the update count.
-    pub fn delta_pairs(&self) -> Vec<(&str, &str)> {
-        let mut out: Vec<(&str, &str)> = Vec::new();
-        for s in &self.stmts {
-            if let TriggerStmt::ApplyDelta {
-                u: Expr::Var(u),
-                v: Expr::Var(v),
-                ..
-            } = s
-            {
-                let pair = (u.as_str(), v.as_str());
-                if !out.contains(&pair) {
-                    out.push(pair);
-                }
-            }
-        }
-        out
-    }
-
     /// Names of all views this trigger maintains (targets of `ApplyDelta`),
     /// deduplicated in first-occurrence order — a trigger that updates one
     /// view twice maintains it once, and everything keyed on view identity
@@ -302,7 +275,6 @@ mod tests {
             ],
         };
         assert_eq!(t.maintained_views(), vec!["B", "A"]);
-        assert_eq!(t.delta_pairs(), vec![("U_B", "V_B"), ("dU_A", "dV_A")]);
         // The DAG still keeps both B updates as ordered nodes.
         assert_eq!(t.dag().unwrap().stage_count(), 2);
     }

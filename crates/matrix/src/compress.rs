@@ -14,9 +14,9 @@
 //! orthonormal bases (via SVD of each skinny factor), decomposes the small
 //! `k×k` core, and drops singular directions below `rel_tol · σ_max`. The
 //! result is the Eckart–Young-optimal factored representation of the same
-//! delta. The trigger executor applies it optionally after each delta block
-//! pair is evaluated — the ablation benchmark `ablation_recompress`
-//! quantifies when it pays off.
+//! delta. The runtime's maintenance engine applies it to a coalesced batch
+//! before the batch fires, where [`keeps_full_rank`] cannot rule a shed
+//! out; a firing never recompresses the blocks it propagates.
 
 use crate::svd::Svd;
 use crate::{flops, Matrix, MatrixError, Result};

@@ -36,7 +36,7 @@
 //! not skipped-equal.
 //!
 //! Callers opt out per fold (`allow_sparse = false`); the runtime's
-//! forced-dense reference is `ExecOptions::sparse_folds = Some(false)`.
+//! forced-dense reference is `ExecOptions::sparse_folds = false`.
 //!
 //! **Interaction with `packed-fma`.** The opt-in fused kernel
 //! ([`GemmKernel::PackedFma`](crate::GemmKernel)) breaks the mul-then-add

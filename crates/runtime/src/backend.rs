@@ -53,7 +53,7 @@ pub struct SchedSnapshot {
 /// Implementors supply the backend-specific delta application; trigger and
 /// joint-trigger firing are provided methods that route through the single
 /// shared statement interpreter, so the compute phase (block evaluation,
-/// Sherman–Morrison, recompression) cannot diverge between backends.
+/// Sherman–Morrison) cannot diverge between backends.
 pub trait ExecBackend: std::fmt::Debug {
     /// Short human-readable backend name (reports, CLI output).
     fn name(&self) -> &'static str;

@@ -1,27 +1,30 @@
 //! Trigger execution, including the numeric Sherman–Morrison primitive.
 //!
-//! There is exactly **one** statement interpreter (`Firing::run_stage`)
-//! for every execution backend, and it is **staged**: instead of walking
-//! `trigger.stmts` in program order, it consumes the statement dependency
-//! DAG ([`Trigger::dag`]) one topological stage at a time. Every statement
-//! in a stage is provably independent, so the stage is evaluated against
-//! the pre-stage state and its low-rank view deltas are handed to the
-//! backend **as a set** through
-//! [`ExecBackend::apply_stage`](crate::ExecBackend::apply_stage) (merged
-//! broadcast rounds and pipelined frames on the distributed backends).
-//! Program order is a linear extension of the DAG, so staged execution is
-//! bit-identical to the sequential walk — [`ExecOptions::sequential`] opts
-//! back into the one-statement-per-stage order for ablation.
+//! Every backend fires through **one** path: [`fire_trigger`],
+//! [`fire_joint_trigger`] and the [`ExecBackend`] methods all lower the
+//! trigger once into a [`crate::plan`] — slots for the block temporaries,
+//! chain associations, the stages of the statement dependency DAG
+//! ([`Trigger::dag`]) — and hand each stage to the one statement
+//! interpreter (`Firing::run_stage`). Every statement in a stage is
+//! provably independent, so the stage is evaluated against the pre-stage
+//! state and its low-rank view deltas are handed to the backend **as a
+//! set** through [`ExecBackend::apply_stage`] (merged broadcast rounds and
+//! pipelined frames on the distributed backends). Program order is a
+//! linear extension of the DAG, so staged execution is bit-identical to
+//! the sequential walk — [`ExecOptions::sequential`] opts back into the
+//! one-statement-per-stage order for ablation.
 //!
-//! A firing first lowers its trigger into a [`crate::plan`] — stages,
-//! chain associations, integer slots for the block temporaries (tens of
-//! microseconds) — and the interpreter then walks that plan over borrowed
-//! operands ([`crate::eval`]): blocks live in a slot vector, never in the
-//! [`Env`]; views are read in place; a fold over two bare blocks takes
-//! them by move. The n×n copies and transposes this replaced were most of
-//! a firing's time, not noise: a rank-1 `A¹⁶` firing at `n = 512` took
-//! 17.9 ms with them and 3.2 ms without, and takes 1.15–1.25 ms now that
-//! the kernels split across both cores of the 2-vCPU bench host.
+//! The interpreter walks the plan over borrowed operands
+//! ([`crate::eval`]): blocks live in a slot vector, never in the [`Env`];
+//! views are read in place; a fold over two bare blocks takes them by
+//! move. The n×n copies and transposes this replaced were most of a
+//! firing's time, not noise: a rank-1 `A¹⁶` firing at `n = 512` took
+//! 17.9 ms with them and 3.2 ms without.
+//!
+//! A firing does no numerical recompression: the block widths are fixed
+//! by the fired update's rank when the plan is lowered. Redundant rank is
+//! shed once, from the root, before a batch fires — the
+//! [`MaintenanceEngine`](crate::MaintenanceEngine)'s pre-flush pass.
 //!
 //! Parallelism lives in the kernels (row and column chunks on the
 //! persistent GEMM pool), not in the interpreter: a stage's statements are
@@ -30,19 +33,14 @@
 //! `n = 512` (ten alternating benchmark runs, two cores) and lost all ten,
 //! 4.45 ms against 3.50 ms per firing — the views bounce between the
 //! cores' caches.
-//!
-//! The free functions [`fire_trigger`] / [`fire_trigger_with_options`] /
-//! [`fire_joint_trigger`] are the historical in-process entry points and
-//! simply run on a [`LocalBackend`](crate::LocalBackend).
 
 use std::borrow::Cow;
 
 use linview_compiler::Trigger;
-use linview_expr::Dim;
 use linview_matrix::Matrix;
 
-use crate::eval::{exec, resolve, Frame, Scope};
-use crate::plan::{declare_inputs, lower_step, Step, StepKind, TriggerPlan, Update};
+use crate::eval::{exec, resolve, Frame};
+use crate::plan::{Step, StepKind, TriggerPlan, Update};
 use crate::{Env, Evaluator, ExecBackend, LocalBackend, Result, RuntimeError};
 
 /// Denominators smaller than this abort the Sherman–Morrison update.
@@ -147,19 +145,12 @@ pub enum InversePrimitive {
     Woodbury,
 }
 
-/// Execution options for [`fire_trigger_with_options`].
-#[derive(Debug, Clone, Copy, Default)]
+/// Execution options for a firing: every `fire_*` entry point and
+/// [`ExecBackend`] firing method takes one.
+#[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Inverse-maintenance primitive.
     pub inverse_primitive: InversePrimitive,
-    /// When set, each delta block pair `(U_X, V_X)` is numerically
-    /// recompressed to its rank (relative tolerance) right after it is
-    /// evaluated, *before* subsequent statements propagate it. This is the
-    /// `O((n+m)k²)` pass §4.3 declines to pay for — the ablation bench
-    /// measures when it wins. Because the pass rebinds blocks mid-body,
-    /// enabling it forces the sequential statement schedule (staged
-    /// evaluation could not observe a rebinding inside its own stage).
-    pub recompress_tol: Option<f64>,
     /// Opt out of DAG-staged execution: run one statement per stage in
     /// program order (the pre-scheduler interpreter). Results are
     /// bit-identical either way — this exists for ablation benchmarks and
@@ -168,17 +159,20 @@ pub struct ExecOptions {
     /// Density-aware delta execution: route view folds through the sparse
     /// cost model ([`linview_matrix::fold_low_rank`]) and let the
     /// distributed backends compress factor broadcasts whose triplet form
-    /// is shorter. `None` (the default) means on; `Some(false)` forces
-    /// every fold dense and every frame uncompressed — the reference the
-    /// harness and conformance suites compare against. Results are
-    /// bit-identical either way — the option only moves work and bytes.
-    pub sparse_folds: Option<bool>,
+    /// is shorter. On by default; `false` forces every fold dense and every
+    /// frame uncompressed — the reference the harness and conformance
+    /// suites compare against. Results are bit-identical either way — the
+    /// option only moves work and bytes.
+    pub sparse_folds: bool,
 }
 
-impl ExecOptions {
-    /// The effective sparse-execution flag (on unless opted out).
-    pub fn sparse_enabled(&self) -> bool {
-        self.sparse_folds.unwrap_or(true)
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            inverse_primitive: InversePrimitive::default(),
+            sequential: false,
+            sparse_folds: true,
+        }
     }
 }
 
@@ -307,12 +301,13 @@ pub struct StageDelta {
 }
 
 /// Fires `trigger` for the factored input update `ΔX = du · dvᵀ` with
-/// default options (sequential Sherman–Morrison for inverses).
+/// default options (sequential Sherman–Morrison for inverses) on a
+/// [`LocalBackend`].
 ///
 /// Execution order follows the compiler's contract: every `Assign` /
 /// `ShermanMorrison` statement is evaluated against the **pre-update**
 /// state, then all `ApplyDelta` statements fold the deltas into the views.
-/// Temporary block variables are unbound afterwards so the environment's
+/// Block temporaries live only for the firing, so the environment's
 /// memory accounting reflects only base matrices and materialized views.
 pub fn fire_trigger(
     env: &mut Env,
@@ -321,19 +316,8 @@ pub fn fire_trigger(
     du: &Matrix,
     dv: &Matrix,
 ) -> Result<()> {
-    fire_trigger_with_options(env, evaluator, trigger, du, dv, &ExecOptions::default())
-}
-
-/// As [`fire_trigger`] with explicit [`ExecOptions`].
-pub fn fire_trigger_with_options(
-    env: &mut Env,
-    evaluator: &Evaluator,
-    trigger: &Trigger,
-    du: &Matrix,
-    dv: &Matrix,
-    opts: &ExecOptions,
-) -> Result<()> {
-    fire_trigger_on(&mut LocalBackend, env, evaluator, trigger, du, dv, opts).map(|_| ())
+    let opts = ExecOptions::default();
+    fire_trigger_on(&mut LocalBackend, env, evaluator, trigger, du, dv, &opts).map(|_| ())
 }
 
 /// Fires `trigger` on an explicit backend — the shared execution path every
@@ -348,21 +332,8 @@ pub(crate) fn fire_trigger_on<B: ExecBackend + ?Sized>(
     opts: &ExecOptions,
 ) -> Result<FiringReport> {
     check_update_shape(env.get(&trigger.input)?, du, dv)?;
-    // The input update is the root of every propagated block: recompressing
-    // it first (when enabled) shrinks all downstream ranks.
-    let compressed = match opts.recompress_tol {
-        Some(tol) if du.cols() > 1 => Some(linview_matrix::recompress(du, dv, tol)?),
-        _ => None,
-    };
-    let (du, dv) = compressed.as_ref().map_or((du, dv), |rc| (&rc.u, &rc.v));
-    fire(
-        backend,
-        env,
-        evaluator,
-        trigger,
-        &[(&trigger.input, du, dv)],
-        opts,
-    )
+    let updates = [(trigger.input.as_str(), du, dv)];
+    fire(backend, env, evaluator, trigger, &updates, opts)
 }
 
 fn check_update_shape(target: &Matrix, du: &Matrix, dv: &Matrix) -> Result<()> {
@@ -498,14 +469,13 @@ impl<B: ExecBackend + ?Sized> Firing<'_, '_, B> {
     /// stage's view deltas collected, bare blocks taken per `reads_left`
     /// (the references to each slot not yet consumed); (3) the deltas are
     /// folded through [`ExecBackend::apply_stage`] — the stage barrier,
-    /// and the only backend-specific step. Returns the slots `Assign`s
-    /// bound.
+    /// and the only backend-specific step.
     fn run_stage(
         &mut self,
         ext_names: &[String],
         stage: &[&Step],
         reads_left: &mut [u32],
-    ) -> Result<Vec<usize>> {
+    ) -> Result<()> {
         let mut outputs = {
             let ext = resolve(ext_names, self.env)?;
             let frame = Frame {
@@ -519,7 +489,6 @@ impl<B: ExecBackend + ?Sized> Firing<'_, '_, B> {
                 .into_iter()
         };
         let mut deltas: Vec<StageDelta> = Vec::new();
-        let mut assigned = Vec::new();
         for step in stage {
             if let StepKind::FoldBlocks { target, u, v } = &step.kind {
                 deltas.push(StageDelta {
@@ -533,11 +502,6 @@ impl<B: ExecBackend + ?Sized> Firing<'_, '_, B> {
                 StmtOutput::Bind(binds) => {
                     for (slot, value) in binds {
                         self.slots[slot] = Some(Cow::Owned(value));
-                        // Only plain assignments feed the recompression
-                        // pass (Sherman–Morrison outputs are left exact).
-                        if matches!(step.kind, StepKind::Assign { .. }) {
-                            assigned.push(slot);
-                        }
                     }
                 }
                 StmtOutput::Delta(d) => deltas.push(d),
@@ -545,27 +509,18 @@ impl<B: ExecBackend + ?Sized> Firing<'_, '_, B> {
         }
         self.report.writes += deltas.len() as u64;
         if !deltas.is_empty() {
-            let sparse = self.opts.sparse_enabled();
+            let sparse = self.opts.sparse_folds;
             let folded = self.backend.apply_stage(self.env, &deltas, sparse)?;
             self.report.sparse.merge(folded);
         }
-        Ok(assigned)
+        Ok(())
     }
 }
 
-/// Fires `trigger` for `updates` (shapes already validated).
-///
-/// The normal path lowers the whole body into a [`crate::plan`] and
-/// executes it one DAG stage at a time ([`ExecOptions::sequential`]: one
-/// statement at a time, in program order). The §4.3 recompression pass
-/// rewrites a pair's blocks the moment the pair completes — changing block
-/// *widths* mid-body — so no plan lowered up front can describe it: with
-/// [`ExecOptions::recompress_tol`] set, each statement is lowered against
-/// the blocks as they are when it runs, always in program order (a stage
-/// evaluated against the pre-stage state could not observe a rebinding
-/// inside its own stage), and — a block's last read being unknown until
-/// the body ends — folds copy their blocks instead of taking them. Both
-/// paths run every statement through [`Firing::run_stage`].
+/// Fires `trigger` for `updates` (shapes already validated): lowers the
+/// body once into a [`TriggerPlan`] and runs it through
+/// [`Firing::run_stage`] one DAG stage at a time, or under
+/// [`ExecOptions::sequential`] one statement at a time in program order.
 fn fire<B: ExecBackend + ?Sized>(
     backend: &mut B,
     env: &mut Env,
@@ -574,43 +529,22 @@ fn fire<B: ExecBackend + ?Sized>(
     updates: &[Update<'_>],
     opts: &ExecOptions,
 ) -> Result<FiringReport> {
+    let plan = TriggerPlan::lower(evaluator, trigger, updates, env)?;
+    let mut slots: Slots<'_> = updates
+        .iter()
+        .flat_map(|(_, du, dv)| [Some(Cow::Borrowed(*du)), Some(Cow::Borrowed(*dv))])
+        .collect();
+    slots.resize(plan.slot_reads.len(), None);
     let mut firing = Firing {
         backend,
         env,
         opts,
-        slots: updates
-            .iter()
-            .flat_map(|(_, du, dv)| [Some(Cow::Borrowed(*du)), Some(Cow::Borrowed(*dv))])
-            .collect(),
+        slots,
         report: FiringReport {
             stmts: trigger.stmts.len() as u64,
             ..FiringReport::default()
         },
     };
-    if let Some(tol) = opts.recompress_tol {
-        let mut scope = Scope::default();
-        declare_inputs(&mut scope, updates);
-        let pairs = trigger.delta_pairs();
-        let mut reads_left = Vec::new();
-        for stmt in &trigger.stmts {
-            let step = lower_step(evaluator, stmt, &mut scope, firing.env)?;
-            firing.slots.resize(scope.slots.len(), None);
-            reads_left.resize(scope.slots.len(), u32::MAX); // never the last read
-            let assigned = firing.run_stage(&scope.ext_names, &[&step], &mut reads_left)?;
-            for (u_name, v_name) in &pairs {
-                let slot_of = |name: &str| scope.slots.iter().position(|(n, _)| n == name);
-                if let (Some(u), Some(v)) = (slot_of(u_name), slot_of(v_name)) {
-                    if assigned.contains(&u) || assigned.contains(&v) {
-                        recompress_pair(&mut firing.slots, &mut scope, u, v, tol)?;
-                    }
-                }
-            }
-        }
-        firing.report.stages = firing.report.stmts;
-        return Ok(firing.report);
-    }
-    let plan = TriggerPlan::lower(evaluator, trigger, updates, firing.env)?;
-    firing.slots.resize(plan.slot_reads.len(), None);
     let mut reads_left = plan.slot_reads.clone();
     let mut run = |stage: &[usize]| {
         let steps: Vec<&Step> = stage.iter().map(|&i| &plan.steps[i]).collect();
@@ -634,33 +568,6 @@ fn fire<B: ExecBackend + ?Sized>(
         firing.report.stages = stages.len() as u64;
     }
     Ok(firing.report)
-}
-
-/// Recompresses the block pair `(u, v)` in place once both are bound; a
-/// no-op for rank-1 pairs (nothing to shrink but a zero test). A shrunk
-/// pair's new width is recorded in `scope` for the statements still to be
-/// lowered.
-fn recompress_pair(
-    slots: &mut Slots<'_>,
-    scope: &mut Scope,
-    u: usize,
-    v: usize,
-    tol: f64,
-) -> Result<()> {
-    let (Some(um), Some(vm)) = (&slots[u], &slots[v]) else {
-        return Ok(());
-    };
-    if um.cols() <= 1 {
-        return Ok(());
-    }
-    let rc = linview_matrix::recompress(um, vm, tol)?;
-    if rc.reduced() {
-        for (slot, m) in [(u, rc.u), (v, rc.v)] {
-            scope.slots[slot].1 = Dim::new(m.rows(), m.cols());
-            slots[slot] = Some(Cow::Owned(m));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -839,7 +746,8 @@ mod tests {
         let mut env_sm = build_env();
         fire_trigger(&mut env_sm, &ev, &tp.triggers[0], &upd_u, &upd_v).unwrap();
         let mut env_wb = build_env();
-        fire_trigger_with_options(
+        fire_trigger_on(
+            &mut LocalBackend,
             &mut env_wb,
             &ev,
             &tp.triggers[0],
@@ -999,61 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn recompression_preserves_maintained_views() {
-        // A^8 program: block ranks grow 2 -> 4 -> 8 across statements, and
-        // the numerical recompression must not change any maintained view.
-        let n = 20;
-        let mut cat = Catalog::new();
-        cat.declare("A", n, n);
-        let mut prog = Program::new();
-        prog.assign("B", Expr::var("A") * Expr::var("A"));
-        prog.assign("C", Expr::var("B") * Expr::var("B"));
-        prog.assign("D", Expr::var("C") * Expr::var("C"));
-        let tp = compile(&prog, &["A"], &cat, &CompileOptions::default()).unwrap();
-
-        let a = Matrix::random_spectral(n, 3, 0.7);
-        let build_env = || {
-            let b = a.try_matmul(&a).unwrap();
-            let c = b.try_matmul(&b).unwrap();
-            let d = c.try_matmul(&c).unwrap();
-            let mut env = Env::new();
-            env.bind("A", a.clone());
-            env.bind("B", b);
-            env.bind("C", c);
-            env.bind("D", d);
-            env
-        };
-        let ev = Evaluator::new();
-        let du = Matrix::random_col(n, 5).scale(0.01);
-        let dv = Matrix::random_col(n, 6);
-
-        let mut plain = build_env();
-        fire_trigger(&mut plain, &ev, &tp.triggers[0], &du, &dv).unwrap();
-        let mut compressed = build_env();
-        fire_trigger_with_options(
-            &mut compressed,
-            &ev,
-            &tp.triggers[0],
-            &du,
-            &dv,
-            &ExecOptions {
-                recompress_tol: Some(1e-12),
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        for view in ["A", "B", "C", "D"] {
-            assert!(
-                compressed
-                    .get(view)
-                    .unwrap()
-                    .approx_eq(plain.get(view).unwrap(), 1e-7),
-                "{view} diverged under recompression"
-            );
-        }
-    }
-
-    #[test]
     fn staged_execution_is_bit_identical_to_sequential() {
         // A^8 with a batch update: wide stages (U_B/V_B, U_C/V_C, U_D/V_D
         // pairs plus independent view folds) against the one-statement-at-
@@ -1129,44 +982,6 @@ mod tests {
             sched.stmts_saved(),
             staged_report.stmts - staged_report.stages
         );
-    }
-
-    #[test]
-    fn recompression_forces_the_sequential_schedule() {
-        // The §4.3 pass rebinds pair blocks mid-body; a reader scheduled
-        // into the same stage as the pair's completion would observe the
-        // raw blocks where the sequential walk observes the recompressed
-        // ones. Enabling recompression must therefore serialize the
-        // schedule (stages == stmts in the firing report).
-        let n = 16;
-        let mut cat = Catalog::new();
-        cat.declare("A", n, n);
-        let mut prog = Program::new();
-        prog.assign("B", Expr::var("A") * Expr::var("A"));
-        prog.assign("C", Expr::var("B") * Expr::var("B"));
-        let tp = compile(&prog, &["A"], &cat, &CompileOptions::default()).unwrap();
-        let a = Matrix::random_spectral(n, 27, 0.7);
-        let mut env = Env::new();
-        env.bind("A", a.clone());
-        let b = a.try_matmul(&a).unwrap();
-        env.bind("C", b.try_matmul(&b).unwrap());
-        env.bind("B", b);
-        let du = Matrix::random_uniform(n, 2, 28).scale(0.01);
-        let dv = Matrix::random_uniform(n, 2, 29);
-        let report = fire_trigger_on(
-            &mut LocalBackend,
-            &mut env,
-            &Evaluator::new(),
-            &tp.triggers[0],
-            &du,
-            &dv,
-            &ExecOptions {
-                recompress_tol: Some(1e-10),
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.stages, report.stmts);
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub use env::Env;
 pub use error::RuntimeError;
 pub use eval::{eval, Evaluator};
 pub use exec::{
-    fire_joint_trigger, fire_trigger, fire_trigger_with_options, sherman_morrison, woodbury,
-    ExecOptions, FiringReport, InversePrimitive, SchedStats, SparseStats, StageDelta,
+    fire_joint_trigger, fire_trigger, sherman_morrison, woodbury, ExecOptions, FiringReport,
+    InversePrimitive, SchedStats, SparseStats, StageDelta,
 };
 pub use linview_dist::CommSnapshot;
 pub use snapshot::{

@@ -10,14 +10,18 @@
 //! interpreter then walks flat vectors: no `String`-keyed binding of
 //! temporaries, no name lookups, no shape checks while multiplying.
 //!
-//! A plan is specialized to the shapes it was lowered against (the rank of
-//! the fired update sets block widths, and with them allocation sizes and
-//! chain associations), so a firing lowers its trigger afresh: 29–32 µs
-//! for the 16-statement `A¹⁶` body, about 2.5 % of the 1.15–1.25 ms that
-//! firing costs at `n = 512` (the benchmark's `powers_point`, 2 vCPUs).
-//! Keeping plans across firings was tried when a firing still cost 3.1 ms
-//! (a content-keyed cache on the evaluator) and did not move
-//! `refresh_p50_ms` beyond run-to-run spread, so there is none.
+//! [`TriggerPlan::lower`] is the only lowering; every firing runs exactly
+//! one. A plan is specialized to the shapes it was lowered against (the
+//! rank of the fired update sets block widths, and with them allocation
+//! sizes and chain associations), so a firing lowers its trigger afresh.
+//! At `n = 512` on a 2-vCPU host, the p50 of 2000 lowerings after a
+//! warm-up, over five runs: 33–56 µs for the 16-statement `A¹⁶` EXP body
+//! (the benchmark's `powers_point`), of which `StmtDag::analyze` is
+//! 14–23 µs; 234–325 µs for the 49-statement LIN body, of which
+//! `StmtDag::analyze` is 159–215 µs. Keeping plans across firings was
+//! tried when a firing still cost 3.1 ms (a content-keyed cache on the
+//! evaluator) and did not move `refresh_p50_ms` beyond run-to-run spread,
+//! so there is none.
 
 use linview_compiler::{StmtDag, Trigger, TriggerStmt};
 use linview_expr::delta::input_delta_names;
@@ -65,71 +69,6 @@ pub(crate) enum StepKind {
     FoldBlocks { target: String, u: usize, v: usize },
 }
 
-/// Lowers one statement, defining the slots it writes.
-pub(crate) fn lower_step(
-    ev: &Evaluator,
-    stmt: &TriggerStmt,
-    scope: &mut Scope,
-    env: &Env,
-) -> Result<Step> {
-    scope.slot_reads.clear();
-    let kind = match stmt {
-        TriggerStmt::Assign { var, expr } => {
-            let expr = ev.lower(expr, scope, env)?;
-            StepKind::Assign {
-                slot: scope.slot(var, expr.dim),
-                expr,
-            }
-        }
-        TriggerStmt::ShermanMorrison {
-            inv_var,
-            p,
-            q,
-            out_u,
-            out_v,
-        } => {
-            let w = scope.lookup(inv_var, env)?;
-            let (p, q) = (ev.lower(p, scope, env)?, ev.lower(q, scope, env)?);
-            let block = Dim::new(w.dim.rows, p.dim.cols);
-            StepKind::ShermanMorrison {
-                out_u: scope.slot(out_u, block),
-                out_v: scope.slot(out_v, block),
-                w,
-                p,
-                q,
-            }
-        }
-        TriggerStmt::ApplyDelta { target, u, v } => {
-            let (u, v) = (ev.lower(u, scope, env)?, ev.lower(v, scope, env)?);
-            match (u.as_slot(), v.as_slot()) {
-                (Some(u), Some(v)) => StepKind::FoldBlocks {
-                    target: target.clone(),
-                    u,
-                    v,
-                },
-                _ => StepKind::ApplyDelta {
-                    target: target.clone(),
-                    u,
-                    v,
-                },
-            }
-        }
-    };
-    Ok(Step {
-        kind,
-        reads: std::mem::take(&mut scope.slot_reads),
-    })
-}
-
-/// Declares the `dU_X`/`dV_X` slots of `updates` (slots `2i`, `2i + 1`).
-pub(crate) fn declare_inputs(scope: &mut Scope, updates: &[Update<'_>]) {
-    for (input, du, dv) in updates {
-        let (du_name, dv_name) = input_delta_names(input);
-        scope.slot(&du_name, Dim::new(du.rows(), du.cols()));
-        scope.slot(&dv_name, Dim::new(dv.rows(), dv.cols()));
-    }
-}
-
 /// A trigger lowered against one firing's shapes.
 #[derive(Debug)]
 pub(crate) struct TriggerPlan {
@@ -146,7 +85,9 @@ pub(crate) struct TriggerPlan {
 }
 
 impl TriggerPlan {
-    /// Lowers `trigger` for `updates` against the matrices bound in `env`.
+    /// Lowers `trigger` for `updates` against the matrices bound in `env`:
+    /// the `dU_X`/`dV_X` factors of `updates` take slots `2i` and `2i + 1`,
+    /// and each statement defines the slots it writes.
     pub(crate) fn lower(
         ev: &Evaluator,
         trigger: &Trigger,
@@ -154,12 +95,55 @@ impl TriggerPlan {
         env: &Env,
     ) -> Result<TriggerPlan> {
         let mut scope = Scope::default();
-        declare_inputs(&mut scope, updates);
-        let steps = trigger
-            .stmts
-            .iter()
-            .map(|stmt| lower_step(ev, stmt, &mut scope, env))
-            .collect::<Result<Vec<_>>>()?;
+        for (input, du, dv) in updates {
+            let (du_name, dv_name) = input_delta_names(input);
+            scope.slot(&du_name, Dim::new(du.rows(), du.cols()));
+            scope.slot(&dv_name, Dim::new(dv.rows(), dv.cols()));
+        }
+        let mut steps = Vec::with_capacity(trigger.stmts.len());
+        for stmt in &trigger.stmts {
+            let kind = match stmt {
+                TriggerStmt::Assign { var, expr } => {
+                    let expr = ev.lower(expr, &mut scope, env)?;
+                    StepKind::Assign {
+                        slot: scope.slot(var, expr.dim),
+                        expr,
+                    }
+                }
+                TriggerStmt::ShermanMorrison {
+                    inv_var,
+                    p,
+                    q,
+                    out_u,
+                    out_v,
+                } => {
+                    let w = scope.lookup(inv_var, env)?;
+                    let p = ev.lower(p, &mut scope, env)?;
+                    let q = ev.lower(q, &mut scope, env)?;
+                    let block = Dim::new(w.dim.rows, p.dim.cols);
+                    StepKind::ShermanMorrison {
+                        out_u: scope.slot(out_u, block),
+                        out_v: scope.slot(out_v, block),
+                        w,
+                        p,
+                        q,
+                    }
+                }
+                TriggerStmt::ApplyDelta { target, u, v } => {
+                    let u = ev.lower(u, &mut scope, env)?;
+                    let v = ev.lower(v, &mut scope, env)?;
+                    let target = target.clone();
+                    match (u.as_slot(), v.as_slot()) {
+                        (Some(u), Some(v)) => StepKind::FoldBlocks { target, u, v },
+                        _ => StepKind::ApplyDelta { target, u, v },
+                    }
+                }
+            };
+            steps.push(Step {
+                kind,
+                reads: std::mem::take(&mut scope.slot_reads),
+            });
+        }
         let mut slot_reads = vec![0u32; scope.slots.len()];
         for &slot in steps.iter().flat_map(|s| &s.reads) {
             slot_reads[slot] += 1;

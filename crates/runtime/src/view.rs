@@ -216,8 +216,8 @@ impl<B: ExecBackend> IncrementalView<B> {
         }
     }
 
-    /// Overrides trigger-execution options (inverse primitive, delta
-    /// recompression). Applies to all subsequent updates.
+    /// Overrides trigger-execution options (inverse primitive, staging,
+    /// sparse folds). Applies to all subsequent updates.
     pub fn set_exec_options(&mut self, exec: ExecOptions) {
         self.exec = exec;
     }

@@ -7,14 +7,14 @@
 //! process-wide GEMM kernel.)
 
 use linview_compiler::parse::parse_program;
-use linview_compiler::{compile, CompileOptions, Program};
+use linview_compiler::{compile, CompileOptions};
 use linview_expr::{Catalog, Expr};
 use linview_matrix::{
     factor_nnz, flops, set_default_kernel, ApproxEq, GemmKernel, Matrix, SPARSE_FOLD_CROSSOVER,
 };
 use linview_runtime::{
-    fire_trigger_with_options, Env, Evaluator, ExecBackend, ExecOptions, IncrementalView,
-    LocalBackend, RankOneUpdate, Result, SparseStats, StageDelta,
+    BatchUpdate, Env, Evaluator, ExecBackend, ExecOptions, FlushPolicy, IncrementalView,
+    LocalBackend, MaintenanceEngine, RankOneUpdate, Result, SparseStats, StageDelta,
 };
 
 #[test]
@@ -46,62 +46,64 @@ fn chain_order_saves_flops() {
 }
 
 fn recompression_exploits_redundant_batch_updates() {
-    // A batch of three rank-1 updates hitting the *same* row is
-    // syntactically rank 3 but numerically rank 1. Generic updates have
-    // numerically tight blocks (rank 2 for Delta B, 4 for Delta C — the
-    // Fig. 1 escalation), so the win here comes entirely from spotting
-    // the hidden redundancy: block ranks drop 3 -> 1, 6 -> 2, 12 -> 4,
-    // and the firing gets strictly cheaper in FLOPs.
+    // Two dense rank-1 events, each sent twice: the batch is
+    // syntactically rank 4 but numerically rank 2. Row compaction cannot
+    // merge dense events, so the win comes entirely from the engine's
+    // pre-flush recompression spotting the hidden redundancy: block ranks
+    // drop 4 -> 2, 8 -> 4, 16 -> 8, and the flush (SVD pass included)
+    // charges strictly fewer FLOPs than firing the raw batch.
     let n = 48;
+    let program = parse_program("B := A * A; C := B * B;").unwrap();
     let mut cat = Catalog::new();
     cat.declare("A", n, n);
-    let mut prog = Program::new();
-    prog.assign("B", Expr::var("A") * Expr::var("A"));
-    prog.assign("C", Expr::var("B") * Expr::var("B"));
-    let tp = compile(&prog, &["A"], &cat, &CompileOptions::default()).unwrap();
     let a = Matrix::random_spectral(n, 7, 0.7);
-    let build_env = || {
-        let b = a.try_matmul(&a).unwrap();
-        let c = b.try_matmul(&b).unwrap();
-        let mut env = Env::new();
-        env.bind("A", a.clone());
-        env.bind("B", b);
-        env.bind("C", c);
-        env
-    };
-    let ev = Evaluator::new();
-    // Uncompacted batch: three updates to row 3.
-    let mut e3 = Matrix::zeros(n, 1);
-    e3.set(3, 0, 1.0);
-    let du = Matrix::hstack(&[&e3, &e3, &e3]).unwrap();
-    let dv = Matrix::hstack(&[
-        &Matrix::random_col(n, 8).scale(0.01),
-        &Matrix::random_col(n, 9).scale(0.01),
-        &Matrix::random_col(n, 10).scale(0.01),
-    ])
-    .unwrap();
+    let view = IncrementalView::build(&program, &[("A", a.clone())], &cat).unwrap();
+    let tp = compile(&program, &["A"], &cat, &CompileOptions::default()).unwrap();
+    let events: Vec<RankOneUpdate> = [8u64, 8, 20, 20]
+        .iter()
+        .map(|&seed| RankOneUpdate::dense(n, n, 0.01, seed))
+        .collect();
 
-    let run = |opts: &ExecOptions| {
-        let mut env = build_env();
-        flops::reset();
-        fire_trigger_with_options(&mut env, &ev, &tp.triggers[0], &du, &dv, opts).unwrap();
-        (flops::read(), env)
-    };
-    let (plain_flops, plain_env) = run(&ExecOptions::default());
-    let (comp_flops, comp_env) = run(&ExecOptions {
-        recompress_tol: Some(1e-10),
-        ..ExecOptions::default()
-    });
+    let mut env = Env::new();
+    let b = a.try_matmul(&a).unwrap();
+    env.bind("C", b.try_matmul(&b).unwrap());
+    env.bind("B", b);
+    env.bind("A", a);
+    let raw = BatchUpdate::from_rank_ones(&events).unwrap();
+    flops::reset();
+    LocalBackend
+        .fire_trigger(
+            &mut env,
+            &Evaluator::new(),
+            &tp.triggers[0],
+            &raw.u,
+            &raw.v,
+            &ExecOptions::default(),
+        )
+        .unwrap();
+    let raw_flops = flops::read();
+
+    let mut engine = MaintenanceEngine::new(view, FlushPolicy::Count(events.len()));
+    flops::reset();
+    for upd in events {
+        engine.ingest("A", upd).unwrap();
+    }
+    let engine_flops = flops::read();
+    assert_eq!(engine.stats().firings, 1);
     assert!(
-        comp_flops < plain_flops,
-        "recompressed firing {comp_flops} !< plain {plain_flops}"
+        engine.stats().sparse.rank_saved > 0,
+        "the root pass shed no rank from a half-redundant batch"
+    );
+    assert!(
+        engine_flops < raw_flops,
+        "recompressed flush {engine_flops} !< raw firing {raw_flops}"
     );
     for view in ["A", "B", "C"] {
         assert!(
-            comp_env
+            engine
                 .get(view)
                 .unwrap()
-                .approx_eq(plain_env.get(view).unwrap(), 1e-8),
+                .approx_eq(env.get(view).unwrap(), 1e-8),
             "{view} diverged"
         );
     }

@@ -273,7 +273,7 @@ fn sparse_execution_is_bit_identical_and_strictly_cheaper_on_the_wire() {
 
     fn drive<B: ExecBackend>(
         mut view: IncrementalView<B>,
-        sparse_folds: Option<bool>,
+        sparse_folds: bool,
         names: &[String],
         n: usize,
     ) -> (Vec<Matrix>, SparseStats, CommSnapshot) {
@@ -301,10 +301,10 @@ fn sparse_execution_is_bit_identical_and_strictly_cheaper_on_the_wire() {
         .unwrap()
     };
 
-    let (reference, l_sparse, _) = drive(build_local(), None, &views, n);
-    let (t_views, t_sparse, t_comm) = drive(build_thr(), None, &views, n);
-    let (lf_views, lf_sparse, _) = drive(build_local(), Some(false), &views, n);
-    let (tf_views, tf_sparse, tf_comm) = drive(build_thr(), Some(false), &views, n);
+    let (reference, l_sparse, _) = drive(build_local(), true, &views, n);
+    let (t_views, t_sparse, t_comm) = drive(build_thr(), true, &views, n);
+    let (lf_views, lf_sparse, _) = drive(build_local(), false, &views, n);
+    let (tf_views, tf_sparse, tf_comm) = drive(build_thr(), false, &views, n);
 
     for (i, name) in views.iter().enumerate() {
         for (label, run) in [

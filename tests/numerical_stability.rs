@@ -7,6 +7,7 @@ use linview::apps::general::{GeneralForm, Strategy};
 use linview::apps::ols::{CholOls, IncrOls, ReevalOls};
 use linview::apps::powers::{IncrPowers, ReevalPowers};
 use linview::prelude::*;
+use linview::runtime::{FlushPolicy, MaintenanceEngine};
 
 #[test]
 fn powers_drift_stays_bounded_over_200_updates() {
@@ -107,30 +108,37 @@ fn cholesky_ols_drifts_no_worse_than_sherman_morrison() {
 
 #[test]
 fn recompression_does_not_add_drift_over_long_streams() {
-    // The SVD recompression pass must be numerically transparent: a view
-    // maintained with it enabled tracks the plain incremental view to the
-    // same tolerance over hundreds of updates.
+    // The engine's SVD recompression pass must be numerically transparent:
+    // a view it maintains tracks the plain incremental view to the same
+    // tolerance over a long stream. Each batch is two dense events sent
+    // twice (rank 4, numerically rank 2), which row compaction cannot
+    // merge, so the pass sheds rank on every flush.
     let n = 24;
     let program = parse_program("B := A * A; C := B * B;").unwrap();
     let mut cat = Catalog::new();
     cat.declare("A", n, n);
     let a = Matrix::random_spectral(n, 29, 0.7);
     let mut plain = IncrementalView::build(&program, &[("A", a.clone())], &cat).unwrap();
-    let mut compressed = IncrementalView::build(&program, &[("A", a)], &cat).unwrap();
-    compressed.set_exec_options(ExecOptions {
-        recompress_tol: Some(1e-12),
-        ..ExecOptions::default()
-    });
-    let mut stream = UpdateStream::new(n, n, 0.005, 31);
-    for _ in 0..100 {
-        let batch = stream.next_batch_zipf(4, 2.0).unwrap();
-        plain.apply_batch("A", &batch).unwrap();
-        compressed.apply_batch("A", &batch).unwrap();
+    let compressed = IncrementalView::build(&program, &[("A", a)], &cat).unwrap();
+    let mut engine = MaintenanceEngine::new(compressed, FlushPolicy::Count(4));
+    for i in 0..100u64 {
+        let events: Vec<RankOneUpdate> = [31 + 4 * i, 31 + 4 * i, 33 + 4 * i, 33 + 4 * i]
+            .iter()
+            .map(|&seed| RankOneUpdate::dense(n, n, 0.005, seed))
+            .collect();
+        plain
+            .apply_batch("A", &BatchUpdate::from_rank_ones(&events).unwrap())
+            .unwrap();
+        for upd in events {
+            engine.ingest("A", upd).unwrap();
+        }
     }
-    let drift = compressed
-        .get("C")
-        .unwrap()
-        .rel_diff(plain.get("C").unwrap());
+    assert_eq!(engine.stats().firings, 100);
+    assert!(
+        engine.stats().sparse.rank_saved > 0,
+        "the root pass shed no rank from redundant batches"
+    );
+    let drift = engine.get("C").unwrap().rel_diff(plain.get("C").unwrap());
     assert!(drift < 1e-7, "recompression drift {drift}");
 }
 
