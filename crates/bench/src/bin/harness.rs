@@ -40,8 +40,8 @@ fn main() {
     }
 
     println!(
-        "LINVIEW experiment harness (n = {}, k = {}, {} updates per point)\n",
-        cfg.n, cfg.k, cfg.updates
+        "LINVIEW experiment harness (n = {}, k = {}, {} updates per point, medians of {} calls)\n",
+        cfg.n, cfg.k, cfg.updates, cfg.samples
     );
     for run in runs {
         for t in run(&cfg) {

@@ -716,7 +716,8 @@ pub fn scheduler(cfg: &Config) -> Table {
 /// that each exact kernel's product is bitwise the naive one. `try_matmul`
 /// rows set the serial small-product kernel the default routes tiny
 /// products to against the packed nest, on both sides of the size gate;
-/// then the rank-k fast path and the fused fold against the general nest.
+/// then the rank-k fast path and the fused fold against the general nest,
+/// and the transposes of a firing's `n×k` factors against a clone.
 pub fn gemm(cfg: &Config) -> Table {
     let mut t = Table::new(
         format!(
@@ -775,11 +776,10 @@ pub fn gemm(cfg: &Config) -> Table {
         let a = Matrix::random_uniform(m, k, 97);
         let b = Matrix::random_uniform(k, n, 98);
         let samples = 100 * cfg.updates;
-        let p50 = |f: &dyn Fn()| sorted_times(samples, f)[samples / 2];
-        let pinned = p50(&|| {
+        let pinned = p50(samples, || {
             a.matmul_packed(&b).expect("shapes conform");
         });
-        let routed = p50(&|| {
+        let routed = p50(samples, || {
             a.try_matmul(&b).expect("shapes conform");
         });
         gemm_pair(
@@ -841,13 +841,18 @@ pub fn gemm(cfg: &Config) -> Table {
         ),
     ];
     for (label, old, new, ops) in pairs {
-        let samples = 20 * cfg.updates;
-        let p50 = |f: &dyn Fn() -> linview_matrix::Result<Matrix>| {
-            sorted_times(samples, || {
+        let time = |f: &dyn Fn() -> linview_matrix::Result<Matrix>| {
+            p50(20 * cfg.updates, || {
                 f().expect("shapes conform");
-            })[samples / 2]
+            })
         };
-        gemm_pair(&mut t, label, (old.0, p50(old.1)), (new.0, p50(new.1)), ops);
+        gemm_pair(
+            &mut t,
+            label,
+            (old.0, time(old.1)),
+            (new.0, time(new.1)),
+            ops,
+        );
     }
     for (a, b, tn) in [
         (&y, &x, false),
@@ -868,80 +873,81 @@ pub fn gemm(cfg: &Config) -> Table {
             b.cols()
         );
     }
-    // Skinny rank-k rows — the `n×k · k×n` shapes every ApplyDelta fold
-    // produces. Each shape is measured twice: through the dedicated
-    // rank-k fast path (the default dispatch) and with the fast path
-    // disabled so the same product runs the general packed nest.
+    // Skinny rank-k rows — the `n×k · k×n` products of rank at most 16.
+    // Each shape is measured twice: through the dedicated rank-k fast path
+    // (the default dispatch) and with the fast path disabled so the same
+    // product runs the general packed nest.
+    let nest_then_fast = |f: &mut dyn FnMut()| {
+        linview_matrix::force_general_nest(true);
+        let nest = p50(cfg.samples, &mut *f);
+        linview_matrix::force_general_nest(false);
+        (nest, p50(cfg.samples, f))
+    };
     for &n in &[512usize, 2048] {
         for &k in &[1usize, 4, 8, 16] {
             let a = Matrix::random_uniform(n, k, 93);
             let b = Matrix::random_uniform(k, n, 94);
-            let ops = 2 * (n as u64) * (k as u64) * (n as u64);
-            linview_matrix::force_general_nest(true);
-            let nest = avg_time(cfg.updates, || {
+            let (nest, fast) = nest_then_fast(&mut || {
                 a.matmul_packed(&b).expect("shapes conform");
             });
-            linview_matrix::force_general_nest(false);
-            let fast = avg_time(cfg.updates, || {
-                a.matmul_packed(&b).expect("shapes conform");
-            });
-            let shape = format!("{n}x{k}x{n}");
-            t.row(vec![
-                shape.clone(),
-                "packed-nest".into(),
-                fmt_duration(nest),
-                format!("{:.2}", flops::gflops(ops, nest)),
-                "1.00x".into(),
-            ]);
-            t.row(vec![
-                shape,
-                "rank-k".into(),
-                fmt_duration(fast),
-                format!("{:.2}", flops::gflops(ops, fast)),
-                fmt_speedup(nest, fast),
-            ]);
+            gemm_pair(
+                &mut t,
+                &format!("{n}x{k}x{n}"),
+                ("packed-nest", nest),
+                ("rank-k", fast),
+                2 * (n * k * n) as u64,
+            );
         }
     }
     // The fold itself (`X += U·Vᵀ`): the fused rank-k fold against the
-    // GEMM-then-add two-step it replaces. This pair carries the >= 2x
-    // acceptance bar — at n = 2048 the fold is memory-bound and skipping
-    // the n×n delta temporary removes most of the traffic.
-    for &k in &[1usize, 4, 8, 16] {
-        let n = 2048;
-        let u = Matrix::random_uniform(n, k, 95);
-        let v = Matrix::random_uniform(n, k, 96);
-        let ops = (2 * n * k * n + n * n) as u64;
-        let mut x = Matrix::zeros(n, n);
-        linview_matrix::force_general_nest(true);
-        let nest = avg_time(cfg.updates, || {
-            linview_matrix::fold_low_rank(&mut x, &u, &v, false).expect("shapes conform");
-        });
-        linview_matrix::force_general_nest(false);
-        let fast = avg_time(cfg.updates, || {
-            linview_matrix::fold_low_rank(&mut x, &u, &v, false).expect("shapes conform");
-        });
-        let shape = format!("fold {n}x{k}");
-        t.row(vec![
-            shape.clone(),
-            "gemm-then-add".into(),
-            fmt_duration(nest),
-            format!("{:.2}", flops::gflops(ops, nest)),
-            "1.00x".into(),
-        ]);
-        t.row(vec![
-            shape,
-            "rank-k fold".into(),
-            fmt_duration(fast),
-            format!("{:.2}", flops::gflops(ops, fast)),
-            fmt_speedup(nest, fast),
-        ]);
+    // GEMM-then-add two-step it replaces. At n = 2048 the fold is
+    // memory-bound and skipping the n×n delta temporary removes most of
+    // the traffic; ranks 24–32 are the batch regime (`ols_batch` folds
+    // `Z` and `W`, 256×256, at rank 26).
+    for (n, ranks) in [
+        (2048usize, &[1usize, 4, 8, 16, 24, 26, 32][..]),
+        (256, &[24, 26, 32]),
+    ] {
+        for &k in ranks {
+            let u = Matrix::random_uniform(n, k, 95);
+            let v = Matrix::random_uniform(n, k, 96);
+            let mut x = Matrix::zeros(n, n);
+            let (nest, fast) = nest_then_fast(&mut || {
+                linview_matrix::fold_low_rank(&mut x, &u, &v, false).expect("shapes conform");
+            });
+            gemm_pair(
+                &mut t,
+                &format!("fold {n}x{k}"),
+                ("gemm-then-add", nest),
+                ("rank-k fold", fast),
+                (2 * n * k * n + n * n) as u64,
+            );
+        }
+    }
+    // The transposes a firing forms of its `n×k` factors (every dense
+    // fold's `Vᵀ`, Woodbury's `Pᵀ`), against a clone of the same block —
+    // the floor of any pass that writes it once. GFLOP/s counts one
+    // operation per element.
+    for (r, c) in [(256usize, 26usize), (512, 16)] {
+        let f = Matrix::random_uniform(r, c, 99);
+        let clone = p50(cfg.samples, || drop(f.clone()));
+        let transpose = p50(cfg.samples, || drop(f.transpose()));
+        gemm_pair(
+            &mut t,
+            &format!("transpose {r}x{c}"),
+            ("clone", clone),
+            ("transpose", transpose),
+            (r * c) as u64,
+        );
     }
     t.note(
         "square rows (n = cfg.n/2, cfg.n, 2*cfg.n) are checked packed == naive bitwise; \
          try_matmul rows are p50s, small-product kernel below 17^3 multiply-adds, packed \
-         path from it on; delta-block rows are p50s, each new route == naive; the skinny and \
-         fold rows (fixed n = 512 and 2048, k <= 16) set the rank-k \
-         fast path against the general packed nest and gemm-then-add",
+         path from it on; delta-block rows are p50s, each new route == naive; the skinny \
+         rows (n = 512 and 2048, k <= 16) set the rank-k product against the packed nest, \
+         the fold rows (n = 2048 at k <= 32, n = 256 at k = 24-32) the fused rank-k fold \
+         against gemm-then-add, both p50s of cfg.samples calls after a warm-up; transpose \
+         rows are p50s against a clone",
     );
     t
 }
@@ -958,6 +964,13 @@ fn gemm_pair(t: &mut Table, shape: &str, base: (&str, Duration), new: (&str, Dur
             fmt_speedup(base.1, d),
         ]);
     }
+}
+
+/// The median wall time of `samples` invocations of `f`, after one
+/// untimed warm-up call.
+fn p50(samples: usize, f: impl FnMut()) -> Duration {
+    let times = sorted_times(samples, f);
+    times[times.len() / 2]
 }
 
 /// The sorted wall times of `samples` invocations of `f`, after one
@@ -1250,7 +1263,7 @@ fn ablation_factoring(cfg: &Config) -> Table {
             .collect::<Vec<_>>()
             .join("/");
         let mut env = build_env();
-        let time = avg_time(cfg.updates, || {
+        let time = p50(cfg.samples, || {
             fire_trigger(&mut env, &ev, &tp.triggers[0], &du, &dv).expect("fires")
         });
         let mut env2 = build_env();
@@ -1264,7 +1277,10 @@ fn ablation_factoring(cfg: &Config) -> Table {
             format!("{:.2e}", fl),
         ]);
     }
-    t.note("block ranks grow additively (2/4/8) with §4.3, multiplicatively (3/9/27) without");
+    t.note(
+        "block ranks grow additively (2/4/8) with §4.3, multiplicatively (3/9/27) without; \
+         refresh is the p50 of cfg.samples firings after a warm-up",
+    );
     t
 }
 
@@ -1282,15 +1298,18 @@ fn ablation_inverse(cfg: &Config) -> Table {
     for k in [1usize, 4, 16, 64] {
         let p = Matrix::random_uniform(n, k, 2).scale(0.01);
         let q = Matrix::random_uniform(n, k, 3).scale(0.01);
-        let sm = avg_time(cfg.updates, || {
+        let sm = p50(cfg.samples, || {
             sherman_morrison(&w, &p, &q).expect("nonsingular");
         });
-        let wb = avg_time(cfg.updates, || {
+        let wb = p50(cfg.samples, || {
             woodbury(&w, &p, &q).expect("nonsingular");
         });
         t.row(vec![k.to_string(), fmt_duration(sm), fmt_duration(wb)]);
     }
-    t.note("both are O(kn²); Woodbury amortizes the k passes over W into two GEMMs + a k×k solve");
+    t.note(
+        "both are O(kn²); Woodbury amortizes the k passes over W into two GEMMs + a k×k solve; \
+         p50s of cfg.samples calls after a warm-up",
+    );
     t
 }
 

@@ -25,6 +25,9 @@ pub struct Config {
     pub k: usize,
     /// Updates measured per data point (averaged).
     pub updates: usize,
+    /// Calls behind each median point (`gemm`'s fold rows, `ablations`),
+    /// after one untimed warm-up call.
+    pub samples: usize,
 }
 
 impl Default for Config {
@@ -33,6 +36,7 @@ impl Default for Config {
             n: 192,
             k: 16,
             updates: 5,
+            samples: 21,
         }
     }
 }
@@ -44,6 +48,7 @@ impl Config {
             n: 96,
             k: 8,
             updates: 2,
+            samples: 1,
         }
     }
 }

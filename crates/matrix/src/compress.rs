@@ -19,7 +19,7 @@
 //! out; a firing never recompresses the blocks it propagates.
 
 use crate::svd::Svd;
-use crate::{flops, Matrix, MatrixError, Result};
+use crate::{flops, Cholesky, Matrix, MatrixError, Result};
 
 /// Outcome of a [`recompress`] call.
 #[derive(Debug, Clone)]
@@ -111,20 +111,34 @@ pub fn recompress(u: &Matrix, v: &Matrix, rel_tol: f64) -> Result<Recompressed> 
 
 /// How far above `rel_tol` the rank estimate of [`keeps_full_rank`] must
 /// clear it: six decimal orders, against the roundoff of forming two Gram
-/// matrices and the slack in `σ_k(U Vᵀ) ≥ σ_k(U)·σ_k(V)`.
+/// matrices and their Cholesky factors, and the slack in
+/// `σ_k(U Vᵀ) ≥ σ_k(U)·σ_k(V)`.
 const FULL_RANK_SAFETY: f64 = 1e6;
 
 /// True when [`recompress`] at `rel_tol` provably cannot shed rank from
 /// `U·Vᵀ`, decided from the two `k×k` Gram matrices alone.
 ///
-/// The eigenvalues of `FᵀF` are the squared singular values of a factor
-/// `F`, and `σ_k(U Vᵀ) ≥ σ_k(U)·σ_k(V)`; [`recompress`] drops directions
-/// below `rel_tol·σ₁(U)·σ₁(V)`. So when the product of the factors'
-/// `σ_k/σ₁` ratios clears `rel_tol` by six decimal orders, the full
+/// [`recompress`] drops directions below `rel_tol·σ₁(U)·σ₁(V)`, and
+/// `σ_k(U Vᵀ) ≥ σ_k(U)·σ_k(V)`. So when the product of the factors'
+/// `σ_k/σ₁` ratios clears `rel_tol` by six decimal orders, the
 /// `O((n+m)k²)`-per-sweep SVD pass would return the pair at its original
 /// rank — and a caller that only acts on a *reduced* rank can skip it for
-/// one `O((n+m)k²)` Gram product. `false` is always safe: it just means
-/// "run the real pass".
+/// one `O((n+m)k²)` Gram product per factor.
+///
+/// Each ratio is bounded from below without an eigensolver. The
+/// eigenvalues `λ₁ ≥ … ≥ λ_k` of `G = FᵀF` are the squared singular
+/// values of the factor `F`. Scale `G` to unit trace (the ratio does not
+/// change) and factor it `G = L·Lᵀ`. Then:
+/// - `λ₁ ≤ tr G = 1`, since every eigenvalue is positive;
+/// - `G⁻¹ = L⁻ᵀL⁻¹`, so `1/λ_k ≤ Σᵢ 1/λᵢ = tr G⁻¹ = ‖L⁻¹‖²_F`.
+///
+/// Together, `σ_k(F)²/σ₁(F)² = λ_k/λ₁ ≥ 1/‖L⁻¹‖²_F`. The bound is never
+/// above the true ratio, so this test answers `true` only where the
+/// exact-eigenvalue test would; it is low by at most a factor `k`
+/// (`tr G ≤ k·λ₁` and `tr G⁻¹ ≤ k/λ_k`), which the safety margin dwarfs.
+/// A factorization that fails — a pivot under the Cholesky tolerance, a
+/// zero or non-finite trace — answers `false`, which is always safe: it
+/// just means "run the real pass".
 pub fn keeps_full_rank(u: &Matrix, v: &Matrix, rel_tol: f64) -> Result<bool> {
     let k = u.cols();
     if v.cols() != k || k == 0 || k > u.rows().min(v.rows()) {
@@ -132,12 +146,38 @@ pub fn keeps_full_rank(u: &Matrix, v: &Matrix, rel_tol: f64) -> Result<bool> {
     }
     let mut margin = 1.0;
     for factor in [u, v] {
-        let gram = Svd::factorize(&factor.try_matmul_tn(factor)?)?;
-        let lambda = gram.singular_values();
-        margin *= (lambda[k - 1] / lambda[0]).sqrt();
+        let mut gram = factor.try_matmul_tn(factor)?;
+        let trace = gram.trace()?;
+        if !(trace > 0.0 && trace.is_finite()) {
+            return Ok(false);
+        }
+        gram.scale_inplace(1.0 / trace);
+        let Ok(chol) = Cholesky::factorize(&gram) else {
+            return Ok(false);
+        };
+        margin *= inverse_frobenius_sq(chol.factor()).recip().sqrt();
     }
-    // A NaN margin (a zero factor) compares false.
     Ok(margin >= FULL_RANK_SAFETY * rel_tol)
+}
+
+/// `‖L⁻¹‖²_F` for a lower-triangular `l` with a positive diagonal: column
+/// `j` of `L⁻¹` solves `L·x = e_j` by forward substitution, and is zero
+/// above row `j`. `k³/3` FLOPs.
+fn inverse_frobenius_sq(l: &Matrix) -> f64 {
+    let k = l.rows();
+    flops::add((k * k * k / 3) as u64);
+    let mut x = vec![0.0; k];
+    let mut sum = 0.0;
+    for j in 0..k {
+        for i in j..k {
+            let row = l.row(i);
+            let dot: f64 = row[j..i].iter().zip(&x[j..i]).map(|(a, b)| a * b).sum();
+            let e = if i == j { 1.0 } else { 0.0 };
+            x[i] = (e - dot) / row[i];
+            sum += x[i] * x[i];
+        }
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -227,6 +267,42 @@ mod tests {
         assert!(!keeps_full_rank(&u, &Matrix::random_uniform(40, 4, 33), tol).unwrap());
         let wide = Matrix::random_uniform(3, 5, 34);
         assert!(!keeps_full_rank(&wide, &v, tol).unwrap());
+    }
+
+    #[test]
+    fn a_full_rank_answer_is_kept_by_the_real_pass() {
+        // Seeded pairs whose last column of one factor moves from an
+        // independent direction through near-copies of the first column
+        // (off by 10^-e) to an exact copy: wherever the Cholesky bound says `true`, the SVD pass
+        // returns the pair at its rank. Both answers must occur.
+        let tol = 1e-12;
+        let (mut kept, mut sent_on) = (0, 0);
+        for seed in 0..60u64 {
+            let k = 2 + (seed % 15) as usize;
+            let (n, m) = (
+                k + 3 + (seed as usize * 7) % 40,
+                k + 1 + (seed as usize * 5) % 30,
+            );
+            let mut u = Matrix::random_uniform(n, k, 100 + seed);
+            let v = Matrix::random_uniform(m, k, 200 + seed);
+            let wobble = [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 0.0][(seed % 7) as usize];
+            for r in 0..n {
+                let near = u.get(r, 0) + wobble * u.get(r, k - 1);
+                u.set(r, k - 1, near);
+            }
+            let (a, b) = if seed % 2 == 0 { (&u, &v) } else { (&v, &u) };
+            if keeps_full_rank(a, b, tol).unwrap() {
+                kept += 1;
+                let r = recompress(a, b, tol).unwrap();
+                assert_eq!(r.rank_after, k, "seed {seed}: k = {k}, wobble {wobble}");
+            } else {
+                sent_on += 1;
+            }
+        }
+        assert!(
+            kept >= 10 && sent_on >= 10,
+            "kept {kept}, sent on {sent_on}"
+        );
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! with a skinny *output* — `P·U` and `Pᵀ·V` for an `n×k` block with
 //! `k ≤ 32` (two passes past 16), and outputs of at most 16 rows such as
 //! `Yᵀ X` — run the in-crate `skinny` kernels, which also skip the
-//! all-zero rows of a sparse block; skinny `n×k · k×n` products (`k ≤ 16`
-//! — the shape every low-rank delta fold emits) run the rank-k fast path
-//! (the in-crate `rankk` module); products too small to amortize packing
-//! run a serial `i-k-j` loop; and wider `AᵀB` products run this nest with
-//! the `A` panels packed straight from the transposed operand.
+//! all-zero rows of a sparse block; skinny `n×k · k×n` products
+//! (`k ≤ 16`) and folds `X += U·Vᵀ` (`k ≤ 32`, which covers OLS's rank-26
+//! `Z` and `W` folds) run the rank-k fast path (the in-crate `rankk`
+//! module); products too small to amortize packing run a serial `i-k-j`
+//! loop; and wider `AᵀB` products run this nest with the `A` panels
+//! packed straight from the transposed operand.
 //!
 //! Parallelism comes from `MC`-row output chunks scheduled onto the
 //! work-stealing queue of the persistent `pool` module, with the shared
@@ -416,11 +417,12 @@ pub(crate) enum Route {
 ///    fired rank of 26): [`Route::Skinny`] in two column passes;
 /// 4. under `PACKED_MIN_WORK` multiply-adds: [`Route::Small`].
 ///
-/// A fold takes the fused rank-k fold at every size once its target is a
-/// register tile wide, and otherwise routes its product like
+/// A fold of rank at most `RANK_K_MAX_FOLD_K` (32) takes the fused rank-k
+/// fold at every size once its target is a register tile wide (unless
+/// [`force_general_nest`] is on), and otherwise routes its product like
 /// [`Op::Matmul`]. Whatever is left runs the rank-k fast path when the
-/// shape is a low-rank update (and [`force_general_nest`] allows it) and
-/// the packed nest otherwise.
+/// shape is a low-rank update of rank at most 16 (and
+/// [`force_general_nest`] allows it) and the packed nest otherwise.
 ///
 /// Every route but a `Fused` one is `==` to the oracle: each output
 /// element is one chain from `+0.0` over ascending inner index, whichever
@@ -438,10 +440,14 @@ pub(crate) fn route(op: Op, kernel: GemmKernel, m: usize, k: usize, n: usize) ->
         GemmKernel::Packed => Fuse::Exact,
         GemmKernel::PackedFma => Fuse::Fused,
     };
-    let rank_k = rankk::eligible(m, k, n) && !rank_k_disabled();
-    if op == Op::Fold && rank_k && n >= NR {
+    if op == Op::Fold
+        && rankk::eligible(m, k, n, rankk::RANK_K_MAX_FOLD_K)
+        && n >= NR
+        && !rank_k_disabled()
+    {
         return Route::RankK(fuse);
     }
+    let rank_k = rankk::eligible(m, k, n, rankk::RANK_K_MAX_K) && !rank_k_disabled();
     if op != Op::Pinned {
         if columns(1) {
             return Route::Skinny;
@@ -1066,7 +1072,15 @@ mod tests {
             (Op::Fold, Packed, (9, 1, 8), Route::RankK(exact)),
             (Op::Fold, PackedFma, (24, 3, 24), Route::RankK(Fuse::Fused)),
             (Op::Fold, Packed, (9, 1, 7), Route::Skinny),
-            (Op::Fold, Packed, (128, 20, 128), Route::Nest(exact)),
+            (Op::Fold, Packed, (128, 20, 128), Route::RankK(exact)),
+            (
+                Op::Fold,
+                PackedFma,
+                (256, 32, 256),
+                Route::RankK(Fuse::Fused),
+            ),
+            (Op::Fold, Packed, (256, 33, 256), Route::Nest(exact)),
+            (Op::Fold, Packed, (40, 32, 32), Route::Skinny),
         ] {
             assert_eq!(
                 route(op, kernel, m, k, n),
@@ -1076,6 +1090,7 @@ mod tests {
         }
         force_general_nest(true);
         assert_eq!(route(Op::Fold, Packed, 512, 4, 512), Route::Nest(exact));
+        assert_eq!(route(Op::Fold, Packed, 256, 26, 256), Route::Nest(exact));
         assert_eq!(route(Op::Pinned, Packed, 64, 2, 64), Route::Nest(exact));
         force_general_nest(false);
     }

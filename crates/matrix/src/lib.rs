@@ -64,7 +64,7 @@ pub use gemm::{
     force_portable_microkernel, gemm_threads, set_default_kernel, set_gemm_threads, GemmKernel,
 };
 pub use norms::ApproxEq;
-pub use rankk::RANK_K_MAX_K;
+pub use rankk::{RANK_K_MAX_FOLD_K, RANK_K_MAX_K};
 pub use sparsity::{factor_nnz, fold_low_rank, FoldPath, SPARSE_FOLD_CROSSOVER};
 pub use svd::{numerical_rank, Svd};
 

@@ -1,13 +1,15 @@
 //! Skinny rank-k fast path — the shape delta maintenance actually runs.
 //!
 //! LINVIEW's whole premise is that a view update is not a fresh `O(nᵞ)`
-//! product but an `O(kn²)` fold `X += U·Vᵀ` with `k ≤ 16` — so the hot
-//! multiply the engine performs is `n×k · k×n`, not square. The general
-//! packed nest is mis-tuned for it: with depth `k`, the `KC`-deep packing
-//! passes rewrite both operands (and zero-pad the ragged panels) to feed
-//! microkernel calls whose dot products are only `k` long, so packing
-//! overhead dominates the arithmetic — and the fold shape pays the
-//! `n×n` temporary *twice more* (once to materialize it, once to add it).
+//! product but an `O(kn²)` fold `X += U·Vᵀ` with a small `k` — 1 to 16
+//! for the powers programs, 26 for the `Z`/`W` folds of a rank-13 OLS
+//! batch — so the hot multiply the engine performs is `n×k · k×n`, not
+//! square. The general packed nest is mis-tuned for it: with depth `k`,
+//! the `KC`-deep packing passes rewrite both operands (and zero-pad the
+//! ragged panels) to feed microkernel calls whose dot products are only
+//! `k` long, so packing overhead dominates the arithmetic — and the fold
+//! shape pays the `n×n` temporary *twice more* (once to materialize it,
+//! once to add it).
 //!
 //! This module runs those shapes directly from the row-major operands:
 //!
@@ -54,20 +56,32 @@
 //! the FMA microkernel's contract: not bit-comparable, ≤ 1e-10 of the
 //! Kahan oracle.
 //!
-//! Shape eligibility lives in [`eligible`]; `gemm::route`, the crate's one
-//! kernel router, consults it for every product and dense fold, so
-//! `matmul_with`, `try_matmul` and the backends' `ApplyDelta` folds all
-//! inherit the fast path automatically.
+//! Shape eligibility lives in [`eligible`]: products claim the fast path
+//! up to [`RANK_K_MAX_K`], folds up to [`RANK_K_MAX_FOLD_K`] — a fold has
+//! no packing to amortize against, only the `n×n` temporary the nest
+//! would allocate. `gemm::route`, the crate's one kernel router, consults
+//! it for every product and dense fold, so `matmul_with`, `try_matmul` and
+//! the backends' `ApplyDelta` folds all inherit the fast path
+//! automatically.
 //!
 //! [`force_general_nest`]: crate::gemm::force_general_nest
 
 use crate::gemm::{dispatch, madd, Fuse, Isa, Kernel};
 use crate::{pool, Matrix};
 
-/// Largest inner dimension the fast path claims. Matches the engine's
-/// delta-rank ceiling: wider products amortize packing well enough that
-/// the general nest wins.
+/// Largest inner dimension the fast path claims for a product: from 17
+/// on, the packed nest amortizes its packing well enough to win.
 pub const RANK_K_MAX_K: usize = 16;
+
+/// Largest rank the fused fold claims. A fold's alternative is the nest
+/// *plus* an `n×n` temporary and a second pass over the target, so the
+/// fold keeps the fast path further: OLS's `Z += U_Z V_Zᵀ` at rank 26 and
+/// 256×256 takes 125–135 µs fused against 203–232 µs through the nest and
+/// an add (`harness gemm` on a 2-vCPU AVX2 Xeon, p50s of three runs).
+/// The `IR×JB` tile runs the whole ascending `k`-chain in its register
+/// accumulators and adds it to the target once at any `k`, so the bits
+/// stay those of GEMM-then-add; 32 is as far as it was measured.
+pub const RANK_K_MAX_FOLD_K: usize = 32;
 
 /// Register-tile width: accumulators for one `JB`-wide output block are
 /// two f64 ymm registers.
@@ -82,11 +96,12 @@ const JB: usize = 8;
 const IR: usize = 4;
 
 /// Shape heuristic: true when `m×k · k×n` should take the rank-k fast
-/// path — a genuinely skinny inner dimension (`1 ≤ k ≤ 16`) that is also
-/// strictly the smallest extent, so the product is a low-rank update
-/// rather than a small square multiply.
-pub(crate) fn eligible(m: usize, k: usize, n: usize) -> bool {
-    (1..=RANK_K_MAX_K).contains(&k) && k < m.min(n)
+/// path — a genuinely skinny inner dimension (`1 ≤ k ≤ max_k`, with
+/// `max_k` [`RANK_K_MAX_K`] for a product and [`RANK_K_MAX_FOLD_K`] for a
+/// fold) that is also strictly the smallest extent, so the product is a
+/// low-rank update rather than a small square multiply.
+pub(crate) fn eligible(m: usize, k: usize, n: usize, max_k: usize) -> bool {
+    (1..=max_k).contains(&k) && k < m.min(n)
 }
 
 /// The rank-k product `a · b` for `a: m×k`, `b: k×n` (shapes already
@@ -229,32 +244,41 @@ mod tests {
 
     #[test]
     fn eligibility_is_skinny_only() {
-        assert!(eligible(64, 1, 64));
-        assert!(eligible(2048, 16, 2048));
-        assert!(eligible(17, 16, 18));
-        assert!(!eligible(64, 0, 64)); // no inner dimension
-        assert!(!eligible(64, 17, 64)); // too deep
-        assert!(!eligible(16, 16, 64)); // k not strictly smallest
-        assert!(!eligible(64, 16, 16));
-        assert!(!eligible(8, 8, 8)); // small square
+        let product = |m, k, n| eligible(m, k, n, RANK_K_MAX_K);
+        assert!(product(64, 1, 64));
+        assert!(product(2048, 16, 2048));
+        assert!(product(17, 16, 18));
+        assert!(!product(64, 0, 64)); // no inner dimension
+        assert!(!product(64, 17, 64)); // too deep
+        assert!(!product(16, 16, 64)); // k not strictly smallest
+        assert!(!product(64, 16, 16));
+        assert!(!product(8, 8, 8)); // small square
+        let fold = |m, k, n| eligible(m, k, n, RANK_K_MAX_FOLD_K);
+        assert!(fold(256, 26, 256));
+        assert!(fold(33, 32, 40));
+        assert!(!fold(64, 33, 64)); // too deep
+        assert!(!fold(32, 32, 64)); // k not strictly smallest
     }
 
     #[test]
     fn every_depth_rendering_and_thread_count_is_bit_identical_to_naive() {
         // 397×331 output: ragged against IR, JB and the 128-row chunks,
         // and past the parallel gate even at k = 1. The fold is checked
-        // against GEMM-then-add through the naive kernel.
+        // against GEMM-then-add through the naive kernel at every width it
+        // claims, the product at every width it claims.
         let (m, n) = (397, 331);
         let base = Matrix::random_uniform(m, n, 20);
-        for k in 1..=RANK_K_MAX_K {
+        for k in 1..=RANK_K_MAX_FOLD_K {
             let a = Matrix::random_uniform(m, k, k as u64);
             let b = Matrix::random_uniform(k, n, 10 + k as u64);
             let product = naive_matmul(&a, &b);
             let mut two_step = base.clone();
             two_step.add_assign_from(&product).unwrap();
             for_each_rendering_and_thread_count(|config| {
-                let fast = rank_k_matmul(&a, &b, Fuse::Exact);
-                assert_eq!(fast, product, "matmul, k = {k}, {config}");
+                if k <= RANK_K_MAX_K {
+                    let fast = rank_k_matmul(&a, &b, Fuse::Exact);
+                    assert_eq!(fast, product, "matmul, k = {k}, {config}");
+                }
                 let mut folded = base.clone();
                 rank_k_fold(&mut folded, &a, &b, Fuse::Exact);
                 assert_eq!(folded, two_step, "fold, k = {k}, {config}");

@@ -250,6 +250,9 @@ mod tests {
 
     #[test]
     fn dense_factors_take_the_dense_path() {
+        // The dense fold follows the default kernel, which sibling tests
+        // switch to `packed-fma` while they hold the lock.
+        let _guard = crate::gemm::test_config_lock();
         let u = Matrix::random_uniform(32, 2, 3);
         let v = Matrix::random_uniform(32, 2, 4);
         let mut t = Matrix::zeros(32, 32);

@@ -159,10 +159,11 @@ pub trait ExecBackend: std::fmt::Debug {
 /// dense product in the system — through the process-wide
 /// [`GemmKernel`](linview_matrix::GemmKernel) dispatch (packed
 /// register-blocked microkernel by default, `LINVIEW_GEMM` /
-/// `LINVIEW_THREADS` overridable). Skinny delta products with
-/// `k ≤` [`linview_matrix::RANK_K_MAX_K`] take the matrix crate's
-/// dedicated rank-k fast path, which skips the packing pipeline entirely
-/// while staying bit-identical to the general nest.
+/// `LINVIEW_THREADS` overridable). A dense fold of rank
+/// `k ≤` [`linview_matrix::RANK_K_MAX_FOLD_K`] (32, so OLS's rank-26 `Z`
+/// and `W` folds too) takes the matrix crate's fused rank-k fold, which
+/// skips the packing pipeline and the `n×n` delta temporary entirely
+/// while staying bit-identical to GEMM-then-add through the general nest.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalBackend;
 

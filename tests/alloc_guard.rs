@@ -22,6 +22,11 @@
 //! a coordinator staging every partitioned view before installing any
 //! exceeds.
 //!
+//! A fifth phase pins the batch regime: one OLS Woodbury firing of a
+//! coalesced rank-13 batch folds `Z` and `W` at rank 26, and makes no
+//! single allocation as large as one `Z`-sized view — the size of the
+//! delta temporary a fold through the packed nest would build.
+//!
 //! The counter is the process-global allocator, so this is the ONE test of
 //! its binary (same isolation as the `flop_accounting.rs` files): no
 //! sibling test thread allocates while it counts.
@@ -29,20 +34,23 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 
+use linview::apps::ols::OLS_PROGRAM;
 use linview::apps::powers::{compute_power, powers_program, IncrPowers};
 use linview::apps::IterModel;
 use linview::compiler::parse::parse_program;
 use linview::expr::Catalog;
 use linview::matrix::{ApproxEq, Matrix};
 use linview::runtime::{
-    Env, ExecBackend, FlushPolicy, IncrementalView, MaintenanceEngine, RankOneUpdate,
-    ThreadedBackend,
+    Env, ExecBackend, ExecOptions, FlushPolicy, IncrementalView, InversePrimitive,
+    MaintenanceEngine, RankOneUpdate, ThreadedBackend,
 };
 
 struct Counting;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The largest single allocation while counting.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 /// Bytes allocated and not yet freed, by every thread, at all times.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 /// The highest `LIVE` since it was last reset.
@@ -51,6 +59,7 @@ static PEAK: AtomicIsize = AtomicIsize::new(0);
 fn count(bytes: usize) {
     if COUNTING.load(Ordering::Relaxed) {
         BYTES.fetch_add(bytes, Ordering::Relaxed);
+        LARGEST.fetch_max(bytes, Ordering::Relaxed);
     }
     let live = LIVE.fetch_add(bytes as isize, Ordering::Relaxed) + bytes as isize;
     PEAK.fetch_max(live, Ordering::Relaxed);
@@ -153,6 +162,7 @@ fn one_firing_allocates_less_than_one_view() {
 
     durable_roll_allocates_less_than_one_view(n, view_bytes);
     threaded_install_stages_at_most_one_view(n, view_bytes);
+    ols_batch_firing_allocates_no_view_sized_block();
 }
 
 /// A firing of `B := A * A; C := B * B` whose durable checkpoint rolls
@@ -234,4 +244,53 @@ fn threaded_install_stages_at_most_one_view(n: usize, view_bytes: usize) {
     for name in ["A", "B", "C", "D"] {
         assert_eq!(&backend.view(name).unwrap(), env.get(name).unwrap());
     }
+}
+
+/// One firing of `Z := X'X; W := inv(Z); beta := W X' Y` (X 512×256)
+/// under Woodbury, for a batch of 13 row events on distinct rows: the
+/// engine coalesces them to rank 13, so `Z` and `W` fold rank-26 deltas.
+/// No single allocation of the firing reaches one 256×256 view.
+fn ols_batch_firing_allocates_no_view_sized_block() {
+    let (rows, cols, events) = (512, 256, 13);
+    let program = parse_program(OLS_PROGRAM).unwrap();
+    let mut cat = Catalog::new();
+    cat.declare("X", rows, cols);
+    cat.declare("Y", rows, 1);
+    let x = Matrix::random_uniform(rows, cols, 60);
+    let y = Matrix::random_uniform(rows, 1, 61);
+    let mut view = IncrementalView::build(&program, &[("X", x), ("Y", y)], &cat).unwrap();
+    view.set_exec_options(ExecOptions {
+        inverse_primitive: InversePrimitive::Woodbury,
+        ..ExecOptions::default()
+    });
+    let mut engine = MaintenanceEngine::new(view, FlushPolicy::Count(events));
+    let mut ingest_batch = |first: usize| {
+        for i in 0..events {
+            let row = (first + 37 * i) % rows;
+            let upd = RankOneUpdate::row_update(rows, cols, row, 0.01, (first + i) as u64);
+            engine.ingest("X", upd).unwrap();
+        }
+    };
+    // The first firing spawns the pool workers.
+    ingest_batch(0);
+
+    LARGEST.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    ingest_batch(5);
+    COUNTING.store(false, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
+    let largest = LARGEST.swap(0, Ordering::SeqCst);
+    let view_bytes = 8 * cols * cols;
+    println!(
+        "OLS Woodbury firing at rank {events} (X {rows}x{cols}): largest allocation {largest} B \
+         (one Z-sized view {view_bytes} B)"
+    );
+    assert_eq!(engine.stats().firings, 2, "each batch fired once");
+    assert!(
+        largest < view_bytes,
+        "an OLS Woodbury firing of a rank-{events} batch made a {largest} B allocation; one \
+         {cols}x{cols} view is {view_bytes} B"
+    );
+    let beta = engine.get("beta").unwrap();
+    assert!(beta.as_slice().iter().all(|b| b.is_finite()));
 }

@@ -42,7 +42,7 @@
 use linview::matrix::gemm::{MR, NR};
 use linview::matrix::{
     flops, fold_low_rank, force_general_nest, force_portable_microkernel, set_default_kernel,
-    set_gemm_threads, GemmKernel, Matrix, RANK_K_MAX_K,
+    set_gemm_threads, GemmKernel, Matrix, RANK_K_MAX_FOLD_K, RANK_K_MAX_K,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -515,6 +515,52 @@ fn two_pass_widths_are_bit_identical_to_naive() {
             pm.matmul_tn_into(&v, &mut wide, 5).unwrap();
             assert_block(&wide, 5, &ptv, &label);
         });
+    }
+}
+
+/// Folds of rank 17–32 (OLS's `Z += U_Z V_Zᵀ` and `W += U_W V_Wᵀ` at a
+/// fired rank of 26) take the fused rank-k fold without an `m×n`
+/// temporary wherever the rank is the smallest extent: `==` GEMM-then-add
+/// through the naive kernel at every width, into targets 17, 31, 256 and
+/// 523 columns wide (the narrow two route elsewhere from some `k` on),
+/// under both exact renderings at one, two and three threads. The same
+/// fold forced through the packed nest is `==` too, and under
+/// `packed-fma` it stays within 1e-10 of the Kahan oracle. 131 rows span
+/// two row chunks, so the widest targets are split across threads.
+#[test]
+fn wide_rank_folds_are_bit_identical_to_gemm_then_add() {
+    let _guard = lock();
+    let m = 131;
+    for n in [17, 31, 256, 523] {
+        let target = Matrix::random_uniform(m, n, 700 + n as u64);
+        for k in RANK_K_MAX_K + 1..=RANK_K_MAX_FOLD_K {
+            let u = Matrix::random_uniform(m, k, (1000 * k + n) as u64);
+            let v = Matrix::random_uniform(n, k, (1000 * k + n) as u64 + 1);
+            let vt = v.transpose();
+            let fold = |x: &Matrix| {
+                let mut x = x.clone();
+                fold_low_rank(&mut x, &u, &v, false).unwrap();
+                x
+            };
+            let mut two_step = target.clone();
+            two_step.add_assign_from(&naive_oracle(&u, &vt)).unwrap();
+            across_renderings_and_threads(|config| {
+                assert_eq!(fold(&target), two_step, "{m}x{k}x{n}, {config}");
+            });
+            force_general_nest(true);
+            let nest = fold(&target);
+            force_general_nest(false);
+            assert_eq!(nest, two_step, "{m}x{k}x{n} through the nest");
+            set_default_kernel(Some(GemmKernel::PackedFma));
+            let fused = fold(&target);
+            set_default_kernel(None);
+            let mut kahan = target.clone();
+            kahan.add_assign_from(&kahan_oracle(&u, &vt)).unwrap();
+            assert!(
+                fused.rel_diff(&kahan) <= 1e-10,
+                "{m}x{k}x{n} under packed-fma"
+            );
+        }
     }
 }
 
