@@ -16,7 +16,7 @@ use linview_apps::IterModel;
 use linview_compiler::CompileOptions;
 use linview_dist::{dist_matmul, Cluster, DistMatrix};
 use linview_expr::DeltaOptions;
-use linview_matrix::{flops, GemmKernel, Matrix};
+use linview_matrix::{flops, GemmKernel, Matrix, Rendering};
 use linview_runtime::{
     Env, Evaluator, ExecBackend, FlushPolicy, IncrementalView, MaintenanceEngine, ThreadedBackend,
     UpdateStream,
@@ -989,17 +989,22 @@ fn sorted_times(samples: usize, mut f: impl FnMut()) -> Vec<Duration> {
 }
 
 /// Firing kernels — the three streaming passes a trigger firing is made
-/// of (`P·U`, `Pᵀ·V`, `X += U·Vᵀ`) at the benchmark's n = 512, per
-/// rendering (portable forced vs the host's best exact one) and at one and
-/// two GEMM threads: median time, GFLOP/s, and the effective bandwidth of
-/// the n×n view traffic (one read for the products, a read and a write for
-/// the fold) — the per-k roofline. The last row is what a fork-join costs
+/// of (`P·U`, `Pᵀ·V`, `X += U·Vᵀ`) at the benchmark's n = 512, per exact
+/// rendering this host supports (portable, AVX2, AVX-512; the banner names
+/// the one the kernels run under by default) and at one and two GEMM
+/// threads: median time, GFLOP/s, and the effective bandwidth of the n×n
+/// view traffic (one read for the products, a read and a write for the
+/// fold) — the per-k roofline. The last row is what a fork-join costs
 /// with nothing to do, i.e. what the two-thread columns have to amortize.
 pub fn firing_kernels(cfg: &Config) -> Table {
     let n = 512;
     let samples = cfg.updates * cfg.updates;
     let mut t = Table::new(
-        format!("Firing kernels at n = {n} - p50 of {samples} runs, by rendering and GEMM threads"),
+        format!(
+            "Firing kernels at n = {n} - p50 of {samples} runs, by rendering and GEMM threads \
+             (host rendering: {})",
+            linview_matrix::exact_rendering()
+        ),
         &[
             "kernel",
             "k",
@@ -1021,13 +1026,9 @@ pub fn firing_kernels(cfg: &Config) -> Table {
             let v = Matrix::random_uniform(n, k, 100);
             let mut block = Matrix::zeros(n, k);
             let ops = (2 * n * n * k) as u64;
-            for portable in [true, false] {
-                linview_matrix::force_portable_microkernel(portable);
-                let mut cells = vec![
-                    kernel.to_string(),
-                    k.to_string(),
-                    if portable { "portable" } else { "host" }.to_string(),
-                ];
+            for rendering in Rendering::supported_all() {
+                linview_matrix::set_rendering_cap(Some(rendering));
+                let mut cells = vec![kernel.to_string(), k.to_string(), rendering.to_string()];
                 for threads in [1, 2] {
                     linview_matrix::set_gemm_threads(Some(threads));
                     let times = sorted_times(samples, || match kernel {
@@ -1050,7 +1051,7 @@ pub fn firing_kernels(cfg: &Config) -> Table {
             }
         }
     }
-    linview_matrix::force_portable_microkernel(false);
+    linview_matrix::set_rendering_cap(None);
     linview_matrix::set_gemm_threads(None);
     let times = sorted_times(200 * cfg.updates, || {
         linview_matrix::gemm::fork_join_probe(2, 4)
@@ -1072,8 +1073,8 @@ pub fn firing_kernels(cfg: &Config) -> Table {
         dash(),
     ]);
     t.note(
-        "host = the widest exact rendering this CPU runs (AVX2 where detected; P*U at k = 1 runs \
-         portable everywhere, its 4-lane tiles measured slower), bit-identical to portable; GB/s \
+        "one row per exact rendering this CPU runs (portable, avx2, avx512), all bit-identical; \
+         P*U at k = 1 runs portable everywhere (its 4-lane tiles measured slower); GB/s \
          counts the 8n^2-byte view once for the products and twice (read + write) \
          for the fold; before PR 20 (SSE2 only, both fork-join hand-offs on condvars) the \
          2-thread column read P*U 80/142/351 us, P'*V 83/196/386, fold 102/278/552 (k = 1/4/16) \

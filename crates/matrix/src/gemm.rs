@@ -12,12 +12,14 @@
 //!    micro-panels so the inner loop is branch-free and unit-stride;
 //! 3. an `MR×NR` register-tile microkernel does the arithmetic — one
 //!    generic body whose 6×8 f64 tile LLVM keeps in twelve ymm
-//!    accumulators when it is instantiated under AVX2 (the in-crate
-//!    `Isa` trait), bit-identical to the baseline instantiation that
-//!    remains the fallback and the reference. The tile's accumulators
-//!    start from the `C` tile and are stored back, so the `KC`-deep
-//!    blocks of a long inner dimension extend one ascending chain per
-//!    element instead of adding per-block partial sums.
+//!    accumulators when it is instantiated under AVX2 and in six zmm ones
+//!    under AVX-512 (the in-crate `Isa` trait), bit-identical to the
+//!    baseline instantiation that remains the fallback and the reference
+//!    (the AVX-512 rendering runs the tile as it is: square products at
+//!    n = 192–512 measured 10–50 % faster than under AVX2). The tile's
+//!    accumulators start from the `C` tile and are stored back, so the
+//!    `KC`-deep blocks of a long inner dimension extend one ascending
+//!    chain per element instead of adding per-block partial sums.
 //!
 //! Not every product runs the nest. `route` is the single decision
 //! point, and it routes by the output's shape before its size: products
@@ -49,10 +51,14 @@
 //!
 //! Every kernel of the family — the microkernel sweep here, the rank-k
 //! tiles in `rankk`, the skinny tiles in `skinny` — is written once as a
-//! `Kernel` body and compiled per instruction set; `dispatch` is the
-//! one place that picks the rendering (once per row chunk or packed
-//! block, never per tile) and the crate's only call into
-//! `#[target_feature]` code.
+//! `Kernel` body and compiled per instruction set: portable, AVX2 and
+//! AVX-512 for the exact kernels, AVX2+FMA for the fused one. A body may
+//! size its register tiles by the rendering's lane count through
+//! const-generic tile parameters (a compile-time branch, never a second
+//! body). `dispatch` is the one place that picks the rendering (once per
+//! row chunk or packed block, never per tile, and the widest the host
+//! runs unless [`set_rendering_cap`] caps it) and the crate's only call
+//! into `#[target_feature]` code.
 //!
 //! The opt-in [`GemmKernel::PackedFma`] mode (`LINVIEW_GEMM=packed-fma` /
 //! `--gemm packed-fma`) instantiates the same bodies with fused
@@ -308,23 +314,87 @@ pub fn set_gemm_threads(threads: Option<usize>) {
     THREADS_OVERRIDE.store(threads.map(|n| n.max(1)).unwrap_or(0), Ordering::Relaxed);
 }
 
-static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
-
-/// Ablation/testing knob: forces the portable rendering of **every**
-/// kernel — the packed microkernel, the rank-k tiles and the skinny
-/// products — even on hosts with AVX2/FMA.
-///
-/// The exact renderings are bit-identical either way — this knob is how
-/// that claim is tested (and how CI keeps the baseline path executed on
-/// AVX2 runners). Forcing portable under [`GemmKernel::PackedFma`] also
-/// disables fusion (the portable rendering never fuses), which is the
-/// same fallback hosts without FMA take.
-pub fn force_portable_microkernel(on: bool) {
-    FORCE_PORTABLE.store(on, Ordering::Relaxed);
+/// The exact renderings of the kernel bodies, narrowest first: what
+/// [`set_rendering_cap`] caps and [`exact_rendering`] reports. All of them
+/// produce the same bits; they differ only in speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rendering {
+    /// Baseline codegen (SSE2 on x86-64, NEON on aarch64): runs everywhere
+    /// and is the reference the others are differenced against.
+    Portable,
+    /// 256-bit vectors (`avx2`).
+    Avx2,
+    /// 512-bit vectors (`avx512f`), with register tiles sized for eight
+    /// lanes.
+    Avx512,
 }
 
-fn portable_forced() -> bool {
-    FORCE_PORTABLE.load(Ordering::Relaxed)
+impl Rendering {
+    /// Every rendering, narrowest first.
+    pub const ALL: [Rendering; 3] = [Rendering::Portable, Rendering::Avx2, Rendering::Avx512];
+
+    /// Lower-case name, as the bench harness prints it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Rendering::Portable => "portable",
+            Rendering::Avx2 => "avx2",
+            Rendering::Avx512 => "avx512",
+        }
+    }
+
+    /// True when this host can run the rendering (std caches the
+    /// detection; this is a few atomic loads).
+    pub fn supported(self) -> bool {
+        match self {
+            Rendering::Portable => true,
+            Rendering::Avx2 => avx2_available(),
+            Rendering::Avx512 => avx512_available(),
+        }
+    }
+
+    /// The renderings this host supports, narrowest first.
+    pub fn supported_all() -> impl Iterator<Item = Rendering> {
+        Rendering::ALL.into_iter().filter(|r| r.supported())
+    }
+}
+
+impl std::fmt::Display for Rendering {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Sentinel for "no rendering cap".
+const RENDERING_UNCAPPED: u8 = u8::MAX;
+static RENDERING_CAP: AtomicU8 = AtomicU8::new(RENDERING_UNCAPPED);
+
+/// Testing/measurement knob: caps the widest rendering **every** kernel
+/// may run under — the packed microkernel, the rank-k tiles and the
+/// skinny products — at `cap` (`None` lifts the cap: the host's widest).
+///
+/// The exact renderings are bit-identical whichever runs — this knob is
+/// how that claim is tested, how CI keeps the narrower paths executed on
+/// wide hosts, and how `harness gemm` times each rendering. Capping at
+/// [`Rendering::Portable`] under [`GemmKernel::PackedFma`] also disables
+/// fusion (the portable rendering never fuses), which is the same
+/// fallback hosts without FMA take.
+pub fn set_rendering_cap(cap: Option<Rendering>) {
+    RENDERING_CAP.store(
+        cap.map_or(RENDERING_UNCAPPED, |r| r as u8),
+        Ordering::Relaxed,
+    );
+}
+
+/// The rendering [`GemmKernel::Packed`]'s kernels run under: the widest
+/// this host supports, at most the [`set_rendering_cap`] cap. (A kernel
+/// whose wide renderings measured slower runs portable regardless.)
+pub fn exact_rendering() -> Rendering {
+    let cap = RENDERING_CAP.load(Ordering::Relaxed);
+    Rendering::ALL
+        .into_iter()
+        .rev()
+        .find(|&r| r as u8 <= cap && r.supported())
+        .unwrap_or(Rendering::Portable)
 }
 
 /// Runs an empty `chunks`-chunk batch across `threads` pool threads and
@@ -478,6 +548,19 @@ fn avx2_available() -> bool {
     false
 }
 
+/// True when the host can run the AVX-512 rendering: `avx512f` and the
+/// features rustc's `avx512f` implies (`avx2`, `fma`, `f16c`), all of
+/// which `run_avx512` enables.
+fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512f")
+        && avx2_available()
+        && fma_available()
+        && std::arch::is_x86_feature_detected!("f16c");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 /// True when the host can run the fused renderings on top of AVX2.
 #[cfg(target_arch = "x86_64")]
 fn fma_available() -> bool {
@@ -496,19 +579,19 @@ pub(crate) fn test_config_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Runs `check(label)` under every exact configuration the kernels promise
-/// identical bits for — renderings {portable forced, host's best} ×
-/// thread budgets {1, 2, 3} — holding [`test_config_lock`] throughout.
+/// identical bits for — every rendering the host supports × thread
+/// budgets {1, 2, 3} — holding [`test_config_lock`] throughout.
 #[cfg(test)]
 pub(crate) fn for_each_rendering_and_thread_count(mut check: impl FnMut(&str)) {
     let _guard = test_config_lock();
-    for portable in [true, false] {
-        force_portable_microkernel(portable);
+    for rendering in Rendering::supported_all() {
+        set_rendering_cap(Some(rendering));
         for threads in 1..=3 {
             set_gemm_threads(Some(threads));
-            check(&format!("portable forced: {portable}, threads: {threads}"));
+            check(&format!("rendering: {rendering}, threads: {threads}"));
         }
     }
-    force_portable_microkernel(false);
+    set_rendering_cap(None);
     set_gemm_threads(None);
 }
 
@@ -532,7 +615,13 @@ pub(crate) trait Isa {
 pub(crate) struct Portable;
 /// 256-bit lanes, plain mul-then-add: bit-identical to [`Portable`].
 pub(crate) struct Avx2;
-/// 256-bit lanes with `vfmadd`.
+/// 512-bit lanes, plain mul-then-add: bit-identical to [`Portable`]. With
+/// 32 vector registers it carries the widest register tiles (`rankk`'s
+/// 8×16, `skinny`'s 8-lane tile heights); the packed microkernel and the
+/// `Pᵀ·V` passes keep their shapes.
+pub(crate) struct Avx512;
+/// 256-bit lanes with `vfmadd` — the one fusing rendering
+/// ([`GemmKernel::PackedFma`]), also on AVX-512 hosts.
 pub(crate) struct Avx2Fma;
 
 impl Isa for Portable {
@@ -542,6 +631,10 @@ impl Isa for Portable {
 impl Isa for Avx2 {
     const FUSE: bool = false;
     const LANES: usize = 4;
+}
+impl Isa for Avx512 {
+    const FUSE: bool = false;
+    const LANES: usize = 8;
 }
 impl Isa for Avx2Fma {
     const FUSE: bool = true;
@@ -578,27 +671,41 @@ pub(crate) fn madd<I: Isa>(acc: f64, a: f64, b: f64) -> f64 {
 
 /// The single entry to feature-enabled code: runs `kernel` under the
 /// fastest rendering compatible with `fuse` that the host supports,
-/// [`force_portable_microkernel`] allows and the kernel wants
-/// ([`Kernel::WIDE`]; `Fused` falls back to the exact renderings on hosts
-/// without FMA). Callers hoist this above their tile loops — one branch per
-/// row chunk or packed block, none per tile.
+/// [`set_rendering_cap`] allows and the kernel wants ([`Kernel::WIDE`]).
+/// `Exact` takes [`exact_rendering`]; `Fused` takes [`Avx2Fma`] on any
+/// host with AVX2 and FMA under a cap of at least AVX2, and otherwise the
+/// exact rendering. Callers hoist this above their tile loops — one branch
+/// per row chunk or packed block, none per tile.
 pub(crate) fn dispatch<K: Kernel>(kernel: K, fuse: Fuse) {
-    if !K::WIDE || portable_forced() || !avx2_available() {
-        return kernel.run::<Portable>();
+    let rendering = if K::WIDE {
+        exact_rendering()
+    } else {
+        Rendering::Portable
+    };
+    #[cfg(target_arch = "x86_64")]
+    {
+        // Function items of the feature-enabled renderings, coerced to one
+        // `unsafe` function pointer type so that a single call site (one
+        // unsafe operation) serves them all.
+        let run = match rendering {
+            Rendering::Portable => return kernel.run::<Portable>(),
+            _ if fuse == Fuse::Fused && fma_available() => run_fma::<K>,
+            Rendering::Avx2 => run_avx2::<K>,
+            Rendering::Avx512 => run_avx512::<K>,
+        };
+        // SAFETY: `rendering` is at least `Avx2`, and `exact_rendering`
+        // returns only renderings whose `Rendering::supported` held, i.e.
+        // `is_x86_feature_detected!` found on this host AVX2 (which
+        // implies AVX) for `Avx2`, and AVX-512F, AVX2, FMA and F16C for
+        // `Avx512`. `run_avx2` enables AVX and AVX2; `run_fma` adds FMA,
+        // checked by its arm's guard; `run_avx512` enables AVX-512F, whose
+        // implied features are those four.
+        unsafe { run(kernel) }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = fuse;
-    #[cfg(target_arch = "x86_64")]
-    if fuse == Fuse::Fused && fma_available() {
-        // SAFETY: `avx2_available` and `fma_available` held, i.e.
-        // `is_x86_feature_detected!` found AVX2 (which implies AVX) and
-        // FMA on this host — the features `run_fma` enables.
-        unsafe { run_fma(kernel) }
-    } else {
-        // SAFETY: `avx2_available` held, i.e. `is_x86_feature_detected!`
-        // found AVX2 (which implies AVX) on this host — the features
-        // `run_avx2` enables.
-        unsafe { run_avx2(kernel) }
+    {
+        let _ = (fuse, rendering);
+        kernel.run::<Portable>()
     }
 }
 
@@ -606,6 +713,12 @@ pub(crate) fn dispatch<K: Kernel>(kernel: K, fuse: Fuse) {
 #[target_feature(enable = "avx,avx2")]
 fn run_avx2<K: Kernel>(kernel: K) {
     kernel.run::<Avx2>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,avx2,avx512f")]
+fn run_avx512<K: Kernel>(kernel: K) {
+    kernel.run::<Avx512>()
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1147,12 +1260,35 @@ mod tests {
         ] {
             let a = Matrix::random_uniform(m, k, seed);
             let b = Matrix::random_uniform(k, n, seed + 9);
-            let simd = a.matmul_packed(&b).unwrap();
-            force_portable_microkernel(true);
+            set_rendering_cap(Some(Rendering::Portable));
             let portable = a.matmul_packed(&b).unwrap();
-            force_portable_microkernel(false);
-            assert_eq!(simd, portable, "{m}x{k}x{n}");
+            for rendering in Rendering::supported_all() {
+                set_rendering_cap(Some(rendering));
+                let simd = a.matmul_packed(&b).unwrap();
+                assert_eq!(simd, portable, "{m}x{k}x{n}, {rendering}");
+            }
+            set_rendering_cap(None);
         }
+    }
+
+    #[test]
+    fn the_cap_bounds_the_rendering_and_lifts_again() {
+        let _guard = test_config_lock();
+        let widest = exact_rendering();
+        assert!(widest.supported());
+        assert!(Rendering::ALL
+            .iter()
+            .all(|r| !r.supported() || *r <= widest));
+        for cap in Rendering::ALL {
+            set_rendering_cap(Some(cap));
+            let r = exact_rendering();
+            assert!(r <= cap && r.supported(), "cap {cap} gave {r}");
+            assert_eq!(r, cap.min(widest), "cap {cap}");
+        }
+        set_rendering_cap(None);
+        assert_eq!(exact_rendering(), widest);
+        let labels: Vec<&str> = Rendering::ALL.iter().map(|r| r.label()).collect();
+        assert_eq!(labels, ["portable", "avx2", "avx512"]);
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub use decomp::Lu;
 pub use dense::Matrix;
 pub use error::MatrixError;
 pub use gemm::{
-    default_kernel, env_kernel_error, env_threads_error, force_general_nest,
-    force_portable_microkernel, gemm_threads, set_default_kernel, set_gemm_threads, GemmKernel,
+    default_kernel, env_kernel_error, env_threads_error, exact_rendering, force_general_nest,
+    gemm_threads, set_default_kernel, set_gemm_threads, set_rendering_cap, GemmKernel, Rendering,
 };
 pub use norms::ApproxEq;
 pub use rankk::{RANK_K_MAX_FOLD_K, RANK_K_MAX_K};

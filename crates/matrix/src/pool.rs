@@ -54,6 +54,8 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+#[cfg(test)]
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -103,6 +105,10 @@ struct Pool {
     /// without taking the lock. Written only under the lock.
     pending: AtomicUsize,
     spawned: AtomicUsize,
+    /// Test probe: the longest any worker took to park, in nanoseconds on
+    /// its own clock from the end of its last job, since the last reset.
+    #[cfg(test)]
+    slowest_park_ns: AtomicU64,
 }
 
 fn pool() -> &'static Arc<Pool> {
@@ -120,6 +126,8 @@ impl Pool {
             available: Condvar::new(),
             pending: AtomicUsize::new(0),
             spawned: AtomicUsize::new(0),
+            #[cfg(test)]
+            slowest_park_ns: AtomicU64::new(0),
         })
     }
 
@@ -151,7 +159,12 @@ impl Pool {
     /// A worker's wait for work: take a queued job if there is one, else
     /// linger on `pending` for [`LINGER`], else park until notified.
     fn next_job(&self) -> Job {
-        let deadline = Instant::now() + LINGER;
+        let idle_since = Instant::now();
+        let deadline = idle_since + LINGER;
+        // Test probe: how long this worker's yields handed its CPU to
+        // other threads.
+        #[cfg(test)]
+        let mut handed_over = Duration::ZERO;
         loop {
             // Acquire pairs with the Release store in `push`/`pop`, both
             // made under the queue lock this thread takes next anyway; the
@@ -163,16 +176,34 @@ impl Pool {
             } else if Instant::now() >= deadline {
                 break;
             }
+            #[cfg(test)]
+            let yielded_at = Instant::now();
             std::thread::yield_now();
+            #[cfg(test)]
+            {
+                let yielded = yielded_at.elapsed();
+                if yielded > tests::YIELD_HANDED_OVER {
+                    handed_over += yielded;
+                }
+            }
         }
         let mut q = self.lock();
+        if let Some(job) = self.pop(&mut q) {
+            return job;
+        }
+        #[cfg(test)]
+        self.slowest_park_ns.fetch_max(
+            u64::try_from(idle_since.elapsed().saturating_sub(handed_over).as_nanos())
+                .unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
         loop {
-            if let Some(job) = self.pop(&mut q) {
-                return job;
-            }
             q.parked += 1;
             q = self.available.wait(q).expect("gemm pool queue poisoned");
             q.parked -= 1;
+            if let Some(job) = self.pop(&mut q) {
+                return job;
+            }
         }
     }
 
@@ -517,17 +548,22 @@ mod tests {
         }
     }
 
+    /// A `yield_now` that returns later than this gave the CPU to another
+    /// thread: with nothing else runnable it returns in ≈ 0.2 µs, and the
+    /// shortest time slice another thread gets is far longer.
+    pub(super) const YIELD_HANDED_OVER: Duration = Duration::from_micros(50);
+
     /// Blocks until every spawned worker of `pool` is parked on the
-    /// condvar, returning how long that took (`None` past `limit`).
-    fn wait_until_parked(pool: &Pool, limit: Duration) -> Option<Duration> {
+    /// condvar; false past `limit`.
+    fn wait_until_parked(pool: &Pool, limit: Duration) -> bool {
         let start = Instant::now();
         while pool.lock().parked < pool.spawned.load(Ordering::Acquire) {
             if start.elapsed() > limit {
-                return None;
+                return false;
             }
             std::thread::yield_now();
         }
-        Some(start.elapsed())
+        true
     }
 
     fn count_chunks(pool: &Arc<Pool>, workers: usize, chunks: usize) {
@@ -541,15 +577,24 @@ mod tests {
     #[test]
     fn an_idle_worker_is_parked_within_a_millisecond_and_wakes_again() {
         // A private pool: the process-wide one is kept busy by sibling
-        // tests. The bound is on the pool (LINGER = 150 µs), but the
-        // observation is at the scheduler's mercy on a loaded box, so the
-        // best of a few rounds has to meet it.
+        // tests. The bound is on the pool (LINGER = 150 µs). Each round's
+        // latency is the slowest worker's, taken on the worker's own clock
+        // from the end of its last job to its park, less the stretches its
+        // yields handed the CPU to other threads: how late this thread gets
+        // to look, and what else the machine runs, do not count. Other
+        // preemptions still do, so the best of a few rounds has to meet
+        // the bound.
         let pool = Pool::new();
         let mut best = Duration::MAX;
         for _ in 0..20 {
+            pool.slowest_park_ns.store(0, Ordering::Relaxed);
             count_chunks(&pool, 3, 12);
-            let parked = wait_until_parked(&pool, Duration::from_secs(10));
-            best = best.min(parked.expect("idle workers must park"));
+            assert!(
+                wait_until_parked(&pool, Duration::from_secs(10)),
+                "idle workers must park"
+            );
+            let slowest = pool.slowest_park_ns.load(Ordering::Relaxed);
+            best = best.min(Duration::from_nanos(slowest));
             // Run, sleep past the linger window, run: the parked workers
             // are woken through the condvar for the next batch.
             std::thread::sleep(Duration::from_millis(5));

@@ -13,18 +13,20 @@
 //!
 //! This module runs those shapes directly from the row-major operands:
 //!
-//! * **row×column register tiling** — [`IR`]`×`[`JB`] output tiles hold
-//!   their accumulators in registers while the whole (tiny) `k` loop
-//!   runs; `IR` independent rows per tile give the adders enough
-//!   independent chains to hide FP latency, and each `B` row block is
-//!   loaded once per `IR` rows instead of once per row;
+//! * **row×column register tiling** — `TR×TJ` output tiles hold their
+//!   accumulators in registers while the whole (tiny) `k` loop runs; `TR`
+//!   independent rows per tile give the adders enough independent chains
+//!   to hide FP latency, and each `B` row block is loaded once per `TR`
+//!   rows instead of once per row. The tile is sized by the rendering's
+//!   lane count: [`IR`]`×`[`JB`] = 4×8 for two and four lanes,
+//!   [`IR8`]`×`[`JB8`] = 8×16 for eight;
 //! * **write-once output** — [`rank_k_matmul`] *stores* each finished
 //!   tile (no read-modify-write of the zeroed output), and
 //!   [`rank_k_fold`] adds tiles straight into the target, skipping the
 //!   `n×n` temporary of the GEMM-then-add fold entirely — at `n = 2048`
 //!   the fold is memory-bound, and this removes two thirds of the
 //!   traffic;
-//! * **branch-free main tiles** — the hot `IR×JB` tile runs the dense
+//! * **branch-free main tiles** — the hot `TR×TJ` tile runs the dense
 //!   multiply unconditionally (like the packed microkernel, whose padded
 //!   lanes are zero); only the scalar ragged edges keep the
 //!   zero-skip, because genuinely sparse factors never reach this kernel
@@ -35,13 +37,19 @@
 //!   stealing queue; chunks own disjoint output rows, so every schedule
 //!   is bit-identical.
 //!
-//! **One body, three renderings.** The tile loop is a single
-//! [`Kernel`] body: baseline, AVX2 and AVX2+FMA are instantiations of it
-//! (see [`crate::gemm::Isa`]), and [`madd`] is the only place a product
-//! meets its accumulator. Under the baseline rendering the multiply-add
-//! ports bind from `k ≈ 4` up; AVX2 doubles the lanes (fold at n = 512,
-//! `k = 8`, one thread: ≈ 390 → 215 µs) until, at `k ≤ 2`, the fold is
-//! back on the memory floor of reading and writing the view once.
+//! **One body, four renderings.** The tile loop is a single
+//! [`Kernel`] body: baseline, AVX2, AVX-512 and AVX2+FMA are
+//! instantiations of it (see [`crate::gemm::Isa`]), with the tile shape a
+//! const-generic parameter picked from the rendering's lane count at
+//! compile time, and [`madd`] is the only place a product meets its
+//! accumulator. Under the baseline rendering the multiply-add ports bind
+//! from `k ≈ 4` up; AVX2 doubles the lanes (fold at n = 512, `k = 8`, one
+//! thread: ≈ 390 → 215 µs). The 4×8 tile then keeps eight chains of four
+//! lanes in flight, and that — not the cache — is what holds the `k = 16`
+//! fold at ≈ 16 GFLOP/s per core: packing `Vᵀ` into `JB`-wide panels
+//! measured slower (474–494 against 435–436 µs). AVX-512's 8×16 tile
+//! keeps sixteen chains of eight lanes (`harness gemm`, n = 512, two
+//! threads, AVX2 → AVX-512: `k = 16` 363 → 247 µs, `k = 1` 67 → 50 µs).
 //!
 //! **Bit-identity.** Each output element is accumulated over `p = 0..k`
 //! in ascending order into a zero-initialized register, then stored
@@ -49,9 +57,9 @@
 //! every link of that chain is plain mul-then-add — the same per-element
 //! chain as the naive and packed kernels followed by an
 //! elementwise add, so the fast path is `==`-identical to the nest (and
-//! to GEMM-then-add) it replaces, under either exact rendering and any
+//! to GEMM-then-add) it replaces, under every exact rendering and any
 //! thread count (asserted by the differential suite via
-//! [`force_general_nest`] and `force_portable_microkernel`). The fusing
+//! [`force_general_nest`] and [`set_rendering_cap`]). The fusing
 //! `Isa` (`PackedFma`) replaces each link with `f64::mul_add`, matching
 //! the FMA microkernel's contract: not bit-comparable, ≤ 1e-10 of the
 //! Kahan oracle.
@@ -65,6 +73,7 @@
 //! automatically.
 //!
 //! [`force_general_nest`]: crate::gemm::force_general_nest
+//! [`set_rendering_cap`]: crate::gemm::set_rendering_cap
 
 use crate::gemm::{dispatch, madd, Fuse, Isa, Kernel};
 use crate::{pool, Matrix};
@@ -78,22 +87,27 @@ pub const RANK_K_MAX_K: usize = 16;
 /// fold keeps the fast path further: OLS's `Z += U_Z V_Zᵀ` at rank 26 and
 /// 256×256 takes 125–135 µs fused against 203–232 µs through the nest and
 /// an add (`harness gemm` on a 2-vCPU AVX2 Xeon, p50s of three runs).
-/// The `IR×JB` tile runs the whole ascending `k`-chain in its register
+/// The register tile runs the whole ascending `k`-chain in its register
 /// accumulators and adds it to the target once at any `k`, so the bits
 /// stay those of GEMM-then-add; 32 is as far as it was measured.
 pub const RANK_K_MAX_FOLD_K: usize = 32;
 
-/// Register-tile width: accumulators for one `JB`-wide output block are
-/// two f64 ymm registers.
+/// Register-tile shape `IR×JB` of the two- and four-lane renderings:
+/// `IR · JB/4 = 8` ymm accumulators — eight independent add chains cover
+/// the FP latency on two ports — plus `IR` broadcasts and the `B` block,
+/// inside sixteen registers however the scheduler orders them (at
+/// `IR = 6` LLVM kept all six broadcasts live and spilled four
+/// accumulators on every `k` step). Each `B` block load is amortized over
+/// `IR` rows.
+const IR: usize = 4;
 const JB: usize = 8;
 
-/// Output rows per register tile: `IR · JB/4 = 8` ymm accumulators —
-/// eight independent add chains cover the FP latency on two ports — plus
-/// `IR` broadcasts and the `B` block, inside sixteen registers however the
-/// scheduler orders them (at `IR = 6` LLVM kept all six broadcasts live
-/// and spilled four accumulators on every `k` step). Each `B` block load
-/// is amortized over `IR` rows.
-const IR: usize = 4;
+/// The eight-lane (AVX-512) tile, `IR8×JB8`: sixteen zmm accumulators —
+/// twice the chains of the 4×8 tile, each twice as wide — beside the two
+/// `B` vectors and the eight broadcasts, inside the 32 registers that
+/// rendering has.
+const IR8: usize = 8;
+const JB8: usize = 16;
 
 /// Shape heuristic: true when `m×k · k×n` should take the rank-k fast
 /// path — a genuinely skinny inner dimension (`1 ≤ k ≤ max_k`, with
@@ -150,56 +164,66 @@ struct Rows<'a, const ACC: bool> {
 }
 
 impl<const ACC: bool> Kernel for Rows<'_, ACC> {
-    /// `IR`-row register tiles over the full `JB`-wide blocks, then a
-    /// scalar sweep over the ragged right edge and the tail rows; see the
-    /// module docs for the bit-identity argument.
+    /// The tile shape is picked by the rendering's lane count — a
+    /// compile-time branch, one body.
     #[inline(always)]
     fn run<I: Isa>(self) {
-        let Self { a, b, out, r0 } = self;
-        let (k, n) = b.shape();
-        let bs = b.as_slice();
-        let mut blocks = out.chunks_exact_mut(IR * n);
-        let mut i0 = 0;
-        for block in blocks.by_ref() {
-            let arows: [&[f64]; IR] = std::array::from_fn(|t| &a.row(r0 + i0 + t)[..k]);
-            let mut j0 = 0;
-            while j0 + JB <= n {
-                let mut acc = [[0.0f64; JB]; IR];
-                for p in 0..k {
-                    let brow: &[f64; JB] =
-                        bs[p * n + j0..][..JB].try_into().expect("a JB-wide slice");
-                    let avs: [f64; IR] = std::array::from_fn(|t| arows[t][p]);
-                    for (accrow, av) in acc.iter_mut().zip(avs) {
-                        for (o, &bv) in accrow.iter_mut().zip(brow) {
-                            *o = madd::<I>(*o, av, bv);
-                        }
-                    }
-                }
-                for (t, accrow) in acc.iter().enumerate() {
-                    finish::<ACC>(&mut block[t * n + j0..t * n + j0 + JB], accrow);
-                }
-                j0 += JB;
-            }
-            if j0 < n {
-                for (t, arow) in arows.iter().enumerate() {
-                    edge_cols::<ACC, I>(arow, bs, n, j0, &mut block[t * n + j0..(t + 1) * n]);
-                }
-            }
-            i0 += IR;
-        }
-        for (t, orow) in blocks.into_remainder().chunks_exact_mut(n).enumerate() {
-            let arow = a.row(r0 + i0 + t);
-            let mut j0 = 0;
-            while j0 < n {
-                let w = JB.min(n - j0);
-                edge_cols::<ACC, I>(arow, bs, n, j0, &mut orow[j0..j0 + w]);
-                j0 += w;
-            }
+        if I::LANES >= 8 {
+            rows::<ACC, I, IR8, JB8>(self)
+        } else {
+            rows::<ACC, I, IR, JB>(self)
         }
     }
 }
 
-/// Finishes one `JB`-or-narrower accumulator block into the output row
+/// `TR`-row register tiles over the full `TJ`-wide blocks, then a scalar
+/// sweep over the ragged right edge and the tail rows; see the module
+/// docs for the bit-identity argument.
+#[inline(always)]
+fn rows<const ACC: bool, I: Isa, const TR: usize, const TJ: usize>(rows: Rows<'_, ACC>) {
+    let Rows { a, b, out, r0 } = rows;
+    let (k, n) = b.shape();
+    let bs = b.as_slice();
+    let mut blocks = out.chunks_exact_mut(TR * n);
+    let mut i0 = 0;
+    for block in blocks.by_ref() {
+        let arows: [&[f64]; TR] = std::array::from_fn(|t| &a.row(r0 + i0 + t)[..k]);
+        let mut j0 = 0;
+        while j0 + TJ <= n {
+            let mut acc = [[0.0f64; TJ]; TR];
+            for p in 0..k {
+                let brow: &[f64; TJ] = bs[p * n + j0..][..TJ].try_into().expect("a TJ-wide slice");
+                let avs: [f64; TR] = std::array::from_fn(|t| arows[t][p]);
+                for (accrow, av) in acc.iter_mut().zip(avs) {
+                    for (o, &bv) in accrow.iter_mut().zip(brow) {
+                        *o = madd::<I>(*o, av, bv);
+                    }
+                }
+            }
+            for (t, accrow) in acc.iter().enumerate() {
+                finish::<ACC>(&mut block[t * n + j0..t * n + j0 + TJ], accrow);
+            }
+            j0 += TJ;
+        }
+        if j0 < n {
+            for (t, arow) in arows.iter().enumerate() {
+                edge_cols::<ACC, I, TJ>(arow, bs, n, j0, &mut block[t * n + j0..(t + 1) * n]);
+            }
+        }
+        i0 += TR;
+    }
+    for (t, orow) in blocks.into_remainder().chunks_exact_mut(n).enumerate() {
+        let arow = a.row(r0 + i0 + t);
+        let mut j0 = 0;
+        while j0 < n {
+            let w = TJ.min(n - j0);
+            edge_cols::<ACC, I, TJ>(arow, bs, n, j0, &mut orow[j0..j0 + w]);
+            j0 += w;
+        }
+    }
+}
+
+/// Finishes one tile-wide or narrower accumulator block into the output row
 /// segment: store for the matmul path, single add for the fold path.
 #[inline(always)]
 fn finish<const ACC: bool>(orow: &mut [f64], acc: &[f64]) {
@@ -212,10 +236,10 @@ fn finish<const ACC: bool>(orow: &mut [f64], acc: &[f64]) {
     }
 }
 
-/// One ragged (`< JB`-wide or single-row) accumulator block. Keeps the
+/// One ragged (`< TJ`-wide or single-row) accumulator block. Keeps the
 /// zero-skip the main tiles drop.
 #[inline(always)]
-fn edge_cols<const ACC: bool, I: Isa>(
+fn edge_cols<const ACC: bool, I: Isa, const TJ: usize>(
     arow: &[f64],
     bs: &[f64],
     n: usize,
@@ -223,7 +247,7 @@ fn edge_cols<const ACC: bool, I: Isa>(
     orow: &mut [f64],
 ) {
     let w = orow.len();
-    let mut acc = [0.0f64; JB];
+    let mut acc = [0.0f64; TJ];
     for (p, &av) in arow.iter().enumerate() {
         if av == 0.0 {
             continue;
@@ -262,7 +286,7 @@ mod tests {
 
     #[test]
     fn every_depth_rendering_and_thread_count_is_bit_identical_to_naive() {
-        // 397×331 output: ragged against IR, JB and the 128-row chunks,
+        // 397×331 output: ragged against both tile shapes and the 128-row chunks,
         // and past the parallel gate even at k = 1. The fold is checked
         // against GEMM-then-add through the naive kernel at every width it
         // claims, the product at every width it claims.
@@ -314,16 +338,23 @@ mod tests {
 
     #[test]
     fn ragged_tail_blocks_are_covered() {
-        // n deliberately not a multiple of JB, m not of IR or
-        // ROWS_PER_CHUNK — exercises the right edge and the tail rows.
-        for (m, k, n) in [(131, 3, JB + 5), (IR + 1, 2, JB - 1), (IR - 1, 1, 3)] {
+        // n deliberately not a multiple of either tile width, m not of
+        // either tile height or ROWS_PER_CHUNK — exercises the right edge
+        // and the tail rows of both tile shapes.
+        for (m, k, n) in [
+            (131, 3, JB + 5),
+            (IR + 1, 2, JB - 1),
+            (IR - 1, 1, 3),
+            (IR8 + 3, 5, JB8 + JB + 3),
+            (IR8 - 1, 4, JB8 - 1),
+        ] {
             let a = Matrix::random_uniform(m, k, 11);
             let b = Matrix::random_uniform(k, n, 12);
-            assert_eq!(
-                rank_k_matmul(&a, &b, Fuse::Exact),
-                naive_matmul(&a, &b),
-                "{m}x{k}x{n}"
-            );
+            let want = naive_matmul(&a, &b);
+            for_each_rendering_and_thread_count(|config| {
+                let got = rank_k_matmul(&a, &b, Fuse::Exact);
+                assert_eq!(got, want, "{m}x{k}x{n}, {config}");
+            });
         }
     }
 }

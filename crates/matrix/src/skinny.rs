@@ -50,11 +50,12 @@
 //! `k` while the traffic does not: by `k = 8` the baseline (SSE2)
 //! rendering is multiply-add bound — 2 lanes × 2 ports, mul and add
 //! separate, ≈ 14–15 GFLOP/s per core, 560–590 µs at `k = 16` — and reads
-//! `P` at a seventh of what the core can pull. That is what the AVX2
-//! rendering of the same body buys (4 lanes: 1.4–1.8× from `k = 8` up),
-//! and why tile heights are sized per lane count. `harness gemm` prints
-//! the per-`k` table (µs, GFLOP/s, GB/s of view traffic) for both
-//! renderings at one and two threads.
+//! `P` at a seventh of what the core can pull. That is what the wider
+//! renderings of the same body buy — AVX2's 4 lanes 1.4–1.8× from `k = 8`
+//! up, AVX-512's 8 lanes another 1.2–1.6× at `k = 12–16` — and why tile
+//! heights are sized per lane count. `harness gemm` prints the per-`k`
+//! table (µs, GFLOP/s, GB/s of view traffic) for every rendering the host
+//! runs, at one and two threads.
 //!
 //! **Bit-identity.** Every output element is one accumulator that starts
 //! at `+0.0` and adds the products of its inner index in ascending order
@@ -89,11 +90,21 @@ const TN_ROWS: usize = 8;
 const TN_BAND: usize = 512;
 
 /// Dispatches the [`Band`] of the runtime width `$k`: `Band::<TN, K, R2,
-/// R4>` per row below (`K: R2 R4`). `R` is the tile height of
-/// [`tall_skinny_into`] for two- and four-lane renderings:
-/// `R·⌈K/LANES⌉ ≈ 8` accumulator registers — eight independent add chains
-/// hide the FP latency, and the `B` row and the broadcasts still fit the
-/// other half of the register file.
+/// R4, R8>` per row below (`K: R2 R4 R8`). `R` is the tile height of
+/// [`tall_skinny_into`] for two-, four- and eight-lane renderings. For two
+/// and four lanes, `R·⌈K/LANES⌉ ≈ 8` accumulator registers — eight
+/// independent add chains hide the FP latency, and the `B` row and the
+/// broadcasts still fit the other half of the register file.
+///
+/// Eight lanes (AVX-512, 32 registers) take 4 rows at every width from 2
+/// on. `P·U` at n = 512, two threads, bench host: with 8-row tiles at
+/// widths 3–8 the AVX-512 rendering read 140, 122, 160 and 862 µs at
+/// `k` = 3, 4, 6, 8, against 117, 84, 130 and 98 µs with 4-row ones (why
+/// the 8×8 tile collapses was not examined); at `k = 16` 4 rows read
+/// 142–165 µs against AVX2's 223–273. A sweep of the tile body alone over
+/// 1–16 rows, one thread, put 3–4 rows best from `k = 9` up, and 8, 12 or
+/// 16 rows 1.2–2.4× slower. Width 1 has no wide tile at all
+/// (`R4 = R8 = 0`).
 ///
 /// `k ≤ 2` were picked by measurement (`P·U` at n = 512, one thread of the
 /// bench host, portable 57–69 µs at `k = 1` and 98–110 µs at `k = 2`). At
@@ -106,12 +117,14 @@ const TN_BAND: usize = 512;
 macro_rules! dispatch_width {
     ($TN:ident, $k:expr, $args:tt) => {
         dispatch_width!(@rows $TN, $k, $args;
-            1: 8 0, 2: 8 4, 3: 4 8, 4: 4 8, 5: 2 4, 6: 2 4, 7: 2 4, 8: 2 4,
-            9: 1 2, 10: 1 2, 11: 1 2, 12: 1 2, 13: 1 2, 14: 1 2, 15: 1 2, 16: 1 2)
+            1: 8 0 0, 2: 8 4 4, 3: 4 8 4, 4: 4 8 4, 5: 2 4 4, 6: 2 4 4, 7: 2 4 4, 8: 2 4 4,
+            9: 1 2 4, 10: 1 2 4, 11: 1 2 4, 12: 1 2 4, 13: 1 2 4, 14: 1 2 4, 15: 1 2 4,
+            16: 1 2 4)
     };
-    (@rows $TN:ident, $k:expr, $args:tt; $($w:literal: $two:literal $four:literal),*) => {
+    (@rows $TN:ident, $k:expr, $args:tt;
+        $($w:literal: $two:literal $four:literal $eight:literal),*) => {
         match $k {
-            $($w => dispatch_band::<$TN, $w, $two, $four> $args,)*
+            $($w => dispatch_band::<$TN, $w, $two, $four, $eight> $args,)*
             k => unreachable!("skinny kernel called with {k} columns"),
         }
     };
@@ -122,7 +135,7 @@ macro_rules! dispatch_width {
 /// (`Pᵀ·V`, `TN`) `first` of `a`. `b` is the row-major `·×K` block. Each
 /// width is a kernel of its own, so a rendering's stack frame holds one
 /// width's accumulators, not all sixteen.
-struct Band<'a, const TN: bool, const K: usize, const R2: usize, const R4: usize> {
+struct Band<'a, const TN: bool, const K: usize, const R2: usize, const R4: usize, const R8: usize> {
     a: &'a Matrix,
     b: &'a [f64],
     first: usize,
@@ -131,8 +144,8 @@ struct Band<'a, const TN: bool, const K: usize, const R2: usize, const R4: usize
     c0: usize,
 }
 
-impl<const TN: bool, const K: usize, const R2: usize, const R4: usize> Kernel
-    for Band<'_, TN, K, R2, R4>
+impl<const TN: bool, const K: usize, const R2: usize, const R4: usize, const R8: usize> Kernel
+    for Band<'_, TN, K, R2, R4, R8>
 {
     const WIDE: bool = TN || R4 > 0;
 
@@ -149,6 +162,8 @@ impl<const TN: bool, const K: usize, const R2: usize, const R4: usize> Kernel
         } = self;
         if TN {
             tn_skinny_cols::<K>(a, b, first, out, ld, c0)
+        } else if I::LANES >= 8 && R8 > 0 {
+            tall_skinny_rows::<K, R8>(a, b, first, out, ld, c0)
         } else if I::LANES >= 4 && R4 > 0 {
             tall_skinny_rows::<K, R4>(a, b, first, out, ld, c0)
         } else {
@@ -157,7 +172,13 @@ impl<const TN: bool, const K: usize, const R2: usize, const R4: usize> Kernel
     }
 }
 
-fn dispatch_band<const TN: bool, const K: usize, const R2: usize, const R4: usize>(
+fn dispatch_band<
+    const TN: bool,
+    const K: usize,
+    const R2: usize,
+    const R4: usize,
+    const R8: usize,
+>(
     a: &Matrix,
     b: &[f64],
     first: usize,
@@ -165,7 +186,7 @@ fn dispatch_band<const TN: bool, const K: usize, const R2: usize, const R4: usiz
     ld: usize,
     c0: usize,
 ) {
-    let band = Band::<TN, K, R2, R4> {
+    let band = Band::<TN, K, R2, R4, R8> {
         a,
         b,
         first,

@@ -18,8 +18,8 @@
 //!    inputs.
 //! 4. **Rendering equivalence** — every kernel (the packed register
 //!    tile, the rank-k tiles, the skinny `P·U` / `Pᵀ·V` products) is
-//!    bitwise identical whether its body is compiled for AVX2 or forced
-//!    to the portable rendering, at every thread count, and whether a
+//!    bitwise identical under every exact rendering the host supports
+//!    (portable, AVX2, AVX-512), at every thread count, and whether a
 //!    skinny product takes the rank-k fast path or the general nest. Only
 //!    the opt-in `packed-fma` kernel may differ, and it is held to the
 //!    same 1e-10 Kahan budget as everything else.
@@ -31,18 +31,18 @@
 //!    at one and two threads, into a fresh matrix or a column block.
 //!
 //! Tests mutate process-wide kernel state (thread budget, default
-//! kernel, forced rendering), so each takes the `SUITE` lock — the binary
+//! kernel, rendering cap), so each takes the `SUITE` lock — the binary
 //! is internally serialized and safe under any `RUST_TEST_THREADS`.
 //!
 //! `tests/matmul_kernels_portable.rs` compiles this file a second time as
-//! a module; there every test runs with the portable rendering forced, so
-//! a host with AVX2 still differences the baseline code path against the
+//! a module; there every test runs with the rendering capped at portable,
+//! so a wide host still differences the baseline code path against the
 //! oracles.
 
 use linview::matrix::gemm::{MR, NR};
 use linview::matrix::{
-    flops, fold_low_rank, force_general_nest, force_portable_microkernel, set_default_kernel,
-    set_gemm_threads, GemmKernel, Matrix, RANK_K_MAX_FOLD_K, RANK_K_MAX_K,
+    flops, fold_low_rank, force_general_nest, set_default_kernel, set_gemm_threads,
+    set_rendering_cap, GemmKernel, Matrix, Rendering, RANK_K_MAX_FOLD_K, RANK_K_MAX_K,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -51,11 +51,11 @@ static SUITE: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     let guard = SUITE.lock().unwrap_or_else(|e| e.into_inner());
-    // At the root of its own test crate the suite runs on the host's best
-    // rendering; as a module of `matmul_kernels_portable` on the portable
-    // one. Tests that flip the knob themselves leave it off, so it is set
-    // again for each test.
-    force_portable_microkernel(module_path!() != "matmul_kernels");
+    // At the root of its own test crate the suite runs on the host's
+    // widest rendering; as a module of `matmul_kernels_portable` on the
+    // portable one. Tests that move the cap themselves lift it, so it is
+    // set again for each test.
+    set_rendering_cap((module_path!() != "matmul_kernels").then_some(Rendering::Portable));
     guard
 }
 
@@ -277,8 +277,9 @@ fn pinned_adversarial_shapes_match_the_oracle() {
 /// element stays one ascending chain across the block boundaries, so
 /// `matmul_with(Packed)`, a wide `try_matmul_tn` (panels packed from the
 /// transposed operand) and an exact-fit `matmul_into` are `==` to the
-/// naive oracle at k ∈ {258, 300, 513, 600} — on both exact renderings, at
-/// one and two threads — and `packed-fma` stays within the 1e-10 budget.
+/// naive oracle at k ∈ {258, 300, 513, 600} — on every exact rendering,
+/// at one and two threads — and `packed-fma` stays within the 1e-10
+/// budget.
 /// 130×70 crosses `MC` and the parallel threshold at every k; 6×8 has a
 /// single ragged register tile (its transposed and into products stream
 /// through the skinny kernels instead).
@@ -293,12 +294,11 @@ fn packed_nest_is_exact_across_kc_blocks() {
             let b = Matrix::random_uniform(k, n, (k * n) as u64 + 2);
             let ab = naive_oracle(&a, &b);
             let atb = naive_oracle(&at.transpose(), &b);
-            for portable in [true, false] {
-                force_portable_microkernel(portable);
+            for rendering in Rendering::supported_all() {
+                set_rendering_cap(Some(rendering));
                 for threads in [1, 2] {
                     set_gemm_threads(Some(threads));
-                    let label =
-                        format!("{m}x{k}x{n}, portable forced: {portable}, {threads} thread(s)");
+                    let label = format!("{m}x{k}x{n}, {rendering}, {threads} thread(s)");
                     let c = a.matmul_with(&b, GemmKernel::Packed).unwrap();
                     assert_eq!(c, ab, "matmul_with, {label}");
                     assert_eq!(at.try_matmul_tn(&b).unwrap(), atb, "try_matmul_tn, {label}");
@@ -311,7 +311,7 @@ fn packed_nest_is_exact_across_kc_blocks() {
             }
         }
     }
-    force_portable_microkernel(false);
+    set_rendering_cap(None);
     set_gemm_threads(None);
     set_default_kernel(None);
 }
@@ -339,10 +339,10 @@ fn every_kernel_is_repeatable_run_to_run() {
     set_gemm_threads(None);
 }
 
-/// The AVX2 instantiation of the register tile is an alternate
-/// *rendering* of the portable one, not an alternate algorithm: the
-/// default packed kernel must produce bitwise-identical outputs with it
-/// enabled and with the portable rendering forced, across thread budgets.
+/// The AVX2 and AVX-512 instantiations of the register tile are alternate
+/// *renderings* of the portable one, not alternate algorithms: the
+/// default packed kernel must produce bitwise-identical outputs under each
+/// rendering the host supports, across thread budgets.
 #[test]
 fn simd_rendering_is_bit_identical_to_portable() {
     let _guard = lock();
@@ -350,32 +350,40 @@ fn simd_rendering_is_bit_identical_to_portable() {
         (MR + 1, 37, NR + 3),
         (97, 113, 41),
         (129, 257, 17),
-        (200, RANK_K_MAX_K, 77), // rank-k fast path, both renderings
+        (200, RANK_K_MAX_K, 77), // rank-k fast path, every rendering
     ];
     for (m, k, n) in shapes {
         let a = Matrix::random_uniform(m, k, (m * 31 + k) as u64);
         let b = Matrix::random_uniform(k, n, (k * 31 + n) as u64);
         for threads in [Some(1), Some(4)] {
             set_gemm_threads(threads);
-            let simd = a.matmul_packed(&b).unwrap();
-            force_portable_microkernel(true);
+            set_rendering_cap(Some(Rendering::Portable));
             let portable = a.matmul_packed(&b).unwrap();
-            force_portable_microkernel(false);
-            assert_eq!(simd, portable, "{m}x{k}x{n} with threads {threads:?}");
+            for rendering in Rendering::supported_all() {
+                set_rendering_cap(Some(rendering));
+                let simd = a.matmul_packed(&b).unwrap();
+                assert_eq!(
+                    simd, portable,
+                    "{m}x{k}x{n}, {rendering}, threads {threads:?}"
+                );
+            }
         }
     }
+    set_rendering_cap(None);
     set_gemm_threads(None);
 }
 
 /// The three streaming kernels of a firing, through the public entry
-/// points, for every width `k = 1..=16`, under both exact renderings and
-/// at one, two and three threads: `P·U` (`try_matmul` / `matmul_into`),
-/// `Pᵀ·V` (`try_matmul_tn` / `matmul_tn_into`, also into the middle of a
-/// wider matrix), the rank-k product (`matmul_packed` on an `m×k · k×n`
-/// shape) and the rank-k fold (`fold_low_rank`) are `==` to the naive
-/// oracle (followed by an elementwise add for the fold). 397×331 is ragged
-/// against every tile height, the 8-row `Pᵀ·V` passes and the 128-row
-/// chunks, and large enough that even `k = 1` is split across threads.
+/// points, for every width `k = 1..=32`, under every exact rendering the
+/// host supports and at one, two and three threads: `P·U` (`try_matmul` /
+/// `matmul_into`; one skinny pass to 16 columns, two past it), `Pᵀ·V`
+/// (`try_matmul_tn` / `matmul_tn_into`, also into the middle of a wider
+/// matrix), the `m×k · k×n` product (`matmul_packed`: the rank-k fast path
+/// to k = 16, the nest past it) and the rank-k fold (`fold_low_rank`) are
+/// `==` to the naive oracle (followed by an elementwise add for the fold).
+/// 397×331 is ragged against every tile height (2, 4, 8) and width (8,
+/// 16), the 8-row `Pᵀ·V` passes and the 128-row chunks, and large enough
+/// that even `k = 1` is split across threads.
 #[test]
 fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
     let _guard = lock();
@@ -384,7 +392,7 @@ fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
     let pt = p.transpose();
     let target = Matrix::random_uniform(m, n, 72);
     let fused = linview::matrix::default_kernel().fuses();
-    for k in 1..=RANK_K_MAX_K {
+    for k in 1..=RANK_K_MAX_FOLD_K {
         let u = Matrix::random_uniform(n, k, 73 + k as u64);
         let v = Matrix::random_uniform(m, k, 93 + k as u64);
         let w = Matrix::random_uniform(n, k, 113 + k as u64);
@@ -393,11 +401,11 @@ fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
         let vwt = naive_oracle(&v, &w.transpose());
         let mut folded = target.clone();
         folded.add_assign_from(&vwt).unwrap();
-        for portable in [true, false] {
-            force_portable_microkernel(portable);
+        for rendering in Rendering::supported_all() {
+            set_rendering_cap(Some(rendering));
             for threads in 1..=3 {
                 set_gemm_threads(Some(threads));
-                let label = format!("k = {k}, portable forced: {portable}, {threads} thread(s)");
+                let label = format!("k = {k}, {rendering}, {threads} thread(s)");
                 assert_eq!(p.try_matmul(&u).unwrap(), pu, "P·U, {label}");
                 assert_eq!(p.try_matmul_tn(&v).unwrap(), ptv, "Pᵀ·V, {label}");
                 let mut wide = Matrix::filled(n, 2 * k + 1, 9.0);
@@ -427,21 +435,21 @@ fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
             }
         }
     }
-    force_portable_microkernel(false);
+    set_rendering_cap(None);
     set_gemm_threads(None);
 }
 
-/// `check(label)` under both exact renderings at one, two and three
-/// threads.
+/// `check(label)` under every exact rendering the host supports at one,
+/// two and three threads.
 fn across_renderings_and_threads(mut check: impl FnMut(&str)) {
-    for portable in [true, false] {
-        force_portable_microkernel(portable);
+    for rendering in Rendering::supported_all() {
+        set_rendering_cap(Some(rendering));
         for threads in 1..=3 {
             set_gemm_threads(Some(threads));
-            check(&format!("portable forced: {portable}, {threads} thread(s)"));
+            check(&format!("{rendering}, {threads} thread(s)"));
         }
     }
-    force_portable_microkernel(false);
+    set_rendering_cap(None);
     set_gemm_threads(None);
 }
 
@@ -523,7 +531,7 @@ fn two_pass_widths_are_bit_identical_to_naive() {
 /// temporary wherever the rank is the smallest extent: `==` GEMM-then-add
 /// through the naive kernel at every width, into targets 17, 31, 256 and
 /// 523 columns wide (the narrow two route elsewhere from some `k` on),
-/// under both exact renderings at one, two and three threads. The same
+/// under every exact rendering at one, two and three threads. The same
 /// fold forced through the packed nest is `==` too, and under
 /// `packed-fma` it stays within 1e-10 of the Kahan oracle. 131 rows span
 /// two row chunks, so the widest targets are split across threads.
