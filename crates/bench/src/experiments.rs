@@ -1027,7 +1027,7 @@ pub fn firing_kernels(cfg: &Config) -> Table {
             let mut block = Matrix::zeros(n, k);
             let ops = (2 * n * n * k) as u64;
             for rendering in Rendering::supported_all() {
-                linview_matrix::set_rendering_cap(Some(rendering));
+                linview_matrix::set_rendering_cap(rendering);
                 let mut cells = vec![kernel.to_string(), k.to_string(), rendering.to_string()];
                 for threads in [1, 2] {
                     linview_matrix::set_gemm_threads(Some(threads));
@@ -1051,7 +1051,7 @@ pub fn firing_kernels(cfg: &Config) -> Table {
             }
         }
     }
-    linview_matrix::set_rendering_cap(None);
+    linview_matrix::set_rendering_cap(Rendering::Avx512);
     linview_matrix::set_gemm_threads(None);
     let times = sorted_times(200 * cfg.updates, || {
         linview_matrix::gemm::fork_join_probe(2, 4)

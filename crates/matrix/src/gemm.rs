@@ -364,13 +364,12 @@ impl std::fmt::Display for Rendering {
     }
 }
 
-/// Sentinel for "no rendering cap".
-const RENDERING_UNCAPPED: u8 = u8::MAX;
-static RENDERING_CAP: AtomicU8 = AtomicU8::new(RENDERING_UNCAPPED);
+static RENDERING_CAP: AtomicU8 = AtomicU8::new(Rendering::Avx512 as u8);
 
 /// Testing/measurement knob: caps the widest rendering **every** kernel
 /// may run under — the packed microkernel, the rank-k tiles and the
-/// skinny products — at `cap` (`None` lifts the cap: the host's widest).
+/// skinny products — at `cap`. The default cap, [`Rendering::Avx512`],
+/// lets the host's widest run.
 ///
 /// The exact renderings are bit-identical whichever runs — this knob is
 /// how that claim is tested, how CI keeps the narrower paths executed on
@@ -378,11 +377,8 @@ static RENDERING_CAP: AtomicU8 = AtomicU8::new(RENDERING_UNCAPPED);
 /// [`Rendering::Portable`] under [`GemmKernel::PackedFma`] also disables
 /// fusion (the portable rendering never fuses), which is the same
 /// fallback hosts without FMA take.
-pub fn set_rendering_cap(cap: Option<Rendering>) {
-    RENDERING_CAP.store(
-        cap.map_or(RENDERING_UNCAPPED, |r| r as u8),
-        Ordering::Relaxed,
-    );
+pub fn set_rendering_cap(cap: Rendering) {
+    RENDERING_CAP.store(cap as u8, Ordering::Relaxed);
 }
 
 /// The rendering [`GemmKernel::Packed`]'s kernels run under: the widest
@@ -394,7 +390,7 @@ pub fn exact_rendering() -> Rendering {
         .into_iter()
         .rev()
         .find(|&r| r as u8 <= cap && r.supported())
-        .unwrap_or(Rendering::Portable)
+        .expect("the portable rendering is supported everywhere and within any cap")
 }
 
 /// Runs an empty `chunks`-chunk batch across `threads` pool threads and
@@ -585,13 +581,13 @@ pub(crate) fn test_config_lock() -> std::sync::MutexGuard<'static, ()> {
 pub(crate) fn for_each_rendering_and_thread_count(mut check: impl FnMut(&str)) {
     let _guard = test_config_lock();
     for rendering in Rendering::supported_all() {
-        set_rendering_cap(Some(rendering));
+        set_rendering_cap(rendering);
         for threads in 1..=3 {
             set_gemm_threads(Some(threads));
             check(&format!("rendering: {rendering}, threads: {threads}"));
         }
     }
-    set_rendering_cap(None);
+    set_rendering_cap(Rendering::Avx512);
     set_gemm_threads(None);
 }
 
@@ -1260,14 +1256,14 @@ mod tests {
         ] {
             let a = Matrix::random_uniform(m, k, seed);
             let b = Matrix::random_uniform(k, n, seed + 9);
-            set_rendering_cap(Some(Rendering::Portable));
+            set_rendering_cap(Rendering::Portable);
             let portable = a.matmul_packed(&b).unwrap();
             for rendering in Rendering::supported_all() {
-                set_rendering_cap(Some(rendering));
+                set_rendering_cap(rendering);
                 let simd = a.matmul_packed(&b).unwrap();
                 assert_eq!(simd, portable, "{m}x{k}x{n}, {rendering}");
             }
-            set_rendering_cap(None);
+            set_rendering_cap(Rendering::Avx512);
         }
     }
 
@@ -1280,12 +1276,12 @@ mod tests {
             .iter()
             .all(|r| !r.supported() || *r <= widest));
         for cap in Rendering::ALL {
-            set_rendering_cap(Some(cap));
+            set_rendering_cap(cap);
             let r = exact_rendering();
             assert!(r <= cap && r.supported(), "cap {cap} gave {r}");
             assert_eq!(r, cap.min(widest), "cap {cap}");
         }
-        set_rendering_cap(None);
+        set_rendering_cap(Rendering::Avx512);
         assert_eq!(exact_rendering(), widest);
         let labels: Vec<&str> = Rendering::ALL.iter().map(|r| r.label()).collect();
         assert_eq!(labels, ["portable", "avx2", "avx512"]);

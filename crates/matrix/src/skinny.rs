@@ -89,22 +89,23 @@ const TN_ROWS: usize = 8;
 /// the rows of `A` streaming past) instead of in the strided output block.
 const TN_BAND: usize = 512;
 
+/// Tile height of [`tall_skinny_into`] under eight lanes (AVX-512, 32
+/// registers), at every width that has a four-lane tile (`R4 > 0`, so
+/// width 1 keeps its two-lane one). `P·U` at n = 512, two threads, bench
+/// host: with 8-row tiles at widths 3–8 the AVX-512 rendering read 140,
+/// 122, 160 and 862 µs at `k` = 3, 4, 6, 8, against 117, 84, 130 and
+/// 98 µs with 4-row ones (why the 8×8 tile collapses was not examined);
+/// at `k = 16` 4 rows read 142–165 µs against AVX2's 223–273. A sweep of
+/// the tile body alone over 1–16 rows, one thread, put 3–4 rows best from
+/// `k = 9` up, and 8, 12 or 16 rows 1.2–2.4× slower.
+const R8_ROWS: usize = 4;
+
 /// Dispatches the [`Band`] of the runtime width `$k`: `Band::<TN, K, R2,
-/// R4, R8>` per row below (`K: R2 R4 R8`). `R` is the tile height of
-/// [`tall_skinny_into`] for two-, four- and eight-lane renderings. For two
-/// and four lanes, `R·⌈K/LANES⌉ ≈ 8` accumulator registers — eight
-/// independent add chains hide the FP latency, and the `B` row and the
-/// broadcasts still fit the other half of the register file.
-///
-/// Eight lanes (AVX-512, 32 registers) take 4 rows at every width from 2
-/// on. `P·U` at n = 512, two threads, bench host: with 8-row tiles at
-/// widths 3–8 the AVX-512 rendering read 140, 122, 160 and 862 µs at
-/// `k` = 3, 4, 6, 8, against 117, 84, 130 and 98 µs with 4-row ones (why
-/// the 8×8 tile collapses was not examined); at `k = 16` 4 rows read
-/// 142–165 µs against AVX2's 223–273. A sweep of the tile body alone over
-/// 1–16 rows, one thread, put 3–4 rows best from `k = 9` up, and 8, 12 or
-/// 16 rows 1.2–2.4× slower. Width 1 has no wide tile at all
-/// (`R4 = R8 = 0`).
+/// R4>` per row below (`K: R2 R4`). `R` is the tile height of
+/// [`tall_skinny_into`] for two- and four-lane renderings:
+/// `R·⌈K/LANES⌉ ≈ 8` accumulator registers — eight independent add chains
+/// hide the FP latency, and the `B` row and the broadcasts still fit the
+/// other half of the register file. Eight lanes take [`R8_ROWS`].
 ///
 /// `k ≤ 2` were picked by measurement (`P·U` at n = 512, one thread of the
 /// bench host, portable 57–69 µs at `k = 1` and 98–110 µs at `k = 2`). At
@@ -117,14 +118,12 @@ const TN_BAND: usize = 512;
 macro_rules! dispatch_width {
     ($TN:ident, $k:expr, $args:tt) => {
         dispatch_width!(@rows $TN, $k, $args;
-            1: 8 0 0, 2: 8 4 4, 3: 4 8 4, 4: 4 8 4, 5: 2 4 4, 6: 2 4 4, 7: 2 4 4, 8: 2 4 4,
-            9: 1 2 4, 10: 1 2 4, 11: 1 2 4, 12: 1 2 4, 13: 1 2 4, 14: 1 2 4, 15: 1 2 4,
-            16: 1 2 4)
+            1: 8 0, 2: 8 4, 3: 4 8, 4: 4 8, 5: 2 4, 6: 2 4, 7: 2 4, 8: 2 4,
+            9: 1 2, 10: 1 2, 11: 1 2, 12: 1 2, 13: 1 2, 14: 1 2, 15: 1 2, 16: 1 2)
     };
-    (@rows $TN:ident, $k:expr, $args:tt;
-        $($w:literal: $two:literal $four:literal $eight:literal),*) => {
+    (@rows $TN:ident, $k:expr, $args:tt; $($w:literal: $two:literal $four:literal),*) => {
         match $k {
-            $($w => dispatch_band::<$TN, $w, $two, $four, $eight> $args,)*
+            $($w => dispatch_band::<$TN, $w, $two, $four> $args,)*
             k => unreachable!("skinny kernel called with {k} columns"),
         }
     };
@@ -135,7 +134,7 @@ macro_rules! dispatch_width {
 /// (`Pᵀ·V`, `TN`) `first` of `a`. `b` is the row-major `·×K` block. Each
 /// width is a kernel of its own, so a rendering's stack frame holds one
 /// width's accumulators, not all sixteen.
-struct Band<'a, const TN: bool, const K: usize, const R2: usize, const R4: usize, const R8: usize> {
+struct Band<'a, const TN: bool, const K: usize, const R2: usize, const R4: usize> {
     a: &'a Matrix,
     b: &'a [f64],
     first: usize,
@@ -144,8 +143,8 @@ struct Band<'a, const TN: bool, const K: usize, const R2: usize, const R4: usize
     c0: usize,
 }
 
-impl<const TN: bool, const K: usize, const R2: usize, const R4: usize, const R8: usize> Kernel
-    for Band<'_, TN, K, R2, R4, R8>
+impl<const TN: bool, const K: usize, const R2: usize, const R4: usize> Kernel
+    for Band<'_, TN, K, R2, R4>
 {
     const WIDE: bool = TN || R4 > 0;
 
@@ -162,8 +161,8 @@ impl<const TN: bool, const K: usize, const R2: usize, const R4: usize, const R8:
         } = self;
         if TN {
             tn_skinny_cols::<K>(a, b, first, out, ld, c0)
-        } else if I::LANES >= 8 && R8 > 0 {
-            tall_skinny_rows::<K, R8>(a, b, first, out, ld, c0)
+        } else if I::LANES >= 8 && R4 > 0 {
+            tall_skinny_rows::<K, R8_ROWS>(a, b, first, out, ld, c0)
         } else if I::LANES >= 4 && R4 > 0 {
             tall_skinny_rows::<K, R4>(a, b, first, out, ld, c0)
         } else {
@@ -172,13 +171,7 @@ impl<const TN: bool, const K: usize, const R2: usize, const R4: usize, const R8:
     }
 }
 
-fn dispatch_band<
-    const TN: bool,
-    const K: usize,
-    const R2: usize,
-    const R4: usize,
-    const R8: usize,
->(
+fn dispatch_band<const TN: bool, const K: usize, const R2: usize, const R4: usize>(
     a: &Matrix,
     b: &[f64],
     first: usize,
@@ -186,7 +179,7 @@ fn dispatch_band<
     ld: usize,
     c0: usize,
 ) {
-    let band = Band::<TN, K, R2, R4, R8> {
+    let band = Band::<TN, K, R2, R4> {
         a,
         b,
         first,

@@ -55,7 +55,11 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     // widest rendering; as a module of `matmul_kernels_portable` on the
     // portable one. Tests that move the cap themselves lift it, so it is
     // set again for each test.
-    set_rendering_cap((module_path!() != "matmul_kernels").then_some(Rendering::Portable));
+    set_rendering_cap(if module_path!() == "matmul_kernels" {
+        Rendering::Avx512
+    } else {
+        Rendering::Portable
+    });
     guard
 }
 
@@ -295,7 +299,7 @@ fn packed_nest_is_exact_across_kc_blocks() {
             let ab = naive_oracle(&a, &b);
             let atb = naive_oracle(&at.transpose(), &b);
             for rendering in Rendering::supported_all() {
-                set_rendering_cap(Some(rendering));
+                set_rendering_cap(rendering);
                 for threads in [1, 2] {
                     set_gemm_threads(Some(threads));
                     let label = format!("{m}x{k}x{n}, {rendering}, {threads} thread(s)");
@@ -311,7 +315,7 @@ fn packed_nest_is_exact_across_kc_blocks() {
             }
         }
     }
-    set_rendering_cap(None);
+    set_rendering_cap(Rendering::Avx512);
     set_gemm_threads(None);
     set_default_kernel(None);
 }
@@ -357,10 +361,10 @@ fn simd_rendering_is_bit_identical_to_portable() {
         let b = Matrix::random_uniform(k, n, (k * 31 + n) as u64);
         for threads in [Some(1), Some(4)] {
             set_gemm_threads(threads);
-            set_rendering_cap(Some(Rendering::Portable));
+            set_rendering_cap(Rendering::Portable);
             let portable = a.matmul_packed(&b).unwrap();
             for rendering in Rendering::supported_all() {
-                set_rendering_cap(Some(rendering));
+                set_rendering_cap(rendering);
                 let simd = a.matmul_packed(&b).unwrap();
                 assert_eq!(
                     simd, portable,
@@ -369,21 +373,22 @@ fn simd_rendering_is_bit_identical_to_portable() {
             }
         }
     }
-    set_rendering_cap(None);
+    set_rendering_cap(Rendering::Avx512);
     set_gemm_threads(None);
 }
 
 /// The three streaming kernels of a firing, through the public entry
-/// points, for every width `k = 1..=32`, under every exact rendering the
+/// points, for every width `k = 1..=16`, under every exact rendering the
 /// host supports and at one, two and three threads: `P·U` (`try_matmul` /
-/// `matmul_into`; one skinny pass to 16 columns, two past it), `Pᵀ·V`
-/// (`try_matmul_tn` / `matmul_tn_into`, also into the middle of a wider
-/// matrix), the `m×k · k×n` product (`matmul_packed`: the rank-k fast path
-/// to k = 16, the nest past it) and the rank-k fold (`fold_low_rank`) are
-/// `==` to the naive oracle (followed by an elementwise add for the fold).
-/// 397×331 is ragged against every tile height (2, 4, 8) and width (8,
-/// 16), the 8-row `Pᵀ·V` passes and the 128-row chunks, and large enough
-/// that even `k = 1` is split across threads.
+/// `matmul_into`), `Pᵀ·V` (`try_matmul_tn` / `matmul_tn_into`, also into
+/// the middle of a wider matrix), the rank-k product (`matmul_packed` on
+/// an `m×k · k×n` shape) and the rank-k fold (`fold_low_rank`) are `==` to
+/// the naive oracle (followed by an elementwise add for the fold). 397×331
+/// is ragged against every tile height (2, 4, 8) and width (8, 16), the
+/// 8-row `Pᵀ·V` passes and the 128-row chunks, and large enough that even
+/// `k = 1` is split across threads. Widths 17–32 are covered by
+/// `two_pass_widths_are_bit_identical_to_naive` and
+/// `wide_rank_folds_are_bit_identical_to_gemm_then_add`.
 #[test]
 fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
     let _guard = lock();
@@ -392,7 +397,7 @@ fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
     let pt = p.transpose();
     let target = Matrix::random_uniform(m, n, 72);
     let fused = linview::matrix::default_kernel().fuses();
-    for k in 1..=RANK_K_MAX_FOLD_K {
+    for k in 1..=RANK_K_MAX_K {
         let u = Matrix::random_uniform(n, k, 73 + k as u64);
         let v = Matrix::random_uniform(m, k, 93 + k as u64);
         let w = Matrix::random_uniform(n, k, 113 + k as u64);
@@ -402,7 +407,7 @@ fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
         let mut folded = target.clone();
         folded.add_assign_from(&vwt).unwrap();
         for rendering in Rendering::supported_all() {
-            set_rendering_cap(Some(rendering));
+            set_rendering_cap(rendering);
             for threads in 1..=3 {
                 set_gemm_threads(Some(threads));
                 let label = format!("k = {k}, {rendering}, {threads} thread(s)");
@@ -435,7 +440,7 @@ fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
             }
         }
     }
-    set_rendering_cap(None);
+    set_rendering_cap(Rendering::Avx512);
     set_gemm_threads(None);
 }
 
@@ -443,13 +448,13 @@ fn streaming_kernels_are_bit_identical_across_renderings_and_threads() {
 /// two and three threads.
 fn across_renderings_and_threads(mut check: impl FnMut(&str)) {
     for rendering in Rendering::supported_all() {
-        set_rendering_cap(Some(rendering));
+        set_rendering_cap(rendering);
         for threads in 1..=3 {
             set_gemm_threads(Some(threads));
             check(&format!("{rendering}, {threads} thread(s)"));
         }
     }
-    set_rendering_cap(None);
+    set_rendering_cap(Rendering::Avx512);
     set_gemm_threads(None);
 }
 
